@@ -1,6 +1,6 @@
 # Convenience targets; each is a thin wrapper over cargo.
 
-.PHONY: build test lint bench bench-check bench-sched bench-defense bench-dos bench-fleet bench-fleet-mem bench-fleet-1m bench-scaleout check-conformance repro repro-quick
+.PHONY: build test lint bench bench-check bench-sched bench-defense bench-dos bench-fleet bench-fleet-mem bench-fleet-1m bench-scaleout check-conformance check-golden repro repro-quick
 
 build:
 	cargo build --release --workspace
@@ -64,6 +64,10 @@ bench-scaleout:
 
 check-conformance:
 	cargo run --release -p h2priv-bench --bin repro -- --quick --check
+
+# Full repro at --threads 1 and 2 must reproduce repro_output.txt.
+check-golden:
+	sh scripts/check_golden.sh
 
 repro:
 	cargo run --release -p h2priv-bench --bin repro

@@ -5,6 +5,7 @@ use h2priv_core::experiment::{analyze_trial, objects_of_interest, run_paper_tria
 use h2priv_core::AttackConfig;
 use h2priv_http2::SendPolicy;
 use h2priv_netsim::SimDuration;
+use h2priv_web::PadSet;
 
 use crate::common::{calibrated_map, run_batch};
 use crate::json::{object, Json, ToJson};
@@ -181,8 +182,9 @@ pub fn padding_defense(trials: u64) -> Vec<AblationRow> {
     let attack = AttackConfig::paper_attack();
     let mut rows = Vec::new();
     for bucket in [None, Some(2_048usize), Some(8_192)] {
+        let pad = bucket.map(|b| PadSet::from_sizes(vec![b]));
         let batch = run_batch(trials, Some(&attack), &map, |cfg| {
-            cfg.server.pad_bucket = bucket;
+            cfg.server.pad = pad.clone();
         });
         let label = match bucket {
             None => "no padding".to_owned(),
@@ -201,10 +203,7 @@ pub fn padding_defense(trials: u64) -> Vec<AblationRow> {
             .site
             .objects()
             .iter()
-            .map(|o| match bucket {
-                Some(b) => (o.size.div_ceil(b) * b) as u64,
-                None => o.size as u64,
-            })
+            .map(|o| pad.as_ref().map_or(o.size, |p| p.pad_to(o.size)) as u64)
             .sum();
         rows.push(AblationRow {
             name: "padding-defense".into(),

@@ -29,8 +29,8 @@ use h2priv_core::AttackConfig;
 use h2priv_dos::{DetectorConfig, DosAttack, DosConfig, GuardConfig};
 use h2priv_netsim::{mbps, SimDuration};
 use h2priv_testkit::fleet::{merge_shards, run_fleet_shard, FleetConfig, FleetConformance};
-use h2priv_testkit::{run_dos_trial, DosScenarioConfig};
-use h2priv_web::PoolConfig;
+use h2priv_testkit::{build_scenario, run_scenario, ScenarioConfig};
+use h2priv_web::{isidewith, PoolConfig};
 
 use crate::json::{object, Json, ToJson};
 use crate::runner;
@@ -184,32 +184,48 @@ impl ToJson for DosReport {
 const GRID_SEED: u64 = 0xD05;
 
 fn grid_cell(attack: DosAttack, guarded: bool) -> DosCell {
-    let r = run_dos_trial(&DosScenarioConfig {
+    let iw = isidewith::build(&[0, 1, 2, 3, 4, 5, 6, 7]);
+    let config = ScenarioConfig {
         seed: GRID_SEED,
-        attack: DosConfig::for_attack(attack),
-        guard: guarded.then(GuardConfig::default),
-        detector: Some(DetectorConfig::default()),
+        attacker: Some(DosConfig::for_attack(attack)),
+        dos_guard: guarded.then(GuardConfig::default),
+        dos_detector: Some(DetectorConfig::default()),
         pool: Some(PoolConfig::default()),
         deadline: SimDuration::from_secs(30),
         conformance: runner::conformance_enabled(),
-    });
+        ..ScenarioConfig::default()
+    };
+    let scenario = build_scenario(&iw.site, &iw.plan, &config, None);
+    let (client, server) = (scenario.client.clone(), scenario.server.clone());
+    let r = run_scenario(scenario);
     runner::record_events(r.events);
     runner::record_violations(
         r.violations_total,
         r.violations.iter().map(|v| v.to_string()),
     );
+    let (client, server) = (client.borrow(), server.borrow());
+    let (attacker, site_server) = (client.attacker(), server.server());
+    let pool = site_server
+        .pool()
+        .expect("grid servers run a pool")
+        .borrow();
+    let stats = attacker.stats();
     DosCell {
         attack: attack.name(),
         guarded,
-        shed_ms: r.shed_at.map(|t| t.as_nanos() as f64 / 1e6),
-        detect_ms: r.detection_latency.map(|d| d.as_nanos() as f64 / 1e6),
-        alerts: r.alerts.len() as u64,
-        workers_held: r.pool_in_use,
-        parsers_held: r.parser_held,
-        settings_backlog_ms: r.pool_busy_until.as_millis(),
-        requests_seen: r.requests_seen,
-        frames_sent: r.attacker.frames_sent,
-        resets_received: r.attacker.resets_received,
+        shed_ms: attacker.shed_at().map(|t| t.as_nanos() as f64 / 1e6),
+        detect_ms: r
+            .dos_alerts
+            .first()
+            .zip(attacker.attack_started())
+            .map(|(alert, start)| alert.at.saturating_since(start).as_nanos() as f64 / 1e6),
+        alerts: r.dos_alerts.len() as u64,
+        workers_held: pool.in_use(),
+        parsers_held: pool.parser_held(),
+        settings_backlog_ms: pool.busy_until().as_millis(),
+        requests_seen: site_server.requests_seen(),
+        frames_sent: stats.frames_sent,
+        resets_received: stats.resets_received,
     }
 }
 

@@ -9,7 +9,8 @@
 //! * [`PadSet`]/[`constrained_pad_set`] — *constrained padding* of object
 //!   bodies to a small optimal size set with a bounded multiplicative
 //!   overhead, after Reed & Reiter ("Optimally Hiding Object Sizes with
-//!   Constrained Padding", arXiv:2108.01753). Applied at the web server.
+//!   Constrained Padding", arXiv:2108.01753). Applied at the web server,
+//!   whose `h2priv-web` crate owns [`PadSet`]; it is re-exported here.
 //! * Frame-size quantization — RFC 7540 §6.1 PADDED frames on a
 //!   deterministic schedule; the mechanism lives in `h2priv-http2`
 //!   (`H2Config::data_pad_quantum`), this crate only selects it.
@@ -35,7 +36,8 @@ mod padset;
 mod shaper;
 mod spec;
 
+pub use h2priv_web::PadSet;
 pub use pacer::{AdaptivePacer, ConstantRatePacer};
-pub use padset::{constrained_pad_set, PadSet};
+pub use padset::constrained_pad_set;
 pub use shaper::{dummy_record_plaintext, TlsShaper, DUMMY_RECORD_LEN};
 pub use spec::DefenseSpec;

@@ -11,49 +11,7 @@
 //! every input size pads up by at most the bound, which collapses each
 //! covered group of objects into one indistinguishable wire size.
 
-/// A sorted set of canonical padded sizes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PadSet {
-    /// Canonical sizes, ascending, deduplicated, non-empty for any
-    /// non-empty input.
-    sizes: Vec<usize>,
-}
-
-impl PadSet {
-    /// Builds a pad set from explicit canonical sizes (test hook; use
-    /// [`constrained_pad_set`] for the derived set).
-    pub fn from_sizes(mut sizes: Vec<usize>) -> Self {
-        sizes.retain(|&s| s > 0);
-        sizes.sort_unstable();
-        sizes.dedup();
-        PadSet { sizes }
-    }
-
-    /// The canonical sizes, ascending.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// The padded size for a body of `len` bytes: the smallest canonical
-    /// size that fits, or — for bodies beyond the largest canonical size —
-    /// the next multiple of that largest size (so unexpected large objects
-    /// still land on a coarse grid instead of leaking exact sizes).
-    pub fn pad_to(&self, len: usize) -> usize {
-        let Some(&max) = self.sizes.last() else {
-            return len;
-        };
-        match self.sizes.binary_search(&len) {
-            Ok(_) => len,
-            Err(i) if i < self.sizes.len() => self.sizes[i],
-            Err(_) => len.div_ceil(max) * max,
-        }
-    }
-
-    /// Bytes of padding added for a body of `len` bytes.
-    pub fn overhead(&self, len: usize) -> usize {
-        self.pad_to(len) - len
-    }
-}
+use h2priv_web::PadSet;
 
 /// Derives the minimal canonical size set covering `sizes` such that no
 /// object grows by more than `overhead_per_mille` ‰ (e.g. `250` bounds
@@ -73,8 +31,7 @@ pub fn constrained_pad_set(sizes: &[usize], overhead_per_mille: u32) -> PadSet {
         let floor = (largest * 1000).div_ceil(bound);
         sorted.retain(|&s| s < floor);
     }
-    canon.reverse();
-    PadSet { sizes: canon }
+    PadSet::from_sizes(canon)
 }
 
 #[cfg(test)]
@@ -121,23 +78,9 @@ mod tests {
     }
 
     #[test]
-    fn oversized_bodies_land_on_coarse_grid() {
-        let set = PadSet::from_sizes(vec![1_000, 4_000]);
-        assert_eq!(set.pad_to(4_001), 8_000);
-        assert_eq!(set.pad_to(9_000), 12_000);
-    }
-
-    #[test]
     fn empty_set_is_identity() {
         let set = constrained_pad_set(&[], 500);
         assert_eq!(set.pad_to(1234), 1234);
         assert_eq!(set.overhead(1234), 0);
-    }
-
-    #[test]
-    fn overhead_accessor_matches() {
-        let set = PadSet::from_sizes(vec![2_048]);
-        assert_eq!(set.overhead(2_000), 48);
-        assert_eq!(set.overhead(2_048), 0);
     }
 }

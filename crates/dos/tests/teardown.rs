@@ -10,8 +10,8 @@ use h2priv_core::experiment::run_paper_trial;
 use h2priv_core::AttackConfig;
 use h2priv_dos::{DetectorConfig, DosAttack, DosConfig, GuardConfig};
 use h2priv_netsim::SimDuration;
-use h2priv_testkit::{run_dos_trial, DosScenarioConfig};
-use h2priv_web::PoolConfig;
+use h2priv_testkit::{build_scenario, run_scenario, ScenarioConfig};
+use h2priv_web::{isidewith, PoolConfig};
 
 #[test]
 fn transport_death_releases_every_worker() {
@@ -67,21 +67,29 @@ fn pooled_benign_run_completes_and_ends_drained() {
 #[test]
 fn guard_goaway_releases_every_worker() {
     // Guard-ordered GOAWAY against the worst hoarder: all held workers
-    // and parser threads return to the pool. (`run_dos_trial` reports the
-    // pool's end-state occupancy directly.)
+    // and parser threads return to the pool. (`pool_in_use` counts both.)
+    let iw = isidewith::build(&[0, 1, 2, 3, 4, 5, 6, 7]);
     for attack in [DosAttack::ZeroWindowHoard, DosAttack::SlowHeaders] {
-        let r = run_dos_trial(&DosScenarioConfig {
+        let config = ScenarioConfig {
             seed: 5,
-            attack: DosConfig::for_attack(attack),
-            guard: Some(GuardConfig::default()),
-            detector: Some(DetectorConfig::default()),
+            attacker: Some(DosConfig::for_attack(attack)),
+            dos_guard: Some(GuardConfig::default()),
+            dos_detector: Some(DetectorConfig::default()),
             pool: Some(PoolConfig::default()),
-            ..DosScenarioConfig::default()
-        });
-        assert!(r.shed_at.is_some(), "{}: guard sheds", attack.name());
+            deadline: SimDuration::from_secs(30),
+            ..ScenarioConfig::default()
+        };
+        let scenario = build_scenario(&iw.site, &iw.plan, &config, None);
+        let client = scenario.client.clone();
+        let r = run_scenario(scenario);
+        assert!(
+            client.borrow().attacker().shed_at().is_some(),
+            "{}: guard sheds",
+            attack.name()
+        );
         assert_eq!(
-            (r.pool_in_use, r.parser_held),
-            (0, 0),
+            r.pool_in_use,
+            0,
             "{}: GOAWAY teardown leaked pool threads",
             attack.name()
         );

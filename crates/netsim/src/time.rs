@@ -105,16 +105,6 @@ impl SimTime {
         SimTime(self.0.max(other.0))
     }
 
-    /// Sums two instants as if they were spans, saturating at
-    /// [`SimTime::MAX`]. Adding absolute times is normally meaningless —
-    /// the one legitimate use is *merging per-shard clocks* into an
-    /// aggregate "simulated host-seconds" figure (fleet shard merge),
-    /// where each shard contributes its own end time and a shard parked
-    /// at an "infinite" deadline must not wrap the total negative.
-    pub const fn saturating_merge(self, other: SimTime) -> SimTime {
-        SimTime(self.0.saturating_add(other.0))
-    }
-
     /// Returns the earlier of two instants.
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
@@ -356,21 +346,6 @@ mod tests {
         // Just past the overflow boundary, still saturates.
         assert_eq!(
             SimTime::from_secs(u64::MAX / 1_000_000_000 + 1),
-            SimTime::MAX
-        );
-    }
-
-    #[test]
-    fn saturating_merge_boundary() {
-        // Shard-clock merge: ordinary clocks add, and a shard parked at an
-        // "infinite" deadline saturates instead of wrapping the aggregate.
-        let a = SimTime::from_secs(90);
-        let b = SimTime::from_secs(30);
-        assert_eq!(a.saturating_merge(b), SimTime::from_secs(120));
-        assert_eq!(SimTime::ZERO.saturating_merge(a), a);
-        assert_eq!(SimTime::MAX.saturating_merge(b), SimTime::MAX);
-        assert_eq!(
-            SimTime::from_nanos(u64::MAX - 1).saturating_merge(SimTime::from_nanos(2)),
             SimTime::MAX
         );
     }

@@ -39,22 +39,17 @@ use std::sync::Arc;
 
 use h2priv_analysis::{GroundTruth, WireTrace};
 use h2priv_conformance::{ConformanceTap, Violation, ViolationSink};
-use h2priv_defense::{constrained_pad_set, DefenseSpec, TlsShaper};
-use h2priv_dos::{
-    Alert, DetectorConfig, DosAttack, DosClient, DosConfig, DosDetector, GuardConfig, ServerGuard,
-};
-use h2priv_http2::H2Config;
+use h2priv_defense::DefenseSpec;
+use h2priv_dos::{Alert, DetectorConfig, DosAttack, DosConfig, GuardConfig};
 use h2priv_netsim::{
     Context, Dir, GatewayStats, LinkConfig, MbContext, Middlebox, Node, NodeId, Packet, SchedStats,
     SimDuration, SimRng, SimTime, Simulator, StopReason, TimerId, Verdict,
 };
-use h2priv_tcp::{Seq, TcpSegment};
-use h2priv_web::{
-    isidewith, Browser, PoolConfig, PoolStats, RequestOutcome, SiteServer, SiteServerConfig,
-    Website, WorkerPool,
-};
+use h2priv_tcp::TcpSegment;
+use h2priv_web::{isidewith, PoolConfig, PoolStats, RequestOutcome, Website, WorkerPool};
 
-use crate::host::{App, BufPool, HostCore, HostOracle, PumpScratch};
+use crate::host::{App, BufPool, HostCore, PumpScratch};
+use crate::pair::{PairInputs, PairRecipe};
 use crate::scenario::ScenarioConfig;
 use crate::tap::WireTap;
 
@@ -106,7 +101,7 @@ impl FleetConformance {
 }
 
 /// Hostile-traffic injection for a fleet run: the top `attackers` pair
-/// ids (never the victim) swap their browser for a [`DosClient`], so the
+/// ids (never the victim) swap their browser for a `DosClient`, so the
 /// attack contends with honest bystanders on the shared links — and, when
 /// a worker pool is configured, on the shard's shared thread budget.
 #[derive(Debug, Clone)]
@@ -222,10 +217,7 @@ impl Default for FleetConfig {
 
 /// Whether `pair` is hostile under `dos` (the victim never is: it stays
 /// the attack-measurement pair).
-fn is_hostile(pair: u32, population: u32, dos: Option<&FleetDosConfig>) -> bool {
-    let Some(dos) = dos else {
-        return false;
-    };
+fn is_hostile(pair: u32, population: u32, dos: &FleetDosConfig) -> bool {
     pair != VICTIM_PAIR && pair >= population.saturating_sub(dos.attackers)
 }
 
@@ -253,7 +245,7 @@ pub fn victim_shard(config: &FleetConfig) -> u32 {
 /// The victim's survey outcome — the permutation the adversary tries to
 /// recover. Deterministic in the seed so the driver can rebuild the same
 /// [`isidewith`] site for scoring.
-pub fn victim_golden_order(seed: u64) -> Vec<usize> {
+fn victim_golden_order(seed: u64) -> Vec<usize> {
     SimRng::seed_from(mix(seed, 0x601D)).permutation(8)
 }
 
@@ -834,27 +826,21 @@ impl HostArena {
 
 /// Materializes one pair's client and server cores on demand.
 ///
-/// This is the eager setup loop's body, factored so cohort streaming can
-/// defer it to the pair's start time. Each pair's state is a pure function
-/// of `(seed, pair)` — the per-pair RNG is re-seeded from scratch and both
-/// construction paths consume forks in the same order — so a pair built
-/// lazily is bit-identical to one built up front, which is what makes the
-/// outcome rows independent of cohort size.
+/// Cohort streaming defers a pair's build to its start time. Each pair's
+/// state is a pure function of `(seed, pair)` — the per-pair RNG is
+/// re-seeded from scratch and the [`PairRecipe`] consumes its forks in a
+/// fixed order — so a pair built lazily is bit-identical to one built up
+/// front, which is what makes the outcome rows independent of cohort size.
 struct PairBuilder {
     seed: u64,
     population: u32,
     /// Client start stagger window, µs.
     spread_us: u64,
-    scen: ScenarioConfig,
-    /// Defense-derived server-side configs, computed once per shard.
-    server_config: SiteServerConfig,
-    server_h2: H2Config,
-    authority: Rc<str>,
+    recipe: PairRecipe,
     victim_site: Option<isidewith::Isidewith>,
     victim_shared: Option<Rc<Website>>,
     bystander_site: isidewith::Isidewith,
     bystander_shared: Rc<Website>,
-    defense: DefenseSpec,
     dos: Option<FleetDosConfig>,
     shard_pool: Option<Rc<RefCell<WorkerPool>>>,
     truth: Rc<RefCell<GroundTruth>>,
@@ -866,12 +852,16 @@ struct PairBuilder {
 
 impl PairBuilder {
     /// The pair's staggered start time, derivable without building its
-    /// cores: both construction paths consume exactly two RNG forks
-    /// (browser-or-burned, then server) before the start draw.
+    /// cores: the recipe consumes exactly two RNG forks (browser-or-burned,
+    /// then server) before the start draw.
     fn start_at(&self, pair: u32) -> SimTime {
         let mut pair_rng = SimRng::seed_from(mix(self.seed, 0xFA11 ^ pair as u64));
         let _ = pair_rng.fork();
         let _ = pair_rng.fork();
+        self.start_draw(&mut pair_rng)
+    }
+
+    fn start_draw(&self, pair_rng: &mut SimRng) -> SimTime {
         SimTime::ZERO
             + SimDuration::from_micros(if self.spread_us == 0 {
                 0
@@ -885,7 +875,7 @@ impl PairBuilder {
     fn build(&self, pair: u32) -> (HostCore, HostCore, SimTime) {
         let mut pair_rng = SimRng::seed_from(mix(self.seed, 0xFA11 ^ pair as u64));
         let is_victim = pair == VICTIM_PAIR;
-        let (iside, server_site) = if is_victim {
+        let (iside, served) = if is_victim {
             (
                 self.victim_site
                     .as_ref()
@@ -897,107 +887,30 @@ impl PairBuilder {
         } else {
             (&self.bystander_site, &self.bystander_shared)
         };
-        let dos = self.dos.as_ref();
-        let hostile = is_hostile(pair, self.population, dos);
-        let session_key = 0x5EC0_0D5E ^ mix(self.seed, pair as u64);
-        let mut client_core = if hostile {
-            let attack = dos.expect("hostile implies dos config").attack;
-            // Burn the browser fork so benign pairs keep their exact RNG
-            // streams whether or not their neighbors turned hostile.
-            let _ = pair_rng.fork();
-            HostCore::new_attacker(
-                self.server_arena_id,
-                DosClient::new(DosConfig::for_attack(attack)),
-                self.scen.tcp.clone(),
-                session_key,
-                self.scen.socket_buffer,
-            )
-        } else {
-            let browser = Browser::new(
-                &iside.site,
-                iside.plan.clone(),
-                self.scen.browser.clone(),
-                pair_rng.fork(),
-            );
-            HostCore::new_client(
-                self.server_arena_id,
-                browser,
-                self.scen.tcp.clone(),
-                self.scen.client_h2.clone(),
-                session_key,
-                self.authority.clone(),
-                None,
-                self.scen.socket_buffer,
-            )
-        };
-        // Fleet completion is tracked per slot; no single client may halt
-        // the whole shard.
-        client_core.halt_when_done = false;
-
-        let mut server_app = SiteServer::new(
-            server_site.clone(),
-            self.server_config.clone(),
-            pair_rng.fork(),
+        let attacker = self
+            .dos
+            .as_ref()
+            .filter(|dos| is_hostile(pair, self.population, dos))
+            .map(|dos| DosConfig::for_attack(dos.attack));
+        let (client_core, server_core) = self.recipe.build(
+            PairInputs {
+                server_node: self.server_arena_id,
+                client_node: self.client_arena_id,
+                rng: &mut pair_rng,
+                session_key: 0x5EC0_0D5E ^ mix(self.seed, pair as u64),
+                site: &iside.site,
+                plan: &iside.plan,
+                served: served.clone(),
+                attacker,
+                truth: is_victim.then(|| self.truth.clone()),
+                pool: self.shard_pool.clone(),
+                oracle: self.sink.as_ref().filter(|_| self.conformance.checks(pair)),
+            },
+            // Shaping runs on the victim server only, from a dedicated
+            // stream: the pair stream's next draw is the start time.
+            |_| is_victim.then(|| SimRng::seed_from(mix(self.seed, 0xDEF5 ^ pair as u64))),
         );
-        if let Some(pool) = &self.shard_pool {
-            server_app.set_pool(Rc::clone(pool));
-        }
-        let mut server_tcp = self.scen.tcp.clone();
-        server_tcp.iss = Seq(700_000);
-        let mut server_core = HostCore::new_server(
-            self.client_arena_id,
-            server_app,
-            server_tcp,
-            self.server_h2.clone(),
-            session_key,
-            is_victim.then(|| self.truth.clone()),
-            self.scen.socket_buffer,
-        );
-        // The hardening stack installs fleet-wide (the site deploys it on
-        // every server); benign pairs double as the false-positive corpus.
-        if let Some(dos) = dos {
-            if let Some(guard_cfg) = dos.guard {
-                server_core.set_guard(ServerGuard::new(guard_cfg));
-            }
-            if let Some(det_cfg) = dos.detector {
-                server_core.set_detector(DosDetector::new(det_cfg));
-            }
-        }
-        // Shaping runs on the victim server only, from a dedicated RNG
-        // stream so the defense never perturbs the pair's app randomness.
-        if is_victim {
-            let shaper_rng = SimRng::seed_from(mix(self.seed, 0xDEF5 ^ pair as u64));
-            match self.defense {
-                DefenseSpec::ConstantRate { interval_us } => server_core.set_shaper(
-                    TlsShaper::constant_rate(SimDuration::from_micros(interval_us as u64)),
-                    shaper_rng,
-                ),
-                DefenseSpec::AdaptivePadding {
-                    min_gap_us,
-                    spread_us,
-                } => server_core.set_shaper(
-                    TlsShaper::adaptive(
-                        SimDuration::from_micros(min_gap_us as u64),
-                        SimDuration::from_micros(spread_us as u64),
-                    ),
-                    shaper_rng,
-                ),
-                _ => {}
-            }
-        }
-        if let Some(sink) = &self.sink {
-            if self.conformance.checks(pair) {
-                client_core.set_oracle(HostOracle::new("client", true, sink.clone()));
-                server_core.set_oracle(HostOracle::new("server", false, sink.clone()));
-            }
-        }
-
-        let start_at = SimTime::ZERO
-            + SimDuration::from_micros(if self.spread_us == 0 {
-                0
-            } else {
-                pair_rng.gen_range_u64(0..self.spread_us)
-            });
+        let start_at = self.start_draw(&mut pair_rng);
         (client_core, server_core, start_at)
     }
 }
@@ -1228,9 +1141,6 @@ pub struct FleetResult {
     /// Scheduler counters summed as concurrently-resident shards
     /// ([`SchedStats::merge_concurrent`]: peaks add, they don't max).
     pub sched: SchedStats,
-    /// Summed simulated end times (saturating — the overflow guard for
-    /// very large fleets).
-    pub sim_time_total: SimTime,
     /// Latest shard end time.
     pub end_time_max: SimTime,
     /// Pairs whose page load completed.
@@ -1278,7 +1188,6 @@ pub fn run_fleet_shard(
     let pairs: Vec<u32> = (0..config.population)
         .filter(|&p| shard_of_pair(p, shards) == shard)
         .collect();
-    let scen = ScenarioConfig::default();
 
     let mut sim: Simulator<FleetSegment> = Simulator::new(mix(config.seed, 0xE6E1 ^ shard as u64));
     let client_arena_id = sim.reserve_node_id();
@@ -1299,33 +1208,21 @@ pub fn run_fleet_shard(
     };
     let victim_shared = victim_site.as_ref().map(&shared_site);
     let bystander_shared = shared_site(&bystander_site);
-    let authority: Rc<str> = Rc::from("www.isidewith.com");
 
-    // Defense-derived server-side configs, computed once per shard. Both
-    // site variants are permutations of the same survey, so one pad set
-    // covers every server in the population.
-    let mut server_config = scen.server.clone();
-    let mut server_h2 = scen.server_h2.clone();
-    match config.defense {
-        DefenseSpec::ConstrainedPadding { overhead_per_mille } => {
-            let sizes: Vec<usize> = bystander_site
-                .site
-                .objects()
-                .iter()
-                .map(|o| o.size)
-                .collect();
-            server_config.pad_sizes = Some(
-                constrained_pad_set(&sizes, overhead_per_mille)
-                    .sizes()
-                    .to_vec(),
-            );
-        }
-        DefenseSpec::FrameQuantize { quantum } => {
-            server_h2.data_pad_quantum = quantum as usize;
-            server_h2.headers_pad_quantum = quantum as usize;
-        }
-        _ => {}
-    }
+    // The hardening stack installs fleet-wide (the site deploys it on
+    // every server); benign pairs double as the false-positive corpus.
+    // Both site variants are permutations of the same survey, so one pad
+    // set covers every server in the population.
+    let dos = config.dos.as_ref();
+    let recipe = PairRecipe::new(
+        ScenarioConfig {
+            defense: config.defense,
+            dos_guard: dos.and_then(|d| d.guard),
+            dos_detector: dos.and_then(|d| d.detector),
+            ..ScenarioConfig::default()
+        },
+        &bystander_site.site,
+    );
 
     let trace = Rc::new(RefCell::new(WireTrace::new()));
     let truth = Rc::new(RefCell::new(GroundTruth::new()));
@@ -1336,7 +1233,6 @@ pub fn run_fleet_shard(
     // `config.pool` shares it independently of any DoS injection; a
     // DoS-carried pool is the fallback so the hardening exhibits keep
     // their exact configuration.
-    let dos = config.dos.as_ref();
     let shard_pool = config
         .pool
         .or_else(|| dos.and_then(|d| d.pool))
@@ -1346,15 +1242,11 @@ pub fn run_fleet_shard(
         seed: config.seed,
         population: config.population,
         spread_us: config.start_spread.as_micros(),
-        scen,
-        server_config,
-        server_h2,
-        authority,
+        recipe,
         victim_site,
         victim_shared,
         bystander_site,
         bystander_shared,
-        defense: config.defense,
         dos: config.dos.clone(),
         shard_pool: shard_pool.clone(),
         truth: truth.clone(),
@@ -1549,7 +1441,6 @@ pub fn merge_shards(population: u32, shards: u32, mut results: Vec<ShardResult>)
         events: 0,
         shard_events: Vec::with_capacity(results.len()),
         sched: SchedStats::default(),
-        sim_time_total: SimTime::ZERO,
         end_time_max: SimTime::ZERO,
         completed: 0,
         broken: 0,
@@ -1570,7 +1461,6 @@ pub fn merge_shards(population: u32, shards: u32, mut results: Vec<ShardResult>)
         out.events += s.events;
         out.shard_events.push(s.events);
         out.sched.merge_concurrent(&s.sched);
-        out.sim_time_total = out.sim_time_total.saturating_merge(s.end_time);
         out.end_time_max = out.end_time_max.max(s.end_time);
         out.completed += s.completed;
         out.broken += s.broken;
@@ -1683,7 +1573,6 @@ mod tests {
         assert_eq!(fwd.events, rev.events);
         assert_eq!(fwd.shard_events, rev.shard_events);
         assert_eq!(fwd.sched, rev.sched);
-        assert_eq!(fwd.sim_time_total, rev.sim_time_total);
         assert_eq!(fwd.completed, rev.completed);
     }
 

@@ -92,14 +92,14 @@ impl BufPool {
 /// flow-control/HPACK ledger fed the exact bytes this endpoint sends and
 /// receives, plus a TCP checker watching every transmitted segment against
 /// the connection's own state.
-pub struct HostOracle {
+pub(crate) struct HostOracle {
     h2: H2LedgerChecker,
     tcp: TcpEndpointChecker,
 }
 
 impl HostOracle {
     /// Creates the checkers for one endpoint, reporting into `sink`.
-    pub fn new(label: &'static str, is_client: bool, sink: ViolationSink) -> Self {
+    pub(crate) fn new(label: &'static str, is_client: bool, sink: ViolationSink) -> Self {
         HostOracle {
             h2: H2LedgerChecker::new(label, is_client, sink.clone()),
             tcp: TcpEndpointChecker::new(label, sink),
@@ -160,8 +160,6 @@ pub struct HostCore {
     peer: NodeId,
     /// Set when the connection failed at any layer.
     pub dead: bool,
-    /// Halt the whole simulation when this host is finished (client).
-    pub(crate) halt_when_done: bool,
     /// The `:authority` every request carries; shared (`Rc<str>`) so a
     /// fleet shard's clients all point at one allocation.
     authority: Rc<str>,
@@ -193,11 +191,13 @@ pub struct HostCore {
 }
 
 impl HostCore {
-    /// Builds a client core (browser + client-side stack).
+    /// Builds a core running `app`: the client-side stack for a browser or
+    /// attacker, the server-side stack for a site server. An attacker
+    /// speaks raw frames, so its `h2` connection is an unused placeholder.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_client(
+    pub(crate) fn new(
+        app: App,
         peer: NodeId,
-        browser: Browser,
         tcp: TcpConfig,
         h2: H2Config,
         session_key: u64,
@@ -205,82 +205,29 @@ impl HostCore {
         truth: Option<Rc<RefCell<GroundTruth>>>,
         socket_buffer: usize,
     ) -> HostCore {
+        let (tcp, tls, h2) = match app {
+            App::Server(_) => (
+                TcpConnection::server(tcp),
+                TlsSession::new(Role::Server, session_key),
+                H2Connection::new_server(h2),
+            ),
+            App::Client(_) | App::Attacker(_) => (
+                TcpConnection::client(tcp),
+                TlsSession::new(Role::Client, session_key),
+                H2Connection::new_client(h2),
+            ),
+        };
         HostCore {
-            tcp: TcpConnection::client(tcp),
-            tls: TlsSession::new(Role::Client, session_key),
-            h2: H2Connection::new_client(h2),
-            app: App::Client(browser),
+            tcp,
+            tls,
+            h2,
+            app,
             truth,
             stream_objects: Vec::new(),
             tls_established: false,
             peer,
             dead: false,
-            halt_when_done: true,
             authority,
-            socket_buffer,
-            oracle: None,
-            shaper: None,
-            guard: None,
-            detector: None,
-            settings_billed: 0,
-            parser_held: false,
-        }
-    }
-
-    /// Builds an attacker core (DoS client + client-side TCP/TLS stack).
-    /// The attacker speaks raw frames, so the `h2` field is an unused
-    /// placeholder; everything below TLS is the honest client stack.
-    pub(crate) fn new_attacker(
-        peer: NodeId,
-        attacker: DosClient,
-        tcp: TcpConfig,
-        session_key: u64,
-        socket_buffer: usize,
-    ) -> HostCore {
-        HostCore {
-            tcp: TcpConnection::client(tcp),
-            tls: TlsSession::new(Role::Client, session_key),
-            h2: H2Connection::new_client(H2Config::default()),
-            app: App::Attacker(attacker),
-            truth: None,
-            stream_objects: Vec::new(),
-            tls_established: false,
-            peer,
-            dead: false,
-            halt_when_done: false,
-            authority: Rc::from(""),
-            socket_buffer,
-            oracle: None,
-            shaper: None,
-            guard: None,
-            detector: None,
-            settings_billed: 0,
-            parser_held: false,
-        }
-    }
-
-    /// Builds a server core (site server + server-side stack).
-    pub(crate) fn new_server(
-        peer: NodeId,
-        server: SiteServer,
-        tcp: TcpConfig,
-        h2: H2Config,
-        session_key: u64,
-        truth: Option<Rc<RefCell<GroundTruth>>>,
-        socket_buffer: usize,
-    ) -> HostCore {
-        HostCore {
-            tcp: TcpConnection::server(tcp),
-            tls: TlsSession::new(Role::Server, session_key),
-            h2: H2Connection::new_server(h2),
-            app: App::Server(server),
-            truth,
-            stream_objects: Vec::new(),
-            tls_established: false,
-            peer,
-            dead: false,
-            halt_when_done: false,
-            authority: Rc::from(""),
             socket_buffer,
             oracle: None,
             shaper: None,
@@ -345,14 +292,14 @@ impl HostCore {
 
     /// Attaches conformance checkers; every byte pumped from here on is
     /// validated.
-    pub fn set_oracle(&mut self, oracle: HostOracle) {
+    pub(crate) fn set_oracle(&mut self, oracle: HostOracle) {
         self.oracle = Some(Box::new(oracle));
     }
 
     /// Attaches a dummy-record shaping schedule. `rng` must be a dedicated
     /// fork of the scenario seed so the schedule's draws never perturb the
     /// application's randomness.
-    pub fn set_shaper(&mut self, shaper: TlsShaper, rng: SimRng) {
+    pub(crate) fn set_shaper(&mut self, shaper: TlsShaper, rng: SimRng) {
         self.shaper = Some(Box::new(HostShaper {
             shaper,
             rng,
@@ -369,14 +316,14 @@ impl HostCore {
     /// the connection after every pump and its shedding decisions —
     /// `RST_STREAM`/`GOAWAY` with `ENHANCE_YOUR_CALM` — are applied by the
     /// host. Without one the server runs exactly as before, bit for bit.
-    pub fn set_guard(&mut self, guard: ServerGuard) {
+    pub(crate) fn set_guard(&mut self, guard: ServerGuard) {
         self.guard = Some(Box::new(guard));
     }
 
     /// Attaches an online DoS detector (server side). It is fed the same
     /// decrypted inbound bytes as the conformance ledger, so it sees what
     /// a gateway-side tap would.
-    pub fn set_detector(&mut self, detector: DosDetector) {
+    pub(crate) fn set_detector(&mut self, detector: DosDetector) {
         self.detector = Some(Box::new(detector));
     }
 
@@ -457,7 +404,7 @@ impl HostCore {
 }
 
 /// The netsim node wrapping a [`HostCore`].
-pub struct Host {
+pub(crate) struct Host {
     core: Rc<RefCell<HostCore>>,
     scratch: PumpScratch,
     tcp_timer: Option<(TimerId, SimTime)>,
@@ -499,71 +446,8 @@ impl std::fmt::Debug for Host {
 }
 
 impl Host {
-    /// Creates a client host running `browser`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn client(
-        peer: NodeId,
-        browser: Browser,
-        tcp: TcpConfig,
-        h2: H2Config,
-        session_key: u64,
-        authority: impl Into<String>,
-        truth: Rc<RefCell<GroundTruth>>,
-        socket_buffer: usize,
-    ) -> (Self, Rc<RefCell<HostCore>>) {
-        let core = Rc::new(RefCell::new(HostCore::new_client(
-            peer,
-            browser,
-            tcp,
-            h2,
-            session_key,
-            Rc::from(authority.into()),
-            Some(truth),
-            socket_buffer,
-        )));
-        (
-            Host {
-                core: core.clone(),
-                scratch: PumpScratch::default(),
-                tcp_timer: None,
-                app_timer: None,
-            },
-            core,
-        )
-    }
-
-    /// Creates a server host running `server`.
-    pub fn server(
-        peer: NodeId,
-        server: SiteServer,
-        tcp: TcpConfig,
-        h2: H2Config,
-        session_key: u64,
-        truth: Rc<RefCell<GroundTruth>>,
-        socket_buffer: usize,
-    ) -> (Self, Rc<RefCell<HostCore>>) {
-        let core = Rc::new(RefCell::new(HostCore::new_server(
-            peer,
-            server,
-            tcp,
-            h2,
-            session_key,
-            Some(truth),
-            socket_buffer,
-        )));
-        (
-            Host {
-                core: core.clone(),
-                scratch: PumpScratch::default(),
-                tcp_timer: None,
-                app_timer: None,
-            },
-            core,
-        )
-    }
-
-    /// Wraps an existing core as a netsim node (used by the DoS scenario
-    /// builder, whose attacker cores are constructed directly).
+    /// Wraps a core as a netsim node; the caller keeps its own handle to
+    /// the core for post-run inspection.
     pub(crate) fn from_core(core: Rc<RefCell<HostCore>>) -> Host {
         Host {
             core,
@@ -626,16 +510,10 @@ impl HostCore {
             let wire_bytes = seg.wire_bytes();
             ctx.send(Packet::new(self_id, peer, wire_bytes, seg));
         });
-        if self.halt_when_done {
-            let done = match &self.app {
-                App::Client(b) => b.is_done(),
-                App::Server(_) => false,
-                App::Attacker(a) => a.is_done(),
-            };
-            if done && (self.tcp.send_drained() || self.dead) {
-                ctx.halt();
-            }
-            if self.dead {
+        // A finished (or dead) browser ends the single-pair run; servers
+        // and attackers run on to the deadline.
+        if let App::Client(browser) = &self.app {
+            if self.dead || (browser.is_done() && self.tcp.send_drained()) {
                 ctx.halt();
             }
         }

@@ -1,29 +1,31 @@
 //! # h2priv-testkit — canonical end-to-end scenarios
 //!
 //! Part of the `h2priv` reproduction of *"Depending on HTTP/2 for Privacy?
-//! Good Luck!"* (DSN 2020). Glue between the substrates: a [`Host`] stacks
-//! TCP + TLS + HTTP/2 + application on one simulator node; a
-//! [`build_scenario`]/[`run_scenario`] pair assembles and executes the
-//! paper's topology (browser — lab gateway — website server) with
-//! calibrated defaults ([`calib`]). Tests, benches and examples all build
-//! their worlds through this crate so that every experiment shares one
-//! vetted wiring.
+//! Good Luck!"* (DSN 2020). Glue between the substrates: a [`HostCore`]
+//! stacks TCP + TLS + HTTP/2 + application (browser, slow-DoS attacker or
+//! site server) for one endpoint, and one pair recipe builds every
+//! client/server pair of cores — defense rewrite, DoS hardening, shaper,
+//! oracle — for two drivers. [`build_scenario`]/[`run_scenario`] run one
+//! pair on the paper's topology (client — lab gateway — website server)
+//! with calibrated defaults ([`calib`]), each core on its own simulator
+//! node; [`fleet`] runs populations of pairs, each shard's cores batched
+//! behind two arena nodes. Tests, benches and examples all build their
+//! worlds through this crate so that every experiment shares one vetted
+//! wiring.
 
 #![warn(missing_docs)]
 
 pub mod calib;
-pub mod dos;
 pub mod fleet;
 mod host;
+mod pair;
 mod scenario;
 mod tap;
 
-pub use dos::{run_dos_trial, DosRunResult, DosScenarioConfig};
 pub use fleet::{
-    merge_shards, run_fleet, run_fleet_shard, shard_of_pair, victim_golden_order, victim_shard,
-    FleetConfig, FleetConformance, FleetDosConfig, FleetResult, FleetSegment, ShardResult,
-    VictimCapture, VICTIM_PAIR,
+    merge_shards, run_fleet, run_fleet_shard, shard_of_pair, victim_shard, FleetConfig,
+    FleetConformance, FleetDosConfig, FleetResult, FleetSegment, ShardResult, VictimCapture,
+    VICTIM_PAIR,
 };
-pub use host::{App, Host, HostCore, HostOracle};
+pub use host::{App, HostCore};
 pub use scenario::{build_scenario, run_scenario, run_trial, RunResult, Scenario, ScenarioConfig};
-pub use tap::WireTap;

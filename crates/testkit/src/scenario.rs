@@ -4,29 +4,30 @@
 //! lab gateway (optionally carrying an adversary middlebox, always carrying
 //! a wire tap), and the website server, wired over calibrated links. One
 //! [`run_scenario`] call is one "download of the webpage" — one trial of
-//! the paper's repeat-100-times experiments.
+//! the paper's repeat-100-times experiments. With
+//! [`ScenarioConfig::attacker`] set, the client is a slow-DoS attacker
+//! instead (arXiv:2203.16796), and the same run measures what the attack
+//! pins down on the server and how fast its hardening stops it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use h2priv_analysis::{GroundTruth, WireTrace};
-use h2priv_defense::{
-    constrained_pad_set, AdaptivePacer, ConstantRatePacer, DefenseSpec, TlsShaper,
-};
-use h2priv_dos::{Alert, DetectorConfig, DosDetector, GuardConfig, GuardStats, ServerGuard};
+use h2priv_conformance::{ConformanceTap, Violation, ViolationSink};
+use h2priv_defense::{AdaptivePacer, ConstantRatePacer, DefenseSpec};
+use h2priv_dos::{Alert, DetectorConfig, DosConfig, GuardConfig, GuardStats};
 use h2priv_http2::{H2Config, SendPolicy, Settings};
 use h2priv_netsim::{
     Dir, GatewayNode, LinkConfig, Middlebox, NodeId, SimDuration, SimRng, Simulator, StopReason,
 };
 use h2priv_tcp::{AbortReason, TcpConfig, TcpSegment, TcpStats};
 use h2priv_web::{
-    BrowsePlan, Browser, BrowserConfig, RequestOutcome, SiteServer, SiteServerConfig, Website,
+    BrowsePlan, BrowserConfig, RequestOutcome, SiteServerConfig, Website, WorkerPool,
 };
 
-use h2priv_conformance::{ConformanceTap, Violation, ViolationSink};
-
 use crate::calib;
-use crate::host::{Host, HostCore, HostOracle};
+use crate::host::{App, Host, HostCore};
+use crate::pair::{PairInputs, PairRecipe};
 use crate::tap::WireTap;
 
 /// Everything configurable about one trial.
@@ -66,7 +67,8 @@ pub struct ScenarioConfig {
     pub conformance: bool,
     /// Slow-DoS resource guard on the server host. `None` (the default)
     /// keeps every pre-existing exhibit's schedule bit-identical; the DoS
-    /// false-positive suite sets it on *benign* trials to pin zero sheds.
+    /// grid sets it against an [`attacker`](Self::attacker), and the
+    /// false-positive suite on *benign* trials to pin zero sheds.
     pub dos_guard: Option<GuardConfig>,
     /// Online DoS detector on the server host, fed the decrypted inbound
     /// byte stream. `None` by default; benign trials with one attached
@@ -75,6 +77,13 @@ pub struct ScenarioConfig {
     /// Worker-pool budget on the server. `None` (the default) keeps the
     /// legacy unbounded thread-per-request behavior.
     pub pool: Option<h2priv_web::PoolConfig>,
+    /// The slow-DoS workload the client mounts in place of the browser
+    /// (`None`, the default, browses the plan). The attacker itself is
+    /// deterministic; the seed still drives TCP/TLS and the server's
+    /// workers. Its run reports no browser outcomes; read the attacker's
+    /// and the pool's end state through [`Scenario::client`] and
+    /// [`Scenario::server`].
+    pub attacker: Option<DosConfig>,
 }
 
 impl Default for ScenarioConfig {
@@ -91,8 +100,7 @@ impl Default for ScenarioConfig {
             },
             server: SiteServerConfig {
                 worker_latency: calib::worker_latency(),
-                pad_bucket: None,
-                pad_sizes: None,
+                pad: None,
             },
             client_h2: H2Config {
                 settings: Settings {
@@ -141,6 +149,7 @@ impl Default for ScenarioConfig {
             dos_guard: None,
             dos_detector: None,
             pool: None,
+            attacker: None,
         }
     }
 }
@@ -149,7 +158,7 @@ impl Default for ScenarioConfig {
 pub struct Scenario {
     /// The simulator, ready to run.
     pub sim: Simulator<TcpSegment>,
-    /// Client host handle (browser, TCP stats).
+    /// Client host handle (browser or attacker, TCP stats).
     pub client: Rc<RefCell<HostCore>>,
     /// Server host handle.
     pub server: Rc<RefCell<HostCore>>,
@@ -177,7 +186,8 @@ impl std::fmt::Debug for Scenario {
 pub struct RunResult {
     /// Why and when the run stopped.
     pub stop: StopReason,
-    /// Per-request browser outcomes (plan order).
+    /// Per-request browser outcomes (plan order; empty for an attacker
+    /// client).
     pub outcomes: Vec<RequestOutcome>,
     /// Ground-truth annotations (degree of multiplexing).
     pub truth: GroundTruth,
@@ -263,93 +273,31 @@ pub fn build_scenario(
     // pacer must finish its work one hop upstream of the observer.
     let edge_id = config.defense.is_shaping().then(|| sim.reserve_node_id());
 
-    // Padding defenses rewrite the server-side configs before the hosts
-    // are built; `DefenseSpec::None` leaves both untouched byte for byte.
-    let mut server_config = config.server.clone();
-    let mut server_h2 = config.server_h2.clone();
-    match config.defense {
-        DefenseSpec::ConstrainedPadding { overhead_per_mille } => {
-            let sizes: Vec<usize> = site.objects().iter().map(|o| o.size).collect();
-            server_config.pad_sizes = Some(
-                constrained_pad_set(&sizes, overhead_per_mille)
-                    .sizes()
-                    .to_vec(),
-            );
-        }
-        DefenseSpec::FrameQuantize { quantum } => {
-            server_h2.data_pad_quantum = quantum as usize;
-            server_h2.headers_pad_quantum = quantum as usize;
-        }
-        _ => {}
-    }
-
     let trace = Rc::new(RefCell::new(WireTrace::new()));
     let truth = Rc::new(RefCell::new(GroundTruth::new()));
-    let session_key = 0x5EC0_0D5E ^ config.seed;
-
-    let browser = Browser::new(site, plan.clone(), config.browser.clone(), seed_rng.fork());
-    let (client_host, client) = Host::client(
-        server_id,
-        browser,
-        config.tcp.clone(),
-        config.client_h2.clone(),
-        session_key,
-        "www.isidewith.com",
-        truth.clone(),
-        config.socket_buffer,
+    let violations = config.conformance.then(ViolationSink::new);
+    let (client, server) = PairRecipe::new(config.clone(), site).build(
+        PairInputs {
+            server_node: server_id,
+            client_node: client_id,
+            rng: &mut seed_rng,
+            session_key: 0x5EC0_0D5E ^ config.seed,
+            site,
+            plan,
+            served: Rc::new(site.clone()),
+            attacker: config.attacker.clone(),
+            truth: Some(truth.clone()),
+            pool: config
+                .pool
+                .map(|pool| Rc::new(RefCell::new(WorkerPool::new(pool)))),
+            oracle: violations.as_ref(),
+        },
+        // The shaper's fork comes last, so unshaped trials keep their
+        // exact seed sequence.
+        |rng| Some(rng.fork()),
     );
-
-    let server_app = SiteServer::new(site.clone(), server_config, seed_rng.fork());
-    let mut server_tcp = config.tcp.clone();
-    server_tcp.iss = h2priv_tcp::Seq(700_000);
-    let (server_host, server) = Host::server(
-        client_id,
-        server_app,
-        server_tcp,
-        server_h2,
-        session_key,
-        truth.clone(),
-        config.socket_buffer,
-    );
-    // DoS hardening attachments, all default-off so undefended trials keep
-    // their exact byte schedules.
-    if let Some(pool_cfg) = config.pool {
-        let pool = Rc::new(RefCell::new(h2priv_web::WorkerPool::new(pool_cfg)));
-        match &mut server.borrow_mut().app {
-            crate::host::App::Server(s) => s.set_pool(pool),
-            _ => unreachable!("server host runs a SiteServer"),
-        }
-    }
-    if let Some(guard_cfg) = config.dos_guard {
-        server.borrow_mut().set_guard(ServerGuard::new(guard_cfg));
-    }
-    if let Some(det_cfg) = config.dos_detector {
-        server.borrow_mut().set_detector(DosDetector::new(det_cfg));
-    }
-    // Shaping: the server additionally seals dummy records on the defense's
-    // schedule, from a dedicated RNG fork (drawn only for shaping runs, so
-    // undefended trials keep their exact seed sequence).
-    match config.defense {
-        DefenseSpec::ConstantRate { interval_us } => {
-            server.borrow_mut().set_shaper(
-                TlsShaper::constant_rate(SimDuration::from_micros(interval_us as u64)),
-                seed_rng.fork(),
-            );
-        }
-        DefenseSpec::AdaptivePadding {
-            min_gap_us,
-            spread_us,
-        } => {
-            server.borrow_mut().set_shaper(
-                TlsShaper::adaptive(
-                    SimDuration::from_micros(min_gap_us as u64),
-                    SimDuration::from_micros(spread_us as u64),
-                ),
-                seed_rng.fork(),
-            );
-        }
-        _ => {}
-    }
+    let client = Rc::new(RefCell::new(client));
+    let server = Rc::new(RefCell::new(server));
 
     let mut gateway = GatewayNode::new(client_id, server_id);
     if let Some(adv) = adversary {
@@ -357,23 +305,16 @@ pub fn build_scenario(
     }
     gateway.push_middlebox(WireTap::new(trace.clone()));
 
-    // The oracle: wire checks at the gateway (after the adversary, so it
-    // validates exactly the traffic that survives) plus endpoint checkers
-    // on both hosts, all reporting into one sink.
-    let violations = config.conformance.then(ViolationSink::new);
+    // The oracle's wire checks sit after the adversary, so they validate
+    // exactly the traffic that survives; the endpoint checkers on both
+    // hosts report into the same sink.
     if let Some(sink) = &violations {
-        client
-            .borrow_mut()
-            .set_oracle(HostOracle::new("client", true, sink.clone()));
-        server
-            .borrow_mut()
-            .set_oracle(HostOracle::new("server", false, sink.clone()));
         gateway.push_middlebox(Box::new(ConformanceTap::new(sink.clone())));
     }
 
-    sim.install_node(client_id, Box::new(client_host));
+    sim.install_node(client_id, Box::new(Host::from_core(client.clone())));
     sim.install_node(gateway_id, Box::new(gateway));
-    sim.install_node(server_id, Box::new(server_host));
+    sim.install_node(server_id, Box::new(Host::from_core(server.clone())));
     sim.add_link(client_id, gateway_id, config.client_link.clone());
     match edge_id {
         // Pacing edge: client — gateway — edge — server. The WAN link (and
@@ -439,7 +380,10 @@ pub fn run_scenario(mut scenario: Scenario) -> RunResult {
     };
     RunResult {
         stop: summary.stop,
-        outcomes: client.browser().outcomes(),
+        outcomes: match &client.app {
+            App::Client(browser) => browser.outcomes(),
+            _ => Vec::new(),
+        },
         truth,
         trace,
         client_tcp: client.tcp_stats(),
@@ -453,16 +397,10 @@ pub fn run_scenario(mut scenario: Scenario) -> RunResult {
         defense_dummies: server.shaper_dummies(),
         dos_alerts: server.dos_alerts(),
         guard: server.guard_stats(),
-        pool_in_use: match &server.app {
-            crate::host::App::Server(s) => s
-                .pool()
-                .map(|p| {
-                    let p = p.borrow();
-                    p.in_use() + p.parser_held()
-                })
-                .unwrap_or(0),
-            _ => 0,
-        },
+        pool_in_use: server.server().pool().map_or(0, |p| {
+            let p = p.borrow();
+            p.in_use() + p.parser_held()
+        }),
     }
 }
 
@@ -474,4 +412,91 @@ pub fn run_trial(
     adversary: Option<Box<dyn Middlebox<TcpSegment>>>,
 ) -> RunResult {
     run_scenario(build_scenario(site, plan, config, adversary))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use h2priv_dos::DosAttack;
+    use h2priv_web::{isidewith, PoolConfig};
+
+    /// One attacker against one pooled, monitored server, plus handles to
+    /// both cores for their end state.
+    fn attack_run(
+        attack: DosAttack,
+        guarded: bool,
+    ) -> (RunResult, Rc<RefCell<HostCore>>, Rc<RefCell<HostCore>>) {
+        let iw = isidewith::build(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let config = ScenarioConfig {
+            seed: 7,
+            attacker: Some(DosConfig::for_attack(attack)),
+            dos_guard: guarded.then(GuardConfig::default),
+            dos_detector: Some(DetectorConfig::default()),
+            pool: Some(PoolConfig::default()),
+            deadline: SimDuration::from_secs(30),
+            ..ScenarioConfig::default()
+        };
+        let scenario = build_scenario(&iw.site, &iw.plan, &config, None);
+        let (client, server) = (scenario.client.clone(), scenario.server.clone());
+        (run_scenario(scenario), client, server)
+    }
+
+    #[test]
+    fn attacker_scenario_reports_no_browser_outcomes() {
+        let (r, client, _) = attack_run(DosAttack::SettingsFlood, false);
+        assert!(r.outcomes.is_empty());
+        assert!(client.borrow().attacker().attack_started().is_some());
+    }
+
+    #[test]
+    fn undefended_zero_window_hoard_pins_the_pool() {
+        let (r, client, server) = attack_run(DosAttack::ZeroWindowHoard, false);
+        assert_eq!(
+            client.borrow().attacker().shed_at(),
+            None,
+            "no guard, nothing sheds"
+        );
+        let server = server.borrow();
+        assert!(server.server().requests_seen() > 0);
+        assert_eq!(
+            r.pool_in_use,
+            PoolConfig::default().capacity,
+            "hoarded streams hold every worker to the deadline"
+        );
+        assert_eq!(r.violations_total, 0, "{:?}", r.violations);
+    }
+
+    #[test]
+    fn guarded_attacks_are_shed_and_detected() {
+        for attack in DosAttack::all() {
+            let (r, client, _) = attack_run(attack, true);
+            let client = client.borrow();
+            let attacker = client.attacker();
+            assert!(
+                attacker.shed_at().is_some(),
+                "{}: guard never shed the attacker",
+                attack.name()
+            );
+            assert!(
+                r.dos_alerts.iter().any(|a| a.kind.name() == attack.name()),
+                "{}: detector missed it (alerts: {:?})",
+                attack.name(),
+                r.dos_alerts
+            );
+            assert!(attacker.attack_started().is_some());
+            assert_eq!(
+                r.pool_in_use,
+                0,
+                "{}: shedding must return all pool capacity",
+                attack.name()
+            );
+            assert_eq!(
+                r.violations_total,
+                0,
+                "{}: {:?}",
+                attack.name(),
+                r.violations
+            );
+        }
+    }
 }

@@ -11,13 +11,13 @@ use h2priv_tcp::TcpSegment;
 /// it untouched. Install it *after* any active middlebox to capture egress
 /// traffic (what actually reaches the endpoints), or before for ingress.
 #[derive(Debug, Clone)]
-pub struct WireTap {
+pub(crate) struct WireTap {
     trace: Rc<RefCell<WireTrace>>,
 }
 
 impl WireTap {
     /// Creates a tap writing into `trace`.
-    pub fn new(trace: Rc<RefCell<WireTrace>>) -> Self {
+    pub(crate) fn new(trace: Rc<RefCell<WireTrace>>) -> Self {
         WireTap { trace }
     }
 }

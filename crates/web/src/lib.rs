@@ -15,7 +15,7 @@
 //!   stalled responses (the Firefox behaviour §IV-D exploits).
 //! * [`SiteServer`] — the server application: one worker per accepted
 //!   request, duplicates served in full (the §IV-B duplicate-service
-//!   behaviour).
+//!   behaviour), optionally padding bodies to a [`PadSet`].
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -24,6 +24,7 @@ mod browser;
 pub mod isidewith;
 pub mod newssite;
 mod object;
+mod padset;
 mod plan;
 mod server;
 mod site;
@@ -31,6 +32,7 @@ pub mod streaming;
 
 pub use browser::{Browser, BrowserCmd, BrowserConfig, RequestOutcome};
 pub use object::{ObjectId, ObjectKind, WebObject};
+pub use padset::PadSet;
 pub use plan::{BrowsePlan, Phase, PlanStep, Trigger};
 pub use server::{PoolConfig, PoolStats, Response, SiteServer, SiteServerConfig, WorkerPool};
 pub use site::Website;

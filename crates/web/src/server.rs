@@ -19,6 +19,7 @@ use h2priv_http2::{HeaderField, StreamId};
 use h2priv_netsim::{DurationDist, SimDuration, SimRng, SimTime};
 
 use crate::object::ObjectId;
+use crate::padset::PadSet;
 use crate::site::Website;
 
 /// Worker-pool sizing and control-plane costs.
@@ -147,51 +148,17 @@ impl WorkerPool {
 }
 
 /// Server tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteServerConfig {
     /// Latency between request arrival and the worker handing bytes to the
     /// mux (disk/cache/application time).
     pub worker_latency: DurationDist,
-    /// Size-padding defense: every response body is padded up to the next
-    /// multiple of this bucket, collapsing distinct object sizes onto a
-    /// few values. This is the classic countermeasure the paper's related
-    /// work proposes (refs \[17\]–\[21\]) at "unreasonable CPU and bandwidth
-    /// overheads"; the ablation bench quantifies both its protection and
-    /// its overhead against the serialization attack.
-    pub pad_bucket: Option<usize>,
-    /// Constrained-padding defense: a sorted set of canonical body sizes
-    /// (Reed & Reiter, arXiv:2108.01753). Each body is padded up to the
-    /// smallest canonical size that fits; bodies beyond the largest land
-    /// on multiples of it. Derived per-site by `h2priv-defense`'s
-    /// `constrained_pad_set`, which bounds the per-object overhead while
-    /// collapsing nearby sizes onto one wire size. Takes precedence over
-    /// [`pad_bucket`](Self::pad_bucket) when both are set.
-    pub pad_sizes: Option<Vec<usize>>,
-}
-
-impl Default for SiteServerConfig {
-    fn default() -> Self {
-        SiteServerConfig {
-            worker_latency: DurationDist::None,
-            pad_bucket: None,
-            pad_sizes: None,
-        }
-    }
-}
-
-/// The canonical padded size for a body of `len` bytes given a sorted
-/// size set: the smallest canonical size that fits, or the next multiple
-/// of the largest for oversize bodies (mirrors `h2priv-defense`'s
-/// `PadSet::pad_to`, kept here so the web crate stays dependency-light).
-fn pad_to_canonical(len: usize, sizes: &[usize]) -> usize {
-    let Some(&max) = sizes.last() else {
-        return len;
-    };
-    match sizes.binary_search(&len) {
-        Ok(_) => len,
-        Err(i) if i < sizes.len() => sizes[i],
-        Err(_) => len.div_ceil(max) * max,
-    }
+    /// Body padding: every response body is padded up to the set's
+    /// canonical size ([`PadSet::pad_to`]). One size is the classic bucket
+    /// countermeasure of the paper's related work (refs \[17\]–\[21\]);
+    /// `h2priv-defense`'s `constrained_pad_set` derives the Reed & Reiter
+    /// set (arXiv:2108.01753) that bounds the per-object overhead.
+    pub pad: Option<PadSet>,
 }
 
 /// A response ready to be transmitted.
@@ -416,18 +383,12 @@ impl SiteServer {
                     // memo.
                     let body = if let Some(padded) = self
                         .config
-                        .pad_sizes
-                        .as_deref()
-                        .map(|sizes| pad_to_canonical(obj.size, sizes))
+                        .pad
+                        .as_ref()
+                        .map(|pad| pad.pad_to(obj.size))
                         .filter(|&p| p > obj.size)
                     {
                         let mut body = obj.body();
-                        body.resize(padded, 0);
-                        SharedBytes::from_vec(body)
-                    } else if self.config.pad_sizes.is_none() && self.config.pad_bucket.is_some() {
-                        let bucket = self.config.pad_bucket.unwrap_or(1).max(1);
-                        let mut body = obj.body();
-                        let padded = body.len().div_ceil(bucket) * bucket;
                         body.resize(padded, 0);
                         SharedBytes::from_vec(body)
                     } else {
@@ -510,8 +471,7 @@ mod tests {
         site.add("/a", ObjectKind::Other, 10);
         let cfg = SiteServerConfig {
             worker_latency: DurationDist::Constant(SimDuration::from_millis(7)),
-            pad_bucket: None,
-            pad_sizes: None,
+            ..SiteServerConfig::default()
         };
         let mut s = SiteServer::new(site, cfg, SimRng::seed_from(1));
         let due = s.on_request(StreamId(1), "/a", SimTime::ZERO);
@@ -540,8 +500,7 @@ mod tests {
         site.add("/a", ObjectKind::Other, 10);
         let cfg = SiteServerConfig {
             worker_latency: DurationDist::Constant(SimDuration::from_millis(7)),
-            pad_bucket: None,
-            pad_sizes: None,
+            ..SiteServerConfig::default()
         };
         let mut s = SiteServer::new(site, cfg, SimRng::seed_from(1));
         s.on_request(StreamId(1), "/a", SimTime::ZERO);
@@ -555,7 +514,7 @@ mod tests {
         site.add("/a", ObjectKind::Image, 5_200);
         site.add("/b", ObjectKind::Image, 6_800);
         let cfg = SiteServerConfig {
-            pad_bucket: Some(4_096),
+            pad: Some(PadSet::from_sizes(vec![4_096])),
             ..SiteServerConfig::default()
         };
         let mut s = SiteServer::new(site, cfg, SimRng::seed_from(1));
@@ -571,13 +530,13 @@ mod tests {
     }
 
     #[test]
-    fn pad_sizes_collapse_onto_canonical_set() {
+    fn pad_set_collapses_onto_canonical_sizes() {
         let mut site = Website::new();
         site.add("/a", ObjectKind::Image, 5_200);
         site.add("/b", ObjectKind::Image, 6_800);
         site.add("/big", ObjectKind::Image, 20_000);
         let cfg = SiteServerConfig {
-            pad_sizes: Some(vec![7_000]),
+            pad: Some(PadSet::from_sizes(vec![7_000])),
             ..SiteServerConfig::default()
         };
         let mut s = SiteServer::new(site, cfg, SimRng::seed_from(1));
@@ -600,7 +559,7 @@ mod tests {
         let mut site = Website::new();
         site.add("/a", ObjectKind::Image, 4_096);
         let cfg = SiteServerConfig {
-            pad_sizes: Some(vec![4_096]),
+            pad: Some(PadSet::from_sizes(vec![4_096])),
             ..SiteServerConfig::default()
         };
         let mut s = SiteServer::new(site, cfg, SimRng::seed_from(1));

@@ -7,6 +7,7 @@ use h2priv::attack::experiment::{
     analyze_trial, calibrate_size_map, objects_of_interest, run_paper_trial,
 };
 use h2priv::attack::AttackConfig;
+use h2priv::web::PadSet;
 
 const BUCKET: usize = 8_192;
 
@@ -21,7 +22,7 @@ fn padding_defeats_the_calibrated_size_map() {
     let mut undefended_total = 0;
     for seed in 0..3 {
         let trial = run_paper_trial(seed, Some(&attack), |cfg| {
-            cfg.server.pad_bucket = Some(BUCKET);
+            cfg.server.pad = Some(PadSet::from_sizes(vec![BUCKET]));
         });
         trial.result.assert_conformant();
         assert!(!trial.result.broken, "seed {seed}: padding broke the page");
@@ -59,7 +60,7 @@ fn padding_defeats_the_calibrated_size_map() {
 #[test]
 fn padding_grows_delivered_bytes_to_bucket_multiples() {
     let trial = run_paper_trial(7, None, |cfg| {
-        cfg.server.pad_bucket = Some(BUCKET);
+        cfg.server.pad = Some(PadSet::from_sizes(vec![BUCKET]));
     });
     assert!(!trial.result.broken);
     for outcome in &trial.result.outcomes {
@@ -82,7 +83,7 @@ fn padding_does_not_prevent_serialization_itself() {
     // the adversary from serializing: degree-0 transmissions still occur.
     let attack = AttackConfig::paper_attack();
     let trial = run_paper_trial(1, Some(&attack), |cfg| {
-        cfg.server.pad_bucket = Some(BUCKET);
+        cfg.server.pad = Some(PadSet::from_sizes(vec![BUCKET]));
     });
     let serialized = trial
         .iw
@@ -101,13 +102,13 @@ fn small_bucket_padding_is_cheap() {
     // The 2 KiB bucket defeats the 400-byte matching tolerance at under
     // five percent bandwidth overhead (EXPERIMENTS.md records ≈ 1.9 %).
     let (iw, _) = h2priv::attack::experiment::paper_scenario(0);
-    let bucket = 2_048usize;
+    let pad = PadSet::from_sizes(vec![2_048]);
     let raw: u64 = iw.site.total_bytes();
     let padded: u64 = iw
         .site
         .objects()
         .iter()
-        .map(|o| (o.size.div_ceil(bucket) * bucket) as u64)
+        .map(|o| pad.pad_to(o.size) as u64)
         .sum();
     let overhead = padded as f64 / raw as f64 - 1.0;
     assert!(
