@@ -45,15 +45,15 @@ bench-fleet:
 bench-fleet-mem:
 	cargo run --release -p h2priv-bench --bin repro -- fleet --population 10000 --shards 8 --bench-json=/dev/stdout
 
-# The million-pair sitting: cohort-streamed shards admit each pair at
-# its staggered start time and retire it (returning its slab slot and
-# buffers) the moment its page load settles, so peak memory tracks the
+# The million-pair sitting: shards build each pair at its staggered
+# start time and free it (returning its slab slots and buffers) once its
+# page load is over and its server is quiet, so peak memory tracks the
 # number of co-resident pairs — set by --spread — instead of the
 # population. --progress prints a pairs/events/ETA heartbeat on stderr
-# every ~2s; stdout stays byte-identical to an unstreamed run of the
-# same spread. Expect a few hours on one core; scale --threads to taste.
+# every ~2s without touching stdout. Expect a few hours on one core;
+# scale --threads to taste.
 bench-fleet-1m:
-	cargo run --release -p h2priv-bench --bin repro -- fleet --population 1000000 --shards 64 --cohort 512 --spread 14400 --progress --bench-json=BENCH_fleet_1m.json
+	cargo run --release -p h2priv-bench --bin repro -- fleet --population 1000000 --shards 64 --spread 14400 --progress --bench-json=BENCH_fleet_1m.json
 
 # Parallel-efficiency curve: re-runs the baseline fleet population at
 # --threads 1/2/4/8 and reports aggregate ev/s, ev/s per core, and

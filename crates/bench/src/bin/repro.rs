@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--quick] [--json] [--check] [--threads N] [--trials N]
 //!       [--population N] [--shards N] [--defense NAME] [--bench-json[=PATH]]
-//!       [--cohort N] [--spread SECS] [--progress]
+//!       [--spread SECS] [--progress]
 //!       [table1] [fig5] [ivd] [table2] [fig1] [ablations] [defend] [dos]
 //!       [fleet] [scaleout]
 //! ```
@@ -21,12 +21,13 @@
 //! (default 1000, `--quick` 128) split over `--shards N` independent
 //! engines (default 8). Shards fan out over the same worker pool; the
 //! shard count — not the thread count — fixes the partition, so fleet
-//! output is also byte-identical at any `--threads`. Million-pair runs
-//! use `--cohort N` (stream pair state in bounded cohorts instead of
-//! materializing whole shards — peak memory follows the in-flight set),
-//! `--spread SECS` (widen the start-stagger window so fewer loads overlap;
-//! the shard deadline grows by the same amount) and `--progress` (a stderr
-//! heartbeat with pairs done, events/sec and ETA; stdout is untouched).
+//! output is also byte-identical at any `--threads`. Pairs are built at
+//! their start time and freed when their page load is over, so peak
+//! memory follows the pairs in flight, not the population. Million-pair
+//! runs use `--spread SECS` (widen the start-stagger window so fewer loads
+//! overlap; the shard deadline grows by the same amount) and `--progress`
+//! (a stderr heartbeat with pairs done, events/sec and ETA; stdout is
+//! untouched).
 //!
 //! The `scaleout` exhibit (explicit request only — it is a measurement
 //! harness, not a paper artifact, and re-runs the baseline population once
@@ -169,7 +170,6 @@ fn main() {
         parse_flag_value(&args, "--population").unwrap_or(if quick { 128 } else { 1_000 }) as u32;
     let shards = parse_flag_value(&args, "--shards").unwrap_or(8).max(1) as u32;
     let tuning = fleet::FleetTuning {
-        cohort: parse_flag_value(&args, "--cohort").map(|c| c.max(1) as u32),
         spread_secs: parse_flag_value(&args, "--spread"),
         progress: args.iter().any(|a| a == "--progress"),
     };
@@ -194,7 +194,6 @@ fn main() {
                 || a == "--population"
                 || a == "--shards"
                 || a == "--defense"
-                || a == "--cohort"
                 || a == "--spread"
             {
                 it.next();

@@ -134,9 +134,6 @@ impl ToJson for FleetReport {
 /// byte-for-byte.
 #[derive(Debug, Clone, Default)]
 pub struct FleetTuning {
-    /// Cohort streaming: bound resident pair-state to the in-flight set
-    /// (`repro fleet --cohort N`).
-    pub cohort: Option<u32>,
     /// Override the client start-spread window, seconds (`--spread SECS`).
     /// The shard deadline grows by the same amount so late starters keep
     /// the full per-pair time budget. A 1M-pair run needs this: the
@@ -147,8 +144,14 @@ pub struct FleetTuning {
     pub progress: bool,
 }
 
-fn fleet_config(population: u32, shards: u32, defense: DefenseSpec) -> FleetConfig {
-    FleetConfig {
+fn tuned_config(
+    population: u32,
+    shards: u32,
+    defense: DefenseSpec,
+    tuning: &FleetTuning,
+    progress: Option<Arc<FleetProgress>>,
+) -> FleetConfig {
+    let mut config = FleetConfig {
         seed: 0xF1EE7,
         population,
         shards,
@@ -158,25 +161,14 @@ fn fleet_config(population: u32, shards: u32, defense: DefenseSpec) -> FleetConf
         } else {
             FleetConformance::Off
         },
+        progress,
         ..FleetConfig::default()
-    }
-}
-
-fn tuned_config(
-    population: u32,
-    shards: u32,
-    defense: DefenseSpec,
-    tuning: &FleetTuning,
-    progress: Option<Arc<FleetProgress>>,
-) -> FleetConfig {
-    let mut config = fleet_config(population, shards, defense);
-    config.cohort = tuning.cohort;
+    };
     if let Some(secs) = tuning.spread_secs {
         let spread = SimDuration::from_secs(secs);
         config.deadline = spread + config.deadline;
         config.start_spread = spread;
     }
-    config.progress = progress;
     config
 }
 
@@ -320,8 +312,8 @@ pub fn run(population: u32, shards: u32, defense: DefenseSpec) -> FleetReport {
     run_with(population, shards, defense, &FleetTuning::default())
 }
 
-/// [`run`] with the CLI's scale-tuning knobs (cohort streaming, start
-/// spread, progress heartbeat).
+/// [`run`] with the CLI's scale-tuning knobs (start spread, progress
+/// heartbeat).
 pub fn run_with(
     population: u32,
     shards: u32,

@@ -15,9 +15,9 @@
 //! * [`dos`] — the slow-rate DoS triad: attack workloads vs. server
 //!   hardening vs. the online detector, standalone and at fleet scale;
 //! * [`fleet`] — the population-scale contention run (N pairs sharing the
-//!   gateway, victim throttled among bystanders), with cohort-streamed
-//!   admission for million-pair sittings (`--cohort`/`--spread`/
-//!   `--progress`) and the `scaleout` parallel-efficiency exhibit
+//!   gateway, victim throttled among bystanders), with the knobs for
+//!   million-pair sittings (`--spread`/`--progress`) and the `scaleout`
+//!   parallel-efficiency exhibit
 //!   ([`fleet::scaleout`]: the same population at `--threads` 1/2/4/8,
 //!   identical outcome rows asserted, ev/s-per-core curve recorded).
 //!

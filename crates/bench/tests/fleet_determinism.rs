@@ -4,7 +4,8 @@
 //! holds with a countermeasure deployed: defense RNG streams are dedicated
 //! per-pair forks, independent of sharding and threading.
 
-use h2priv_bench::{fleet, runner};
+use h2priv_bench::fleet::{self, FleetTuning};
+use h2priv_bench::runner;
 use h2priv_defense::DefenseSpec;
 
 /// The shard count partitions the population (`splitmix64(pair) % shards`)
@@ -42,39 +43,53 @@ fn fleet_outcomes_are_identical_across_shard_counts() {
     }
 }
 
+/// The second input spreads the starts over 30 s: early pairs are freed
+/// while later ones are still unbuilt, so freed slots get reused.
 #[test]
 fn fleet_report_is_identical_across_thread_counts() {
     const POPULATION: u32 = 24;
     const SHARDS: u32 = 4;
 
-    runner::set_threads(1);
-    let serial = fleet::run(POPULATION, SHARDS, DefenseSpec::None);
-    runner::set_threads(4);
-    let threaded = fleet::run(POPULATION, SHARDS, DefenseSpec::None);
+    let spread = FleetTuning {
+        spread_secs: Some(30),
+        ..FleetTuning::default()
+    };
+    for tuning in [FleetTuning::default(), spread] {
+        runner::set_threads(1);
+        let serial = fleet::run_with(POPULATION, SHARDS, DefenseSpec::None, &tuning);
+        for threads in [4, 8] {
+            runner::set_threads(threads);
+            let threaded = fleet::run_with(POPULATION, SHARDS, DefenseSpec::None, &tuning);
 
-    // The rendered exhibit is what `repro` prints: byte-identical.
-    assert_eq!(fleet::render(&serial), fleet::render(&threaded));
+            // The rendered exhibit is what `repro` prints: byte-identical.
+            assert_eq!(
+                fleet::render(&serial),
+                fleet::render(&threaded),
+                "{tuning:?}: report diverged at {threads} threads"
+            );
 
-    // And the underlying counters (everything but wall-clock) agree.
-    for (a, b) in [
-        (&serial.baseline, &threaded.baseline),
-        (&serial.attacked, &threaded.attacked),
-    ] {
-        assert_eq!(a.events, b.events, "{} events diverged", a.label);
-        assert_eq!(
-            a.shard_events, b.shard_events,
-            "{} shard occupancy diverged",
-            a.label
-        );
-        assert_eq!(
-            a.end_time_ms, b.end_time_ms,
-            "{} sim end time diverged",
-            a.label
-        );
-        assert_eq!(a.requests, b.requests);
-        assert_eq!(a.requests_complete, b.requests_complete);
-        assert_eq!(a.victim_success, b.victim_success);
-        assert_eq!(a.victim_degree, b.victim_degree);
+            // And the underlying counters (everything but wall-clock) agree.
+            for (a, b) in [
+                (&serial.baseline, &threaded.baseline),
+                (&serial.attacked, &threaded.attacked),
+            ] {
+                assert_eq!(a.events, b.events, "{} events diverged", a.label);
+                assert_eq!(
+                    a.shard_events, b.shard_events,
+                    "{} shard occupancy diverged",
+                    a.label
+                );
+                assert_eq!(
+                    a.end_time_ms, b.end_time_ms,
+                    "{} sim end time diverged",
+                    a.label
+                );
+                assert_eq!(a.requests, b.requests);
+                assert_eq!(a.requests_complete, b.requests_complete);
+                assert_eq!(a.victim_success, b.victim_success);
+                assert_eq!(a.victim_degree, b.victim_degree);
+            }
+        }
     }
 }
 

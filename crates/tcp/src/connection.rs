@@ -653,6 +653,10 @@ impl TcpConnection {
         let end = (offset + self.config.mss as u64).min(self.send_buf.total());
         let payload = self.send_buf.slice(offset, end);
         debug_assert!(!payload.is_empty());
+        // A retransmission re-cut from `snd_una` after the send buffer grew
+        // carries bytes past `snd_max`; they are on the wire all the same,
+        // so a later segment re-sending them must count as a retransmission.
+        self.snd_max = self.snd_max.max(end);
         if is_rexmit {
             self.stats.retransmissions += 1;
             self.stats.retransmitted_bytes += payload.len() as u64;
@@ -662,11 +666,8 @@ impl TcpConnection {
                     self.rtt_probe = None;
                 }
             }
-        } else {
-            self.snd_max = self.snd_max.max(end);
-            if self.rtt_probe.is_none() {
-                self.rtt_probe = Some((end, now));
-            }
+        } else if self.rtt_probe.is_none() {
+            self.rtt_probe = Some((end, now));
         }
         self.arm_rto(now);
         self.last_data_sent = Some(now);
@@ -1110,6 +1111,47 @@ mod tests {
             pump(&mut c, &mut s, SimTime::from_millis(ms));
         }
         assert_eq!(s.read(), data);
+    }
+
+    #[test]
+    fn straddling_retransmission_advances_snd_max() {
+        // Four 100-byte segments go out and the first is lost. The send
+        // buffer grows before the dup ACKs arrive, so the fast
+        // retransmission re-cut from snd_una runs past snd_max and puts
+        // [400, 1460) on the wire. Re-sending those bytes afterwards is a
+        // retransmission: it must not arm a Karn RTT probe.
+        let (mut c, mut s) = established_pair();
+        let now = SimTime::from_millis(1);
+        let mut segs = Vec::new();
+        for _ in 0..4 {
+            c.write(&[7u8; 100]);
+            segs.push(c.poll_transmit(now).expect("small segment"));
+        }
+        assert_eq!(c.snd_max(), 400);
+        for seg in segs.into_iter().skip(1) {
+            s.on_segment(seg, now);
+        }
+        c.write(&[8u8; 2000]);
+        let now = SimTime::from_millis(2);
+        while let Some(dup_ack) = s.poll_transmit(now) {
+            c.on_segment(dup_ack, now);
+        }
+        assert_eq!(c.stats().fast_retransmits, 1);
+        let rexmit = c.poll_transmit(now).expect("fast retransmission");
+        assert_eq!(rexmit.payload.len(), 1460, "re-cut from snd_una");
+        assert_eq!(c.snd_max(), 1460, "bytes on the wire advance snd_max");
+        let resent = c.poll_transmit(now).expect("segment from snd_nxt");
+        assert_eq!(resent.payload.len(), 1460);
+        assert_eq!(c.stats().retransmissions, 2, "[400, 1860) re-sends bytes");
+        assert_eq!(c.rtt_probe_end(), None, "no probe on retransmitted bytes");
+        // The tail past the retransmissions is new data and may probe.
+        let fresh = c.poll_transmit(now).expect("new data");
+        assert_eq!(fresh.payload.len(), 2400 - 1860);
+        assert_eq!(c.rtt_probe_end(), Some(2400));
+        s.on_segment(rexmit, now);
+        s.on_segment(resent, now);
+        s.on_segment(fresh, now);
+        assert_eq!(s.read(), [[7u8; 400].as_slice(), &[8u8; 2000]].concat());
     }
 
     #[test]

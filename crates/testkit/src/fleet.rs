@@ -11,18 +11,24 @@
 //! execute them. Merging is seed-ordered: [`merge_shards`] sorts by shard
 //! id before folding stats.
 //!
-//! Within a shard, hosts do not get one netsim node each. A [`HostArena`]
+//! Within a shard, hosts do not get one netsim node each. A `HostArena`
 //! holds every [`HostCore`] of one side (all clients, or all servers) in a
 //! slab behind a *single* node, routes packets to cores by the pair id
-//! carried in [`FleetSegment`], and batches the pump: packet deliveries
+//! carried in each `FleetSegment`, and batches the pump: packet deliveries
 //! only mark a core dirty, and one zero-delay timer per burst drains every
-//! dirty core with the arena's one shared [`PumpScratch`] — the ISSUE's
-//! amortized host path. Protocol deadlines (TCP RTO, browser stalls,
-//! server workers) go through one binary heap with lazy deletion and a
-//! single armed netsim timer, instead of two timers per host.
+//! dirty core with the arena's one shared `PumpScratch`. Protocol
+//! deadlines (TCP RTO, browser stalls, server workers) go through one
+//! binary heap with lazy deletion and a single armed netsim timer, instead
+//! of two timers per host.
+//!
+//! Pairs stream through the slabs: a pair is built and its client opens
+//! the connection at the pair's staggered start time, its outcome row is
+//! folded when the page load finishes, and both of its slots are freed
+//! once its server has gone quiet too. Peak memory therefore follows the
+//! pairs in flight, not the population.
 //!
 //! The paper's attack drops into this unchanged: pair 0 is the *victim*,
-//! and the [`FleetGateway`] runs an ordinary [`Middlebox`] chain
+//! and the `FleetGateway` runs an ordinary [`Middlebox`] chain
 //! (adversary, wire tap, conformance tap) over the victim's packets only,
 //! with per-pair shaping state replicating [`GatewayNode`]'s egress
 //! serializer. Bystander pairs contend on the shared links but are not
@@ -33,7 +39,7 @@
 
 use h2priv_netsim::internals::MinHeap4;
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,11 +66,11 @@ pub const VICTIM_PAIR: u32 = 0;
 /// identity: arenas demux on it, the gateway selects per-pair middlebox
 /// chains on it.
 #[derive(Debug, Clone)]
-pub struct FleetSegment {
+pub(crate) struct FleetSegment {
     /// Which client–server pair this segment belongs to.
-    pub pair: u32,
+    pair: u32,
     /// The segment itself.
-    pub seg: TcpSegment,
+    seg: TcpSegment,
 }
 
 /// How much of the fleet the conformance oracle watches.
@@ -128,7 +134,7 @@ pub struct FleetDosConfig {
 /// All plain relaxed atomics: shard threads bump them, a reporter thread
 /// reads them; they never feed back into the simulation, so attaching a
 /// progress sink cannot perturb results.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct FleetProgress {
     /// Client pairs whose page load has finished (across all shards).
     pub pairs_done: AtomicU64,
@@ -137,16 +143,6 @@ pub struct FleetProgress {
     pub events: AtomicU64,
     /// Shards that have completed.
     pub shards_done: AtomicU64,
-}
-
-impl std::fmt::Debug for FleetProgress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetProgress")
-            .field("pairs_done", &self.pairs_done.load(Ordering::Relaxed))
-            .field("events", &self.events.load(Ordering::Relaxed))
-            .field("shards_done", &self.shards_done.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 /// Everything configurable about one fleet run.
@@ -177,21 +173,12 @@ pub struct FleetConfig {
     /// Hostile-traffic injection (`None` — the default — keeps every
     /// pre-existing fleet schedule bit-identical).
     pub dos: Option<FleetDosConfig>,
-    /// Cohort streaming: when `Some(n)`, pair state is materialized
-    /// lazily — a pair's client and server cores are built when its
-    /// staggered start time arrives and torn down (buffers recycled into
-    /// the shard pool, outcome folded) as soon as its page load finishes —
-    /// so peak memory follows the number of pairs *in flight*, not the
-    /// population. `n` sizes the expected co-resident set (slab and pool
-    /// pre-allocation); it does not alter scheduling, which is why
-    /// outcome rows are identical for every cohort size. `None` (the
-    /// default) materializes the whole shard up front, byte-identical to
-    /// the pre-streaming fleet.
+    /// Slab pre-size hint: how many pairs are expected in flight at once.
+    /// Every pair is built at its staggered start time and freed once its
+    /// page load is over and its server is quiet, so peak memory
+    /// follows the pairs in flight, not the population. The hint only
+    /// reserves capacity: `None` and every `Some(n)` run the same schedule.
     pub cohort: Option<u32>,
-    /// One worker pool per shard shared by all of the shard's servers,
-    /// independent of any DoS injection (`None` = the pre-existing
-    /// behavior: unbounded workers unless `dos` carries a pool).
-    pub pool: Option<PoolConfig>,
     /// Live progress counters (`None` = no reporting; attaching one does
     /// not change simulation results, only stderr-side visibility).
     pub progress: Option<Arc<FleetProgress>>,
@@ -209,7 +196,6 @@ impl Default for FleetConfig {
             defense: DefenseSpec::None,
             dos: None,
             cohort: None,
-            pool: None,
             progress: None,
         }
     }
@@ -259,23 +245,24 @@ fn bystander_golden_order(seed: u64) -> Vec<usize> {
 
 const TOKEN_BATCH: u64 = 0;
 const TOKEN_DUE: u64 = 1;
-/// Cohort-streaming admission deadline (client arena only).
+/// Admission deadline: the next pair's start time (client arena only).
 const TOKEN_ADMIT: u64 = 2;
 
 /// Sentinel for "pair not in this shard" in the dense pair-indexed maps.
 const NO_SLOT: u32 = u32::MAX;
 
+const OWNS_BOTH: &str = "the shard driver owns both arenas";
+
 /// Per-slot lifecycle bits, one byte per pair (hot: the pump reads and
 /// writes these every batch, so they pack cache-line-dense instead of
 /// riding inside a fat per-pair struct).
-const FLAG_STARTED: u8 = 1 << 0;
-/// Page load finished (client: browser done and send buffer drained, or
-/// the connection died).
+const FLAG_DIRTY: u8 = 1 << 0;
+/// Client: the page load finished (browser done and send buffer drained,
+/// or the connection died) and the pair's outcome row is folded.
 const FLAG_FINISHED: u8 = 1 << 1;
-const FLAG_DIRTY: u8 = 1 << 2;
-/// Streaming mode, server side: this pair's client has retired; tear the
-/// server core down as soon as it goes quiescent.
-const FLAG_RETIRE: u8 = 1 << 3;
+/// Server: the pair's client has finished; free the pair once this core
+/// goes quiet.
+const FLAG_RETIRE: u8 = 1 << 2;
 
 /// A slab of [`HostCore`]s of one side (all clients or all servers) behind
 /// a single netsim node.
@@ -285,23 +272,32 @@ const FLAG_RETIRE: u8 = 1 << 3;
 /// and pair-id lookup is a dense `Vec` (pair ids are contiguous from 0)
 /// instead of a hash map — the demux on every delivered packet is one
 /// bounds-checked load.
-pub struct HostArena {
+///
+/// The client arena drives each pair's lifecycle: it builds the pair at
+/// its start time (client core here, server core into the peer arena) and
+/// folds its outcome row when the page load finishes. The pair's two
+/// slots are freed together once the server is quiet as well — right away
+/// if it already is, else by the server arena when it gets there — so a
+/// server retransmission always reaches a live client.
+pub(crate) struct HostArena {
     is_client: bool,
     /// The opposite arena's node id (packet destination).
     peer: NodeId,
+    /// The opposite arena, for the lifecycle steps that span both sides
+    /// (weak: the shard driver owns the two arenas).
+    peer_arena: Weak<RefCell<HostArena>>,
     /// The protocol cores, slot-indexed (SoA with `pairs`/`flags`).
-    /// `None` = a streamed-out slot: its pair retired and the slot waits
-    /// on the free list for a later admission to reuse it.
+    /// `None` = a freed slot waiting on the free list for a later
+    /// admission to reuse it.
     cores: Vec<Option<HostCore>>,
-    /// Retired slot indices available for reuse (streaming mode).
+    /// Freed slot indices available for reuse.
     free: Vec<u32>,
     /// Slot → pair id.
     pairs: Vec<u32>,
-    /// Slot → when this (client) core opens its connection.
-    start_at: Vec<SimTime>,
     /// Slot → lifecycle bits (`FLAG_*`).
     flags: Vec<u8>,
-    /// Dense pair id → slot index ([`NO_SLOT`] for other shards' pairs).
+    /// Dense pair id → slot index ([`NO_SLOT`] for other shards' pairs,
+    /// and for pairs not yet built or already freed).
     slot_of_pair: Vec<u32>,
     /// Slots touched since the last batch pump, in touch order.
     dirty: Vec<u32>,
@@ -309,9 +305,9 @@ pub struct HostArena {
     /// core has since moved its deadline is just a cheap no-op pump.
     /// A 4-ary heap for the same reason the scheduler uses one: entries
     /// are small and the workload is pop-push-dominated. Pop order is
-    /// identical to `BinaryHeap` because `(time, slot)` entries are unique
-    /// (the `due_at` filter only re-pushes a slot at a strictly earlier
-    /// time).
+    /// identical to `BinaryHeap` because `(time, slot)` entries only
+    /// repeat when a freed slot's stale entry meets its reuser's, and
+    /// equal entries pop interchangeably.
     due: MinHeap4<(SimTime, u32)>,
     /// Slot → earliest deadline currently in `due` for that slot
     /// ([`SimTime::MAX`] = none). The dedup filter: a core re-pumped on
@@ -328,35 +324,30 @@ pub struct HostArena {
     /// here when their page load completes, and later-starting cores
     /// adopt them instead of growing the heap.
     pool: BufPool,
-    finished_count: usize,
-    /// Cohort streaming on: cores are admitted lazily and retired at
-    /// finish instead of living for the whole run.
-    streaming: bool,
-    /// Pairs this shard will simulate in total.
-    total_pairs: u32,
-    /// Live cores right now / the run's high-water mark (the memory
-    /// telemetry cohort streaming exists to bound).
+    /// Live cores right now / the run's high-water mark.
     resident: u32,
     peak_resident: u32,
-    /// Client arena, streaming mode: the admission schedule, sorted by
-    /// `(start_at, pair)` *descending* so the next admission pops off the
-    /// end, plus the builder that materializes a pair on demand and the
-    /// server arena admissions are pushed into.
+    /// Data-bearing segments that arrived for a freed slot — traffic a
+    /// live core would have answered. Freeing waits for the server to go
+    /// quiet so that this stays zero.
+    stray_segments: u64,
+    /// Client arena: the admission schedule, sorted by `(start, pair)`
+    /// *descending* so the next admission pops off the end, and the
+    /// builder that materializes a pair at its start.
     admit: Vec<(SimTime, u32)>,
-    builder: Option<Rc<PairBuilder>>,
-    servers: Option<Rc<RefCell<HostArena>>>,
-    /// Pairs fully torn down (client side).
-    retired: u32,
-    /// Outcome rows folded at retirement (streaming) or at end-of-run
-    /// (eager) — same fold either way, so the rows cannot depend on when
-    /// a pair was torn down.
+    builder: Option<PairBuilder>,
+    /// Client arena: the pairs this shard simulates, and how many have
+    /// folded their outcome row — the shard halts once all have.
+    total_pairs: u32,
+    folded: u32,
+    /// Client arena: the outcome rows.
     fold: FleetFold,
     progress: Option<Arc<FleetProgress>>,
 }
 
 /// The per-shard outcome accumulator: everything [`ShardResult`] needs
-/// that is folded per pair, so streamed-out pairs can contribute their
-/// row before their state is dropped.
+/// that is folded per pair, so a finished pair contributes its row before
+/// its state is dropped.
 #[derive(Default)]
 struct FleetFold {
     completed: u32,
@@ -376,11 +367,10 @@ struct FleetFold {
 }
 
 impl FleetFold {
-    /// Folds one pair's outcome row. Called either at retirement
-    /// (streaming) or in the end-of-run sweep (eager, plus whatever is
-    /// still resident at a deadline) — every counter is a commutative sum
-    /// and at most one pair is the victim, so fold order cannot change the
-    /// shard result.
+    /// Folds one pair's outcome row: when its page load finishes, or after
+    /// the run for a load the deadline cut off. Every counter is a
+    /// commutative sum and at most one pair is the victim, so fold order
+    /// cannot change the shard result.
     fn fold_pair(
         &mut self,
         pair: u32,
@@ -432,24 +422,15 @@ impl FleetFold {
     }
 }
 
-impl std::fmt::Debug for HostArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HostArena")
-            .field("is_client", &self.is_client)
-            .field("slots", &self.cores.len())
-            .finish_non_exhaustive()
-    }
-}
-
 impl HostArena {
     fn new(is_client: bool, peer: NodeId, population: u32) -> Self {
         HostArena {
             is_client,
             peer,
+            peer_arena: Weak::new(),
             cores: Vec::new(),
             free: Vec::new(),
             pairs: Vec::new(),
-            start_at: Vec::new(),
             flags: Vec::new(),
             slot_of_pair: vec![NO_SLOT; population as usize],
             dirty: Vec::new(),
@@ -459,48 +440,59 @@ impl HostArena {
             batch_armed: false,
             scratch: PumpScratch::default(),
             pool: BufPool::default(),
-            finished_count: 0,
-            streaming: false,
-            total_pairs: 0,
             resident: 0,
             peak_resident: 0,
+            stray_segments: 0,
             admit: Vec::new(),
             builder: None,
-            servers: None,
-            retired: 0,
+            total_pairs: 0,
+            folded: 0,
             fold: FleetFold::default(),
             progress: None,
         }
     }
 
-    /// Installs `core` for `pair`, reusing a retired slot when one is
-    /// free. Used both by eager setup (where the free list is always
-    /// empty, so slots append in pair order exactly as before) and by
-    /// streaming admission.
-    fn add(&mut self, pair: u32, core: HostCore, start_at: SimTime) -> u32 {
+    /// Installs `core` for `pair`, reusing a freed slot when one is free.
+    fn add(&mut self, pair: u32, core: HostCore) -> u32 {
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.cores[idx as usize] = Some(core);
                 self.pairs[idx as usize] = pair;
-                self.start_at[idx as usize] = start_at;
-                self.flags[idx as usize] = 0;
-                self.due_at[idx as usize] = SimTime::MAX;
                 idx
             }
             None => {
-                let idx = self.cores.len() as u32;
                 self.cores.push(Some(core));
                 self.pairs.push(pair);
-                self.start_at.push(start_at);
                 self.flags.push(0);
                 self.due_at.push(SimTime::MAX);
-                idx
+                self.cores.len() as u32 - 1
             }
         };
         self.slot_of_pair[pair as usize] = idx;
         self.resident += 1;
         self.peak_resident = self.peak_resident.max(self.resident);
         idx
+    }
+
+    /// Frees slot `idx`: recycles the core's buffers into the shard pool
+    /// and puts the slot on the free list for the next admission.
+    fn free_slot(&mut self, idx: u32) {
+        let i = idx as usize;
+        let mut core = self.cores[i].take().expect("freeing a live slot");
+        core.shed_buffers(&mut self.pool);
+        if self.flags[i] & FLAG_DIRTY != 0 {
+            // Freed from the peer arena between a delivery and this
+            // arena's batch pump: the pump must not reach the slot's next
+            // occupant early.
+            self.dirty.retain(|&d| d != idx);
+        }
+        self.flags[i] = 0;
+        self.slot_of_pair[self.pairs[i] as usize] = NO_SLOT;
+        // Entries for this slot still in `due` become stale no-ops: the
+        // pop loop filters on due_at, and MAX never matches a popped time.
+        self.due_at[i] = SimTime::MAX;
+        self.free.push(idx);
+        self.resident -= 1;
     }
 
     /// Arms slot `idx`'s deadline `at`, deduplicating against the entry
@@ -529,7 +521,8 @@ impl HostArena {
     }
 
     /// Drains every dirty core: stage passes with the shared scratch, then
-    /// the TCP flush routed to the peer arena, then deadline bookkeeping.
+    /// the TCP flush routed to the peer arena, then the pair lifecycle and
+    /// deadline bookkeeping.
     fn pump_dirty(&mut self, ctx: &mut Context<'_, FleetSegment>) {
         let now = ctx.now();
         let self_id = ctx.node_id();
@@ -537,10 +530,9 @@ impl HostArena {
         for i in 0..self.dirty.len() {
             let idx = self.dirty[i];
             self.flags[idx as usize] &= !FLAG_DIRTY;
-            // A retired slot can linger in `dirty` for one batch; skip it.
-            let Some(core) = self.cores[idx as usize].as_mut() else {
-                continue;
-            };
+            let core = self.cores[idx as usize]
+                .as_mut()
+                .expect("dirty slots are live");
             core.pump_stages(now, &mut self.scratch);
             let pair = self.pairs[idx as usize];
             core.flush_transmit(now, |seg| {
@@ -552,64 +544,17 @@ impl HostArena {
                     FleetSegment { pair, seg },
                 ));
             });
-            let mut retire_client_now = false;
-            if self.flags[idx as usize] & FLAG_FINISHED == 0 {
-                // "Done" for an attacker core means the server shed it —
-                // an unopposed attack keeps its shard running to the
-                // deadline, which is the point.
-                let app_done = match &core.app {
-                    App::Client(b) => b.is_done(),
-                    App::Attacker(a) => a.is_done(),
-                    App::Server(_) => false,
-                };
-                let done = core.dead || (self.is_client && app_done && core.tcp.send_drained());
-                if done {
-                    self.flags[idx as usize] |= FLAG_FINISHED;
-                    self.finished_count += 1;
-                    if self.is_client {
-                        if let Some(p) = &self.progress {
-                            p.pairs_done.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if self.streaming && self.is_client {
-                        // Streaming: the whole pair retires now; the fold
-                        // and buffer recycling happen in retire_client.
-                        retire_client_now = true;
-                    } else {
-                        // The page load is over: return this core's big
-                        // buffers to the shard pool for cores still to
-                        // start.
-                        core.shed_buffers(&mut self.pool);
-                    }
-                } else if !self.is_client && core.tcp.send_drained() && core.app_wakeup().is_none()
-                {
-                    // A server never "finishes" — it can't know the client
-                    // is done — but fully quiescent (everything acked, no
-                    // worker pending) it sheds opportunistically: only
-                    // empty capacity moves, so a new request wave merely
-                    // reallocates, and in a one-load-per-pair fleet this
-                    // is what returns the server side's memory.
-                    core.shed_buffers(&mut self.pool);
-                }
-            }
-            if retire_client_now {
-                self.retire_client(idx);
+            let freed = if self.is_client {
+                self.after_client_pump(idx)
+            } else {
+                self.after_server_pump(idx)
+            };
+            if freed {
                 continue;
-            }
-            // Streaming, server side: once the pair's client retired and
-            // this core has gone quiescent (or died), tear it down too.
-            if self.streaming && !self.is_client && self.flags[idx as usize] & FLAG_RETIRE != 0 {
-                let core = self.cores[idx as usize]
-                    .as_ref()
-                    .expect("core pumped above");
-                if core.dead || (core.tcp.send_drained() && core.app_wakeup().is_none()) {
-                    self.retire_slot(idx);
-                    continue;
-                }
             }
             let core = self.cores[idx as usize]
                 .as_ref()
-                .expect("core pumped above");
+                .expect("unfreed slots are live");
             let next = if core.dead {
                 None
             } else {
@@ -623,112 +568,121 @@ impl HostArena {
             }
         }
         self.dirty.clear();
-        // The whole fleet is done when every client finished (streaming:
-        // every pair admitted *and* retired); the clients' arena halts the
-        // shard (mirroring the single-pair host's halt-when-done), which
+        // The clients' arena halts the shard once every pair has folded
+        // its row (mirroring the single-pair host's halt-when-done), which
         // also releases idle-connection timers.
-        let all_done = if self.streaming {
-            self.retired == self.total_pairs
-        } else {
-            self.finished_count == self.total_pairs as usize
-        };
-        if self.is_client && self.total_pairs > 0 && all_done {
+        if self.is_client && self.total_pairs > 0 && self.folded == self.total_pairs {
             ctx.halt();
         }
         self.rearm_due(ctx);
     }
 
-    /// Streaming teardown of slot `idx`: recycle the core's buffers into
-    /// the shard pool and put the slot on the free list for the next
-    /// admission.
-    fn retire_slot(&mut self, idx: u32) {
-        let pair = self.pairs[idx as usize];
-        if let Some(mut core) = self.cores[idx as usize].take() {
-            core.shed_buffers(&mut self.pool);
+    /// Client arena, after a pump: the first time the page load is over,
+    /// folds the pair's outcome row and hands the pair to its server.
+    /// Returns true when the pair was freed.
+    fn after_client_pump(&mut self, idx: u32) -> bool {
+        let i = idx as usize;
+        if self.flags[i] & FLAG_FINISHED != 0 {
+            return false;
         }
-        self.slot_of_pair[pair as usize] = NO_SLOT;
-        // Entries for this slot still in `due` become stale no-ops: the
-        // pop loop filters on due_at, and MAX never matches a popped time.
-        self.due_at[idx as usize] = SimTime::MAX;
-        self.free.push(idx);
-        self.resident -= 1;
-        self.retired += 1;
-    }
-
-    /// Streaming, client side: folds the finished pair's outcome row
-    /// (reading its server's state across the arena link), then tears both
-    /// sides down — the server immediately if quiescent, else deferred via
-    /// [`FLAG_RETIRE`] to its own pump.
-    fn retire_client(&mut self, idx: u32) {
-        let pair = self.pairs[idx as usize];
-        let servers = self
-            .servers
-            .clone()
-            .expect("client arena links its servers");
-        let (server_dead, server_alerts) = {
-            let mut sv = servers.borrow_mut();
-            let info = sv.server_info(pair);
-            sv.note_client_done(pair);
-            info
+        let core = self.cores[i].as_mut().expect("pumped slots are live");
+        // "Done" for an attacker core means the server shed it — an
+        // unopposed attack keeps its shard running to the deadline, which
+        // is the point.
+        let app_done = match &core.app {
+            App::Client(b) => b.is_done(),
+            App::Attacker(a) => a.is_done(),
+            App::Server(_) => false,
         };
-        let finished = self.flags[idx as usize] & FLAG_FINISHED != 0;
-        let core = self.cores[idx as usize]
+        if !(core.dead || (app_done && core.tcp.send_drained())) {
+            return false;
+        }
+        self.flags[i] |= FLAG_FINISHED;
+        // The page load is over: return this core's big buffers to the
+        // shard pool for cores still to start.
+        core.shed_buffers(&mut self.pool);
+        if let Some(p) = &self.progress {
+            p.pairs_done.fetch_add(1, Ordering::Relaxed);
+        }
+        let pair = self.pairs[i];
+        let server_arena = self.peer_arena.upgrade().expect(OWNS_BOTH);
+        let mut servers = server_arena.borrow_mut();
+        let server = servers.cores[servers.slot_of_pair[pair as usize] as usize]
             .as_ref()
-            .expect("retiring a live core");
+            .expect("a finishing pair's server is live");
         self.fold
-            .fold_pair(pair, core, finished, server_dead, &server_alerts);
-        self.retire_slot(idx);
-    }
-
-    /// The pair's server-side state the client fold needs.
-    fn server_info(&self, pair: u32) -> (bool, Vec<Alert>) {
-        match self.slot_of_pair.get(pair as usize) {
-            Some(&i) if i != NO_SLOT => match &self.cores[i as usize] {
-                Some(c) => (c.dead, c.dos_alerts()),
-                None => (false, Vec::new()),
-            },
-            _ => (false, Vec::new()),
+            .fold_pair(pair, core, true, server.dead, &server.dos_alerts());
+        self.folded += 1;
+        let freed = servers.client_finished(pair);
+        if freed {
+            self.free_slot(idx);
         }
+        freed
     }
 
-    /// Server arena: the pair's client retired. Tear the server core down
-    /// now if it has nothing left to do, otherwise flag it so its own pump
-    /// retires it at quiescence.
-    fn note_client_done(&mut self, pair: u32) {
-        let idx = match self.slot_of_pair.get(pair as usize) {
-            Some(&i) if i != NO_SLOT => i,
-            _ => return,
-        };
-        let quiescent = match &self.cores[idx as usize] {
-            Some(c) => c.dead || (c.tcp.send_drained() && c.app_wakeup().is_none()),
-            None => return,
-        };
-        if quiescent {
-            self.retire_slot(idx);
+    /// Server arena: the pair's client finished. Frees the server and
+    /// returns true when it is already quiet; otherwise flags it, and its
+    /// own pump frees the pair once it goes quiet.
+    fn client_finished(&mut self, pair: u32) -> bool {
+        let idx = self.slot_of_pair[pair as usize];
+        let quiet = self.cores[idx as usize]
+            .as_ref()
+            .expect("a finishing pair's server is live")
+            .is_quiet();
+        if quiet {
+            self.free_slot(idx);
         } else {
             self.flags[idx as usize] |= FLAG_RETIRE;
         }
+        quiet
     }
 
-    /// Streaming admission: materializes every pair whose start time has
-    /// arrived (client core into this arena, server core into the peer's)
-    /// and re-arms the admission timer for the next one.
+    /// Server arena, after a pump: a quiet server whose client has
+    /// finished frees the pair (returning true); any other quiet server
+    /// sheds its buffers. A server cannot know its client is done, but
+    /// quiet it sheds opportunistically: only empty capacity moves, so a
+    /// new request wave merely reallocates.
+    fn after_server_pump(&mut self, idx: u32) -> bool {
+        let i = idx as usize;
+        let core = self.cores[i].as_mut().expect("pumped slots are live");
+        if !core.is_quiet() {
+            return false;
+        }
+        if self.flags[i] & FLAG_RETIRE == 0 {
+            core.shed_buffers(&mut self.pool);
+            return false;
+        }
+        let pair = self.pairs[i];
+        self.free_slot(idx);
+        let client_arena = self.peer_arena.upgrade().expect(OWNS_BOTH);
+        let mut clients = client_arena.borrow_mut();
+        let client = clients.slot_of_pair[pair as usize];
+        clients.free_slot(client);
+        true
+    }
+
+    /// Admits every pair whose start time has arrived: builds its two
+    /// cores, opens the client's connection and marks it for this event's
+    /// pump. Then arms the admission timer for the next start.
     fn pump_admissions(&mut self, ctx: &mut Context<'_, FleetSegment>) {
         let now = ctx.now();
+        let server_arena = self.peer_arena.upgrade().expect(OWNS_BOTH);
         while let Some(&(at, pair)) = self.admit.last() {
             if at > now {
                 break;
             }
             self.admit.pop();
-            let builder = self.builder.clone().expect("streaming arena has a builder");
-            let (client_core, server_core, start_at) = builder.build(pair);
-            let idx = self.add(pair, client_core, start_at);
-            self.arm_slot_deadline(idx, start_at);
-            let servers = self
-                .servers
-                .clone()
-                .expect("client arena links its servers");
-            servers.borrow_mut().add(pair, server_core, SimTime::ZERO);
+            let (mut client, server) = self
+                .builder
+                .as_ref()
+                .expect("the client arena has a builder")
+                .build(pair);
+            // Reuse buffers earlier page loads returned to the pool.
+            client.adopt_buffers(&mut self.pool);
+            client.begin();
+            let idx = self.add(pair, client);
+            self.mark_dirty(idx);
+            server_arena.borrow_mut().add(pair, server);
         }
         if let Some(&(at, _)) = self.admit.last() {
             ctx.set_timer(at.saturating_since(now), TOKEN_ADMIT);
@@ -756,30 +710,25 @@ impl HostArena {
 
     fn on_start(&mut self, ctx: &mut Context<'_, FleetSegment>) {
         if self.is_client {
-            if self.streaming {
-                // Admit every pair whose start time is now (t = 0) and arm
-                // the admission timer for the rest of the schedule.
-                self.pump_admissions(ctx);
-            } else {
-                for idx in 0..self.start_at.len() {
-                    self.arm_slot_deadline(idx as u32, self.start_at[idx]);
-                }
-            }
+            self.pump_admissions(ctx);
+            self.pump_dirty(ctx);
         }
-        self.rearm_due(ctx);
     }
 
     fn on_packet(&mut self, packet: Packet<FleetSegment>, ctx: &mut Context<'_, FleetSegment>) {
-        let idx = match self.slot_of_pair.get(packet.payload.pair as usize) {
-            Some(&idx) if idx != NO_SLOT => idx,
-            // Other shards' pairs, and (streaming) stragglers — e.g. a
-            // retransmission in flight to a pair that already retired.
-            _ => return,
-        };
-        let Some(core) = self.cores[idx as usize].as_mut() else {
+        let FleetSegment { pair, seg } = packet.payload;
+        let idx = self.slot_of_pair[pair as usize];
+        if idx == NO_SLOT {
+            if !seg.payload.is_empty() {
+                self.stray_segments += 1;
+            }
             return;
-        };
-        core.tcp.on_segment(packet.payload.seg, ctx.now());
+        }
+        self.cores[idx as usize]
+            .as_mut()
+            .expect("mapped slots are live")
+            .tcp
+            .on_segment(seg, ctx.now());
         self.mark_dirty(idx);
         self.arm_batch(ctx);
     }
@@ -798,25 +747,18 @@ impl HostArena {
                 }
                 self.due.pop();
                 // Stale lazy-deleted entry: a fresher (earlier) deadline was
-                // already consumed and this copy carries no new obligation.
+                // already consumed, or the slot was freed since.
                 if self.due_at[idx as usize] != at {
                     continue;
                 }
                 self.due_at[idx as usize] = SimTime::MAX;
-                let Some(core) = self.cores[idx as usize].as_mut() else {
-                    continue;
-                };
-                if self.flags[idx as usize] & FLAG_STARTED == 0
-                    && self.start_at[idx as usize] <= now
-                {
-                    self.flags[idx as usize] |= FLAG_STARTED;
-                    // Reuse buffers earlier page loads returned to the pool.
-                    core.adopt_buffers(&mut self.pool);
-                    core.begin();
-                }
                 // The RTO check the single-pair host runs on its TCP timer;
                 // a no-op when no deadline actually expired (lazy entries).
-                core.tcp.on_tick(now);
+                self.cores[idx as usize]
+                    .as_mut()
+                    .expect("armed slots are live")
+                    .tcp
+                    .on_tick(now);
                 self.mark_dirty(idx);
             }
         }
@@ -824,13 +766,12 @@ impl HostArena {
     }
 }
 
-/// Materializes one pair's client and server cores on demand.
+/// Materializes one pair's client and server cores at its start time.
 ///
-/// Cohort streaming defers a pair's build to its start time. Each pair's
-/// state is a pure function of `(seed, pair)` — the per-pair RNG is
-/// re-seeded from scratch and the [`PairRecipe`] consumes its forks in a
-/// fixed order — so a pair built lazily is bit-identical to one built up
-/// front, which is what makes the outcome rows independent of cohort size.
+/// Each pair's state is a pure function of `(seed, pair)` — the per-pair
+/// RNG is re-seeded from scratch and the [`PairRecipe`] consumes its forks
+/// in a fixed order — so the instant a pair is built cannot change what
+/// it does, and its start time derives without building it.
 struct PairBuilder {
     seed: u64,
     population: u32,
@@ -851,17 +792,16 @@ struct PairBuilder {
 }
 
 impl PairBuilder {
-    /// The pair's staggered start time, derivable without building its
-    /// cores: the recipe consumes exactly two RNG forks (browser-or-burned,
-    /// then server) before the start draw.
-    fn start_at(&self, pair: u32) -> SimTime {
-        let mut pair_rng = SimRng::seed_from(mix(self.seed, 0xFA11 ^ pair as u64));
-        let _ = pair_rng.fork();
-        let _ = pair_rng.fork();
-        self.start_draw(&mut pair_rng)
+    fn pair_rng(&self, pair: u32) -> SimRng {
+        SimRng::seed_from(mix(self.seed, 0xFA11 ^ pair as u64))
     }
 
-    fn start_draw(&self, pair_rng: &mut SimRng) -> SimTime {
+    /// The pair's staggered start time: the pair stream's next draw after
+    /// the recipe's two forks (browser-or-burned, then server).
+    fn start_at(&self, pair: u32) -> SimTime {
+        let mut pair_rng = self.pair_rng(pair);
+        let _ = pair_rng.fork();
+        let _ = pair_rng.fork();
         SimTime::ZERO
             + SimDuration::from_micros(if self.spread_us == 0 {
                 0
@@ -870,10 +810,10 @@ impl PairBuilder {
             })
     }
 
-    /// Builds the pair's two cores (gateway chains are installed
-    /// separately — they are per-run wiring, not per-pair state).
-    fn build(&self, pair: u32) -> (HostCore, HostCore, SimTime) {
-        let mut pair_rng = SimRng::seed_from(mix(self.seed, 0xFA11 ^ pair as u64));
+    /// Builds the pair's client and server cores (gateway chains are
+    /// installed separately — they are per-run wiring, not per-pair state).
+    fn build(&self, pair: u32) -> (HostCore, HostCore) {
+        let mut pair_rng = self.pair_rng(pair);
         let is_victim = pair == VICTIM_PAIR;
         let (iside, served) = if is_victim {
             (
@@ -892,7 +832,7 @@ impl PairBuilder {
             .as_ref()
             .filter(|dos| is_hostile(pair, self.population, dos))
             .map(|dos| DosConfig::for_attack(dos.attack));
-        let (client_core, server_core) = self.recipe.build(
+        self.recipe.build(
             PairInputs {
                 server_node: self.server_arena_id,
                 client_node: self.client_arena_id,
@@ -909,9 +849,7 @@ impl PairBuilder {
             // Shaping runs on the victim server only, from a dedicated
             // stream: the pair stream's next draw is the start time.
             |_| is_victim.then(|| SimRng::seed_from(mix(self.seed, 0xDEF5 ^ pair as u64))),
-        );
-        let start_at = self.start_draw(&mut pair_rng);
-        (client_core, server_core, start_at)
+        )
     }
 }
 
@@ -953,21 +891,12 @@ struct PairChain {
 /// not a hash probe.
 ///
 /// [`GatewayNode`]: h2priv_netsim::GatewayNode
-pub struct FleetGateway {
+pub(crate) struct FleetGateway {
     left: NodeId,
     /// Dense pair id → index into `chains` ([`NO_SLOT`] = uninstrumented).
     chain_of_pair: Vec<u32>,
     chains: Vec<PairChain>,
     stats: GatewayStats,
-}
-
-impl std::fmt::Debug for FleetGateway {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetGateway")
-            .field("chains", &self.chains.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
 }
 
 impl FleetGateway {
@@ -1119,10 +1048,14 @@ pub struct ShardResult {
     pub detection_latency_us: u64,
     /// Detector alerts on *benign* pairs — the fleet false-positive count.
     pub benign_alerts: u64,
-    /// High-water mark of co-resident pairs (max over the two arenas).
-    /// Eager mode: the shard's whole pair count. Cohort streaming: the
-    /// in-flight set the memory bound follows.
+    /// High-water mark of co-resident pairs (max over the two arenas):
+    /// the in-flight set the memory bound follows.
     pub peak_resident: u32,
+    /// Data-bearing segments that reached a freed pair slot. A pair is
+    /// freed only once its page load is over and its server is quiet, so
+    /// this is 0 unless freeing cut off traffic a live core would have
+    /// answered.
+    pub stray_segments: u64,
     /// Final worker-pool counters, when the shard ran a pool.
     pub pool: Option<PoolStats>,
 }
@@ -1170,6 +1103,8 @@ pub struct FleetResult {
     /// Peak co-resident pairs summed across shards — an upper bound on
     /// simultaneous pair-state when every shard runs concurrently.
     pub peak_resident: u32,
+    /// Data-bearing segments that reached a freed pair slot, across shards.
+    pub stray_segments: u64,
     /// Pool counters summed across shards, when pools ran.
     pub pool: Option<PoolStats>,
 }
@@ -1230,15 +1165,11 @@ pub fn run_fleet_shard(
 
     // One worker pool per shard, shared across every server: pool pressure
     // from a hostile connection is visible to all of the shard's pairs.
-    // `config.pool` shares it independently of any DoS injection; a
-    // DoS-carried pool is the fallback so the hardening exhibits keep
-    // their exact configuration.
-    let shard_pool = config
-        .pool
-        .or_else(|| dos.and_then(|d| d.pool))
+    let shard_pool = dos
+        .and_then(|d| d.pool)
         .map(|p| Rc::new(RefCell::new(WorkerPool::new(p))));
 
-    let builder = Rc::new(PairBuilder {
+    let builder = PairBuilder {
         seed: config.seed,
         population: config.population,
         spread_us: config.start_spread.as_micros(),
@@ -1254,7 +1185,7 @@ pub fn run_fleet_shard(
         conformance: config.conformance,
         client_arena_id,
         server_arena_id,
-    });
+    };
 
     // Gateway chains are per-run wiring over pair *ids*, independent of
     // when (or whether) the pair's cores get materialized.
@@ -1290,45 +1221,30 @@ pub fn run_fleet_shard(
     {
         let mut c = clients.borrow_mut();
         let mut s = servers.borrow_mut();
+        c.peer_arena = Rc::downgrade(&servers);
+        s.peer_arena = Rc::downgrade(&clients);
+        if let Some(cohort) = config.cohort {
+            // Pre-size the slabs for the expected co-resident set; the
+            // hint has no effect on scheduling.
+            let cap = cohort.min(pairs.len() as u32) as usize;
+            for a in [&mut *c, &mut *s] {
+                a.cores.reserve(cap);
+                a.pairs.reserve(cap);
+                a.flags.reserve(cap);
+                a.due_at.reserve(cap);
+            }
+        }
         c.total_pairs = pairs.len() as u32;
-        s.total_pairs = pairs.len() as u32;
         c.progress = config.progress.clone();
         c.fold.victim_golden = victim_golden.clone();
         c.fold.trace = Some(trace.clone());
         c.fold.truth = Some(truth.clone());
-        match config.cohort {
-            Some(cohort) if !pairs.is_empty() => {
-                c.streaming = true;
-                s.streaming = true;
-                // `cohort` pre-sizes the slabs for the expected co-resident
-                // set; it has no effect on scheduling, so any value yields
-                // the same outcome rows.
-                let cap = cohort.min(pairs.len() as u32).max(1) as usize;
-                for a in [&mut *c, &mut *s] {
-                    a.cores.reserve(cap);
-                    a.pairs.reserve(cap);
-                    a.start_at.reserve(cap);
-                    a.flags.reserve(cap);
-                    a.due_at.reserve(cap);
-                }
-                c.builder = Some(builder.clone());
-                c.servers = Some(servers.clone());
-                let mut admit: Vec<(SimTime, u32)> =
-                    pairs.iter().map(|&p| (builder.start_at(p), p)).collect();
-                // Descending, so the next admission pops off the end.
-                admit.sort_unstable_by(|a, b| b.cmp(a));
-                c.admit = admit;
-            }
-            _ => {
-                // Eager (pre-streaming) mode: the whole shard materializes
-                // up front, byte-identical to the previous fleet.
-                for &pair in &pairs {
-                    let (client_core, server_core, start_at) = builder.build(pair);
-                    c.add(pair, client_core, start_at);
-                    s.add(pair, server_core, SimTime::ZERO);
-                }
-            }
-        }
+        let mut admit: Vec<(SimTime, u32)> =
+            pairs.iter().map(|&p| (builder.start_at(p), p)).collect();
+        // Descending, so the next admission pops off the end.
+        admit.sort_unstable_by(|a, b| b.cmp(a));
+        c.admit = admit;
+        c.builder = Some(builder);
     }
 
     // Shared links: capacity scales with the pairs sharing them, so the
@@ -1383,21 +1299,25 @@ pub fn run_fleet_shard(
     let mut clients_ref = clients.borrow_mut();
     let servers_ref = servers.borrow();
     let arena = &mut *clients_ref;
-    // Fold whatever is still resident at the stop: in eager mode that is
-    // every pair; in streaming mode only stragglers a deadline cut off
-    // (retired pairs already contributed their rows).
+    // Fold the page loads the stop cut off; every other pair folded its
+    // row when it finished.
     for idx in 0..arena.cores.len() {
         let Some(core) = arena.cores[idx].as_ref() else {
             continue;
         };
+        if arena.flags[idx] & FLAG_FINISHED != 0 {
+            continue;
+        }
         let pair = arena.pairs[idx];
-        let (server_dead, server_alerts) = servers_ref.server_info(pair);
-        let finished = arena.flags[idx] & FLAG_FINISHED != 0;
+        let server = servers_ref.cores[servers_ref.slot_of_pair[pair as usize] as usize]
+            .as_ref()
+            .expect("an unfinished pair's server is live");
         arena
             .fold
-            .fold_pair(pair, core, finished, server_dead, &server_alerts);
+            .fold_pair(pair, core, false, server.dead, &server.dos_alerts());
     }
     let peak_resident = arena.peak_resident.max(servers_ref.peak_resident);
+    let stray_segments = arena.stray_segments + servers_ref.stray_segments;
     let fold = std::mem::take(&mut arena.fold);
     let (violations, violations_total) = match &sink {
         Some(sink) => (sink.take(), sink.total()),
@@ -1426,6 +1346,7 @@ pub fn run_fleet_shard(
         detection_latency_us: fold.detection_latency_us,
         benign_alerts: fold.benign_alerts,
         peak_resident,
+        stray_segments,
         pool: shard_pool.map(|p| p.borrow().stats()),
     }
 }
@@ -1455,6 +1376,7 @@ pub fn merge_shards(population: u32, shards: u32, mut results: Vec<ShardResult>)
         detection_latency_us: 0,
         benign_alerts: 0,
         peak_resident: 0,
+        stray_segments: 0,
         pool: None,
     };
     for s in results {
@@ -1477,6 +1399,7 @@ pub fn merge_shards(population: u32, shards: u32, mut results: Vec<ShardResult>)
         out.detection_latency_us += s.detection_latency_us;
         out.benign_alerts += s.benign_alerts;
         out.peak_resident += s.peak_resident;
+        out.stray_segments += s.stray_segments;
         if let Some(p) = s.pool {
             let merged = out.pool.get_or_insert_with(PoolStats::default);
             merged.admitted += p.admitted;
@@ -1628,34 +1551,33 @@ mod tests {
     #[test]
     fn cohort_sizes_do_not_change_outcomes() {
         // The cohort value pre-sizes slabs; scheduling is untouched. Every
-        // cohort size must therefore produce the *same shard execution* —
-        // not just the same outcome rows but the same event count, end
-        // time and scheduler counters.
-        let eager = run_fleet_shard(&small_config(), 0, None);
+        // cohort size, and none, must therefore produce the *same shard
+        // execution* — not just the same outcome rows but the same event
+        // count, end time and scheduler counters.
         let mut prev: Option<ShardResult> = None;
-        for cohort in [1u32, 3, 8] {
+        for cohort in [None, Some(1u32), Some(3), Some(8)] {
             let config = FleetConfig {
-                cohort: Some(cohort),
+                cohort,
                 ..small_config()
             };
             let r = run_fleet_shard(&config, 0, None);
-            assert_eq!(r.completed, eager.completed, "cohort {cohort}");
-            assert_eq!(r.broken, 0, "cohort {cohort}");
-            assert_eq!(
-                (r.requests, r.requests_complete),
-                (eager.requests, eager.requests_complete),
-                "cohort {cohort}"
-            );
+            assert_eq!(r.broken, 0, "cohort {cohort:?}");
             if let Some(p) = &prev {
-                assert_eq!(r.events, p.events, "cohort {cohort}");
-                assert_eq!(r.end_time, p.end_time, "cohort {cohort}");
-                assert_eq!(r.sched, p.sched, "cohort {cohort}");
-                assert_eq!(r.peak_resident, p.peak_resident, "cohort {cohort}");
+                assert_eq!(r.completed, p.completed, "cohort {cohort:?}");
+                assert_eq!(
+                    (r.requests, r.requests_complete),
+                    (p.requests, p.requests_complete),
+                    "cohort {cohort:?}"
+                );
+                assert_eq!(r.events, p.events, "cohort {cohort:?}");
+                assert_eq!(r.end_time, p.end_time, "cohort {cohort:?}");
+                assert_eq!(r.sched, p.sched, "cohort {cohort:?}");
+                assert_eq!(r.peak_resident, p.peak_resident, "cohort {cohort:?}");
             }
             prev = Some(r);
         }
-        // The victim's capture survives fold-at-retirement: the full fleet
-        // run under streaming still produces an attack-scoreable trace.
+        // The victim's capture survives fold-at-finish: the full fleet
+        // run still produces an attack-scoreable trace.
         let streamed = run_fleet(
             &FleetConfig {
                 cohort: Some(3),
@@ -1673,8 +1595,7 @@ mod tests {
     #[test]
     fn streaming_bounds_resident_pairs() {
         // Starts spread far enough apart that loads don't overlap: the
-        // streamed shard's high-water mark must sit well under the
-        // population, while the eager shard keeps everything resident.
+        // shard's high-water mark must sit well under the population.
         let config = FleetConfig {
             seed: 7,
             population: 8,
@@ -1692,16 +1613,60 @@ mod tests {
             "peak_resident {} should be bounded by overlap, not population",
             streamed.peak_resident
         );
-        let eager = run_fleet_shard(
-            &FleetConfig {
-                cohort: None,
-                ..config
-            },
-            0,
-            None,
+    }
+
+    /// Drops every client→server segment from `from` onward.
+    struct DropUpstreamFrom {
+        from: SimTime,
+        dropped: u64,
+    }
+
+    impl Middlebox<TcpSegment> for DropUpstreamFrom {
+        fn process(&mut self, _: &Packet<TcpSegment>, ctx: &mut MbContext<'_>) -> Verdict {
+            if ctx.dir == Dir::LeftToRight && ctx.now >= self.from {
+                self.dropped += 1;
+                return Verdict::Drop;
+            }
+            Verdict::Forward
+        }
+    }
+
+    #[test]
+    fn finished_pairs_stay_resident_until_their_server_is_quiet() {
+        // The victim's upstream goes dark once its last response is in:
+        // the server never hears the final ACKs and keeps retransmitting
+        // long after the client folded its row. The pair must stay
+        // resident until its server is quiet or dead, so every one of
+        // those retransmissions still reaches a live client.
+        let config = FleetConfig {
+            seed: 1,
+            population: 8,
+            shards: 1,
+            conformance: FleetConformance::Off,
+            start_spread: SimDuration::from_secs(20),
+            ..FleetConfig::default()
+        };
+        let clean = run_fleet_shard(&config, 0, None);
+        let last_response = clean
+            .victim
+            .expect("victim capture present")
+            .outcomes
+            .iter()
+            .map(|o| o.completed_at.expect("clean run completes"))
+            .max()
+            .expect("the victim issues requests");
+        let cut = Rc::new(RefCell::new(DropUpstreamFrom {
+            from: last_response,
+            dropped: 0,
+        }));
+        let r = run_fleet_shard(&config, 0, Some(Box::new(cut.clone())));
+        assert_eq!(r.completed, 8, "the cut only hides ACKs of a done load");
+        assert!(cut.borrow().dropped > 0, "the victim's ACKs are dropped");
+        assert!(
+            r.end_time > last_response + SimDuration::from_secs(5),
+            "the shard runs on while the victim's server retransmits"
         );
-        assert_eq!(eager.completed, 8);
-        assert_eq!(eager.peak_resident, 8);
+        assert_eq!(r.stray_segments, 0, "data reached a freed slot");
     }
 
     #[test]

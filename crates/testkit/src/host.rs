@@ -372,6 +372,13 @@ impl HostCore {
         [app, pad, dos].into_iter().flatten().min()
     }
 
+    /// True when this core has nothing left to send on its own: it is
+    /// dead, or everything it sent is acknowledged and its application
+    /// has no wakeup pending.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.dead || (self.tcp.send_drained() && self.app_wakeup().is_none())
+    }
+
     /// Returns every idle buffer across the stack to `pool` — the TCP send
     /// rope's recycled chunk and drained reassembly buffer, the TLS record
     /// reader's stash, and the HTTP/2 frame-buffer pool. Called when this

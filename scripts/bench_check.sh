@@ -6,8 +6,8 @@
 # more than 20% below the
 # checked-in BENCH_repro.json baseline, or when the fleet exhibit's
 # bytes-per-co-resident-pair (the counting-allocator telemetry) grows
-# more than 20% above it. A cohort-streamed fleet run is smoked up
-# front and must keep its working set below the eager baseline. Built to
+# more than 20% above it. A spread-out fleet run is smoked up front and
+# must keep its working set below the baseline. Built to
 # tolerate CI noise without missing real regressions: shared CI hosts
 # oscillate in speed on minute timescales, and fig1 is a ~1 ms exhibit
 # whose single-run rate is mostly scheduler jitter — so the gate makes up
@@ -24,14 +24,14 @@ fresh=$(mktemp)
 seen=$(mktemp)
 trap 'rm -f "$fresh" "$seen"' EXIT INT TERM
 
-# Smoke the cohort-streamed fleet path (the bench-fleet-1m hot path at a
+# Smoke a spread-out fleet run (the bench-fleet-1m hot path at a
 # gate-friendly size) before the rate gate: it must complete, and its
-# peak working set must stay strictly below the eager fleet baseline's
-# bytes-per-pair — streaming that allocates like the eager path is a
-# regression in the one property it exists to provide. Kept out of the
-# best-of pool on purpose: its low peak would mask an eager-memory
-# regression in the min-scored memory gate below.
-./target/release/repro fleet --cohort 125 --spread 60 --bench-json="$fresh" >/dev/null
+# peak working set must stay strictly below the fleet baseline's
+# bytes-per-pair — holding pairs that have finished and gone quiet is a
+# regression in the one property streaming exists to provide. Kept out of the
+# best-of pool on purpose: its low peak would mask a memory regression
+# of the default fleet in the min-scored memory gate below.
+./target/release/repro fleet --spread 60 --bench-json="$fresh" >/dev/null
 awk '
     /"exhibit"/       { gsub(/[",]/, "", $2); name = $2 }
     /"bytes_per_pair"/ {
@@ -44,10 +44,10 @@ awk '
             print "bench-check: streamed fleet produced no bytes_per_pair row"
             exit 1
         }
-        printf "bench-check: streamed fleet %12.0f bytes/pair vs eager baseline %12.0f\n",
+        printf "bench-check: spread-out fleet %12.0f bytes/pair vs baseline %12.0f\n",
                streamed, base
         if (streamed + 0 >= base + 0) {
-            print "bench-check: cohort streaming no longer bounds the working set"
+            print "bench-check: streaming no longer bounds the working set"
             exit 1
         }
     }

@@ -81,3 +81,15 @@ fn harsh_loss_schedule_stays_conformant() {
         );
     }
 }
+
+#[test]
+fn straddling_retransmission_seeds_stay_conformant() {
+    // Unattacked page loads whose fast retransmission re-cut from snd_una
+    // ran past snd_max: the bytes it carried were later re-sent as new
+    // data and armed an RTT probe on bytes already on the wire.
+    for seed in [(1u64 << 32) | 542, (13 << 32) | 1536] {
+        run_paper_trial(seed, None, |_| {})
+            .result
+            .assert_conformant();
+    }
+}
