@@ -6,7 +6,7 @@ build:
 	cargo build --release --workspace
 
 test:
-	cargo test --workspace
+	cargo test -q
 
 lint:
 	sh scripts/lint.sh

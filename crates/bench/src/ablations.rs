@@ -1,7 +1,9 @@
 //! Ablations of the design choices DESIGN.md §6 calls out, plus the §IV-A
 //! uniform-delay control and the §VII defense sketch.
 
-use h2priv_core::experiment::{analyze_trial, objects_of_interest, run_paper_trial};
+use h2priv_core::experiment::{
+    analyze_trial, objects_of_interest, run_paper_trial, survey_outcome,
+};
 use h2priv_core::AttackConfig;
 use h2priv_http2::SendPolicy;
 use h2priv_netsim::SimDuration;
@@ -141,8 +143,7 @@ pub fn order_randomization_defense(trials: u64) -> Vec<AblationRow> {
             // Score the *order* against the original user's golden order.
             let golden = if defended {
                 // The user whose page this "really" was.
-                h2priv_netsim::SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9).wrapping_add(7))
-                    .permutation(8)
+                survey_outcome(seed)
             } else {
                 trial.iw.golden_order.clone()
             };

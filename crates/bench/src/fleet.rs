@@ -247,17 +247,7 @@ fn run_population(
             .then(|| attack.map(|a| Rc::new(RefCell::new(Adversary::new(a.clone())))))
             .flatten();
         let result = run_fleet_shard(config, shard, adversary.clone().map(|a| Box::new(a) as _));
-        let snapshot = adversary.map(|a| {
-            let a = a.borrow();
-            AdversarySnapshot {
-                phase_log: a.phase_log().to_vec(),
-                gets_seen: a.gets_seen(),
-                drop_window_end: a.drop_window_end(),
-                serialize_start: a.serialize_start(),
-                gate_released_at: a.gate_released_at(),
-                controller: a.controller_stats(),
-            }
-        });
+        let snapshot = adversary.map(|a| AdversarySnapshot::new(&a.borrow()));
         (result, snapshot)
     });
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -22,8 +22,8 @@
 //!   identical outcome rows asserted, ev/s-per-core curve recorded).
 //!
 //! The `repro` binary prints them in the paper's layout; `EXPERIMENTS.md`
-//! records paper-vs-measured values. Criterion microbenches of the
-//! substrates live under `benches/`.
+//! records paper-vs-measured values. Microbenches of the substrates live
+//! under `benches/`, timed by the std `Instant` loop in [`harness`].
 
 #![warn(missing_docs)]
 

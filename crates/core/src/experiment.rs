@@ -47,6 +47,18 @@ pub struct AdversarySnapshot {
 }
 
 impl AdversarySnapshot {
+    /// Snapshots an adversary's state after its run.
+    pub fn new(adversary: &Adversary) -> Self {
+        AdversarySnapshot {
+            phase_log: adversary.phase_log().to_vec(),
+            gets_seen: adversary.gets_seen(),
+            drop_window_end: adversary.drop_window_end(),
+            serialize_start: adversary.serialize_start(),
+            gate_released_at: adversary.gate_released_at(),
+            controller: adversary.controller_stats(),
+        }
+    }
+
     /// The instant from which the predictor analyzes the capture: the
     /// serialized window begins once the post-reset gate released (the
     /// quiet gap after the serialization transition bounds it from below).
@@ -68,13 +80,17 @@ pub struct AttackTrial {
     pub iw: Isidewith,
 }
 
-/// Builds the paper's scenario for a trial seed: the user's survey outcome
-/// is a seed-derived random permutation (the volunteers' answers), and all
-/// timing noise derives from the same seed.
+/// The modeled user's survey outcome for a trial seed: the golden order of
+/// the eight party images, a seed-derived random permutation (the
+/// volunteers' answers).
+pub fn survey_outcome(seed: u64) -> Vec<usize> {
+    SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9).wrapping_add(7)).permutation(8)
+}
+
+/// Builds the paper's scenario for a trial seed: the user's
+/// [`survey_outcome`], with all timing noise derived from the same seed.
 pub fn paper_scenario(seed: u64) -> (Isidewith, ScenarioConfig) {
-    let mut rng = SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
-    let golden = rng.permutation(8);
-    let iw = isidewith::build(&golden);
+    let iw = isidewith::build(&survey_outcome(seed));
     let cfg = ScenarioConfig {
         seed,
         ..ScenarioConfig::default()
@@ -101,20 +117,9 @@ pub fn run_paper_trial(
             .map(|a| Box::new(a) as Box<dyn h2priv_netsim::Middlebox<h2priv_tcp::TcpSegment>>),
     );
     let result = run_scenario(scenario);
-    let snapshot = adversary.map(|a| {
-        let a = a.borrow();
-        AdversarySnapshot {
-            phase_log: a.phase_log().to_vec(),
-            gets_seen: a.gets_seen(),
-            drop_window_end: a.drop_window_end(),
-            serialize_start: a.serialize_start(),
-            gate_released_at: a.gate_released_at(),
-            controller: a.controller_stats(),
-        }
-    });
     AttackTrial {
         result,
-        adversary: snapshot,
+        adversary: adversary.map(|a| AdversarySnapshot::new(&a.borrow())),
         iw,
     }
 }

@@ -15,6 +15,8 @@
 //! * [`GatewayNode`] + [`Middlebox`] — the compromised on-path device: an
 //!   ordered chain of packet processors that can observe, hold, drop, and
 //!   throttle ([`ShapingState`]) transiting traffic.
+//! * [`prop`] — the seeded property-test harness the workspace's
+//!   `tests/properties.rs` suites run on.
 //!
 //! The crate is generic over the packet payload type; `h2priv-tcp`
 //! instantiates it with TCP segments.
@@ -58,6 +60,7 @@ mod link;
 mod middlebox;
 mod node;
 mod packet;
+pub mod prop;
 mod rng;
 mod sim;
 mod time;
@@ -65,7 +68,8 @@ mod wheel;
 
 pub use link::{mbps, BitsPerSec, Link, LinkConfig, LinkDrop, LinkStats};
 pub use middlebox::{
-    GatewayNode, GatewayStats, MbContext, Middlebox, Passthrough, ShapingState, Verdict,
+    GatewayNode, GatewayStats, MbContext, Middlebox, MiddleboxChain, Passthrough, ShapingState,
+    Verdict,
 };
 pub use node::{Context, Node, TimerId};
 pub use packet::{Dir, NodeId, Packet};

@@ -12,11 +12,11 @@
 //! * throttle — mutate [`ShapingState`] through the [`MbContext`], which the
 //!   gateway applies as an egress rate limiter per direction.
 //!
-//! A [`GatewayNode`] bridges two endpoints and runs an ordered chain of
-//! middleboxes over every transiting packet. The passive wire tap used by
-//! the analysis crate and the active adversary of `h2priv-core` are both
-//! just middleboxes, which mirrors reality: the attack needs no privilege
-//! beyond what a traffic-shaping gateway already has.
+//! A [`GatewayNode`] bridges two endpoints and runs an ordered
+//! [`MiddleboxChain`] over every transiting packet. The passive wire tap
+//! used by the analysis crate and the active adversary of `h2priv-core`
+//! are both just middleboxes, which mirrors reality: the attack needs no
+//! privilege beyond what a traffic-shaping gateway already has.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -134,8 +134,99 @@ impl GatewayStats {
     }
 }
 
+/// An ordered middlebox chain and the egress shaper it drives: the verdict
+/// fold a gateway runs over each transiting packet.
+///
+/// A drop verdict ends the chain at once; holds from several middleboxes
+/// add up. The shaper then serializes un-held packets in verdict order at
+/// the per-direction rate the middleboxes set through [`ShapingState`].
+/// Held packets are already paced by their hold and bypass the shaper:
+/// advancing its cursor to a far-future release would wrongly queue every
+/// later packet behind them.
+pub struct MiddleboxChain<P> {
+    chain: Vec<Box<dyn Middlebox<P>>>,
+    shaping: ShapingState,
+    /// Egress serializer cursor per direction (rate limiting).
+    shaper_busy: [SimTime; 2],
+    stats: GatewayStats,
+}
+
+impl<P> std::fmt::Debug for MiddleboxChain<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MiddleboxChain")
+            .field("len", &self.chain.len())
+            .field("stats", &self.stats)
+            .finish()
+    }
+}
+
+impl<P> MiddleboxChain<P> {
+    /// A chain running `chain` in order, with no shaping cap yet.
+    pub fn new(chain: Vec<Box<dyn Middlebox<P>>>) -> Self {
+        MiddleboxChain {
+            chain,
+            shaping: ShapingState::default(),
+            shaper_busy: [SimTime::ZERO; 2],
+            stats: GatewayStats::default(),
+        }
+    }
+
+    /// Appends a middlebox to the chain.
+    pub(crate) fn push(&mut self, mb: impl Middlebox<P> + 'static) {
+        self.chain.push(Box::new(mb));
+    }
+
+    /// Accumulated counters.
+    pub(crate) fn stats(&self) -> GatewayStats {
+        self.stats
+    }
+
+    /// Runs the chain over one packet heading `dir` at `now`. Returns
+    /// `None` if a middlebox dropped it, otherwise how long to hold it
+    /// before it enters the outgoing link: the summed holds, or for an
+    /// un-held packet its egress shaping delay.
+    pub fn process(
+        &mut self,
+        packet: &Packet<P>,
+        dir: Dir,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> Option<SimDuration> {
+        let mut hold = SimDuration::ZERO;
+        let mut ctx = MbContext {
+            now,
+            dir,
+            rng,
+            shaping: &mut self.shaping,
+        };
+        for mb in &mut self.chain {
+            match mb.process(packet, &mut ctx) {
+                Verdict::Forward => {}
+                Verdict::Hold(d) => hold += d,
+                Verdict::Drop => {
+                    self.stats.dropped[dir.index()] += 1;
+                    return None;
+                }
+            }
+        }
+        self.stats.forwarded[dir.index()] += 1;
+        if !hold.is_zero() {
+            self.stats.held[dir.index()] += 1;
+            return Some(hold);
+        }
+        let Some(rate) = self.shaping.rate(dir) else {
+            return Some(SimDuration::ZERO);
+        };
+        let cfg = LinkConfig::default().bandwidth(rate);
+        let start = now.max(self.shaper_busy[dir.index()]);
+        let departure = start + cfg.serialization_time(packet.wire_bytes);
+        self.shaper_busy[dir.index()] = departure;
+        Some(departure - now)
+    }
+}
+
 /// A node bridging a "left" endpoint and a "right" endpoint, running a
-/// middlebox chain over transiting traffic and applying egress shaping.
+/// [`MiddleboxChain`] over transiting traffic.
 ///
 /// The gateway classifies direction by the packet's original source: packets
 /// whose `src` equals the left endpoint travel [`Dir::LeftToRight`]. It is
@@ -145,11 +236,7 @@ impl GatewayStats {
 pub struct GatewayNode<P> {
     left: NodeId,
     right: NodeId,
-    chain: Vec<Box<dyn Middlebox<P>>>,
-    shaping: ShapingState,
-    /// Egress serializer cursor per direction (rate limiting).
-    shaper_busy: [SimTime; 2],
-    stats: GatewayStats,
+    chain: MiddleboxChain<P>,
 }
 
 impl<P> std::fmt::Debug for GatewayNode<P> {
@@ -157,8 +244,7 @@ impl<P> std::fmt::Debug for GatewayNode<P> {
         f.debug_struct("GatewayNode")
             .field("left", &self.left)
             .field("right", &self.right)
-            .field("chain_len", &self.chain.len())
-            .field("stats", &self.stats)
+            .field("chain", &self.chain)
             .finish()
     }
 }
@@ -169,10 +255,7 @@ impl<P> GatewayNode<P> {
         GatewayNode {
             left,
             right,
-            chain: Vec::new(),
-            shaping: ShapingState::default(),
-            shaper_busy: [SimTime::ZERO; 2],
-            stats: GatewayStats::default(),
+            chain: MiddleboxChain::new(Vec::new()),
         }
     }
 
@@ -180,90 +263,31 @@ impl<P> GatewayNode<P> {
     /// processing order; install taps before active elements to observe
     /// traffic exactly as it arrives.
     pub fn with_middlebox(mut self, mb: impl Middlebox<P> + 'static) -> Self {
-        self.chain.push(Box::new(mb));
+        self.chain.push(mb);
         self
     }
 
     /// Appends a middlebox to the chain.
     pub fn push_middlebox(&mut self, mb: impl Middlebox<P> + 'static) {
-        self.chain.push(Box::new(mb));
+        self.chain.push(mb);
     }
 
     /// Accumulated counters.
     pub fn stats(&self) -> GatewayStats {
-        self.stats
-    }
-
-    /// Current shaping state (for inspection in tests).
-    pub fn shaping(&self) -> &ShapingState {
-        &self.shaping
-    }
-
-    fn classify(&self, packet: &Packet<P>) -> Dir {
-        if packet.src == self.left {
-            Dir::LeftToRight
-        } else {
-            Dir::RightToLeft
-        }
-    }
-
-    /// Advances the egress shaper for a packet entering it at `enter`;
-    /// returns how long the shaper delays the packet beyond `enter`.
-    fn shaping_delay(&mut self, dir: Dir, bytes: u32, enter: SimTime) -> SimDuration {
-        let Some(rate) = self.shaping.rate(dir) else {
-            return SimDuration::ZERO;
-        };
-        let cfg = LinkConfig::default().bandwidth(rate);
-        let start = enter.max(self.shaper_busy[dir.index()]);
-        let departure = start + cfg.serialization_time(bytes);
-        self.shaper_busy[dir.index()] = departure;
-        departure - enter
+        self.chain.stats()
     }
 }
 
 impl<P> Node<P> for GatewayNode<P> {
     fn on_packet(&mut self, packet: Packet<P>, ctx: &mut Context<'_, P>) {
-        let dir = self.classify(&packet);
-        let mut hold = SimDuration::ZERO;
-        let mut dropped = false;
-        {
-            let mut mb_ctx = MbContext {
-                now: ctx.now(),
-                dir,
-                rng: ctx.rng,
-                shaping: &mut self.shaping,
-            };
-            for mb in &mut self.chain {
-                match mb.process(&packet, &mut mb_ctx) {
-                    Verdict::Forward => {}
-                    Verdict::Hold(d) => hold += d,
-                    Verdict::Drop => {
-                        dropped = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if dropped {
-            self.stats.dropped[dir.index()] += 1;
-            return;
-        }
-        if !hold.is_zero() {
-            self.stats.held[dir.index()] += 1;
-        }
-        // The shaper serializes un-held packets in verdict order at the
-        // capped rate. Held packets are already paced by their hold and
-        // bypass the shared cursor: advancing it to a far-future release
-        // would wrongly queue every later packet behind them.
-        let now = ctx.now();
-        let enter = now + hold;
-        let shaping = if hold.is_zero() {
-            self.shaping_delay(dir, packet.wire_bytes, enter)
+        let dir = if packet.src == self.left {
+            Dir::LeftToRight
         } else {
-            SimDuration::ZERO
+            Dir::RightToLeft
         };
-        self.stats.forwarded[dir.index()] += 1;
-        ctx.send_after(hold + shaping, packet);
+        if let Some(delay) = self.chain.process(&packet, dir, ctx.now, ctx.rng) {
+            ctx.send_after(delay, packet);
+        }
     }
 }
 

@@ -54,7 +54,7 @@ impl SimRng {
     }
 
     /// The xoshiro256\*\* next step: uniform over all of `u64`.
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
         let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = s1 << 17;

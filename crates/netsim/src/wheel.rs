@@ -29,8 +29,8 @@
 //! # Determinism
 //!
 //! Pop order is **exactly** ascending `(at, seq)` — the same strict total
-//! order the old global min-heap popped, which
-//! `tests/scheduler_differential.rs` verifies against [`MinHeap4`]
+//! order the old global min-heap popped, which the scheduler differential
+//! property in `tests/properties.rs` verifies against [`MinHeap4`]
 //! directly. The argument:
 //!
 //! 1. Within a window (`epoch` fixed), every key in the buckets has a
@@ -577,49 +577,6 @@ mod tests {
         q.push(SimTime::from_nanos(u64::MAX - 40_000_000), 2, 'c');
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
         assert_eq!(order, vec!['a', 'c', 'b', 'd', 'e']);
-    }
-
-    #[test]
-    fn randomized_differential_against_heap() {
-        // The wheel must pop the exact order of the reference heap under a
-        // bursty, bimodal workload with interleaved pops — the in-crate
-        // twin of tests/scheduler_differential.rs.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut wheel = CalendarQueue::new();
-        let mut heap: MinHeap4<(SimTime, u64, u64)> = MinHeap4::new();
-        let mut now = SimTime::ZERO;
-        let mut seq = 0u64;
-        for _ in 0..5_000 {
-            let r = next();
-            if r % 4 != 0 {
-                // Push: mostly near (µs-scale), sometimes far (ms/s-scale).
-                let delta = match r % 16 {
-                    0..=11 => next() % 50_000,                   // ≤ 50 µs
-                    12 | 13 => 1_000_000 + next() % 400_000_000, // ms-scale
-                    _ => 1_000_000_000 + next() % 9_000_000_000, // s-scale
-                };
-                let at = now + crate::time::SimDuration::from_nanos(delta);
-                wheel.push(at, seq, seq);
-                heap.push((at, seq, seq));
-                seq += 1;
-            } else if let Some((at, s, v)) = wheel.pop() {
-                let (hat, hs, hv) = heap.pop().expect("heap tracks wheel");
-                assert_eq!((at, s, v), (hat, hs, hv));
-                now = at;
-            }
-        }
-        loop {
-            match (wheel.pop(), heap.pop()) {
-                (None, None) => break,
-                (w, h) => assert_eq!(w, h),
-            }
-        }
     }
 
     #[test]

@@ -48,8 +48,8 @@ use h2priv_conformance::{ConformanceTap, Violation, ViolationSink};
 use h2priv_defense::DefenseSpec;
 use h2priv_dos::{Alert, DetectorConfig, DosAttack, DosConfig, GuardConfig};
 use h2priv_netsim::{
-    Context, Dir, GatewayStats, LinkConfig, MbContext, Middlebox, Node, NodeId, Packet, SchedStats,
-    SimDuration, SimRng, SimTime, Simulator, StopReason, TimerId, Verdict,
+    Context, Dir, LinkConfig, Middlebox, MiddleboxChain, Node, NodeId, Packet, SchedStats,
+    SimDuration, SimRng, SimTime, Simulator, StopReason, TimerId,
 };
 use h2priv_tcp::TcpSegment;
 use h2priv_web::{isidewith, PoolConfig, PoolStats, RequestOutcome, Website, WorkerPool};
@@ -875,16 +875,10 @@ impl Node<FleetSegment> for ArenaNode {
 // Gateway
 // ---------------------------------------------------------------------------
 
-struct PairChain {
-    chain: Vec<Box<dyn Middlebox<TcpSegment>>>,
-    shaping: h2priv_netsim::ShapingState,
-    busy: [SimTime; 2],
-}
-
 /// The shared gateway: bridges the two arenas, forwards every pair's
-/// traffic, and runs a per-pair middlebox chain (adversary, taps) for the
-/// instrumented pairs with [`GatewayNode`]-equivalent hold/shape/drop
-/// semantics.
+/// traffic, and runs a per-pair [`MiddleboxChain`] (adversary, taps) for
+/// the instrumented pairs, with the same hold/shape/drop fold as a
+/// [`GatewayNode`].
 ///
 /// Chain lookup is a dense pair-indexed `Vec` — the uninstrumented common
 /// case (every bystander packet) is a single load hitting [`NO_SLOT`],
@@ -895,8 +889,7 @@ pub(crate) struct FleetGateway {
     left: NodeId,
     /// Dense pair id → index into `chains` ([`NO_SLOT`] = uninstrumented).
     chain_of_pair: Vec<u32>,
-    chains: Vec<PairChain>,
-    stats: GatewayStats,
+    chains: Vec<MiddleboxChain<TcpSegment>>,
 }
 
 impl FleetGateway {
@@ -905,85 +898,43 @@ impl FleetGateway {
             left,
             chain_of_pair: vec![NO_SLOT; population as usize],
             chains: Vec::new(),
-            stats: GatewayStats::default(),
         }
     }
 
     fn add_chain(&mut self, pair: u32, chain: Vec<Box<dyn Middlebox<TcpSegment>>>) {
         self.chain_of_pair[pair as usize] = self.chains.len() as u32;
-        self.chains.push(PairChain {
-            chain,
-            shaping: h2priv_netsim::ShapingState::default(),
-            busy: [SimTime::ZERO; 2],
-        });
+        self.chains.push(MiddleboxChain::new(chain));
     }
 }
 
 impl Node<FleetSegment> for FleetGateway {
     fn on_packet(&mut self, packet: Packet<FleetSegment>, ctx: &mut Context<'_, FleetSegment>) {
-        let dir = if packet.src == self.left {
-            Dir::LeftToRight
-        } else {
-            Dir::RightToLeft
-        };
-        let mut hold = SimDuration::ZERO;
-        let mut shaping = SimDuration::ZERO;
-        let chain_idx = match self.chain_of_pair.get(packet.payload.pair as usize) {
-            Some(&i) if i != NO_SLOT => Some(i as usize),
-            _ => None,
-        };
-        if let Some(pc) = chain_idx.map(|i| &mut self.chains[i]) {
-            // Middleboxes are written against Packet<TcpSegment>; give them
-            // a view of this packet (the segment's payload is shared bytes,
-            // so the clone is a refcount bump, not a copy).
-            let view = Packet {
-                src: packet.src,
-                dst: packet.dst,
-                wire_bytes: packet.wire_bytes,
-                id: packet.id,
-                payload: packet.payload.seg.clone(),
-            };
-            let now = ctx.now();
-            let mut dropped = false;
-            {
-                let mut mb_ctx = MbContext {
-                    now,
-                    dir,
-                    rng: ctx.rng(),
-                    shaping: &mut pc.shaping,
+        let delay = match self.chain_of_pair.get(packet.payload.pair as usize) {
+            Some(&i) if i != NO_SLOT => {
+                let dir = if packet.src == self.left {
+                    Dir::LeftToRight
+                } else {
+                    Dir::RightToLeft
                 };
-                for mb in &mut pc.chain {
-                    match mb.process(&view, &mut mb_ctx) {
-                        Verdict::Forward => {}
-                        Verdict::Hold(d) => hold += d,
-                        Verdict::Drop => {
-                            dropped = true;
-                            break;
-                        }
-                    }
+                // Middleboxes are written against Packet<TcpSegment>; give
+                // them a view of this packet (the segment's payload is
+                // shared bytes, so the clone is a refcount bump, not a copy).
+                let view = Packet {
+                    src: packet.src,
+                    dst: packet.dst,
+                    wire_bytes: packet.wire_bytes,
+                    id: packet.id,
+                    payload: packet.payload.seg.clone(),
+                };
+                let now = ctx.now();
+                match self.chains[i as usize].process(&view, dir, now, ctx.rng()) {
+                    Some(delay) => delay,
+                    None => return,
                 }
             }
-            if dropped {
-                self.stats.dropped[dir.index()] += 1;
-                return;
-            }
-            if !hold.is_zero() {
-                self.stats.held[dir.index()] += 1;
-            }
-            // Same rule as GatewayNode: held packets are already paced by
-            // their hold and bypass the per-pair egress serializer.
-            if hold.is_zero() {
-                if let Some(rate) = pc.shaping.rate(dir) {
-                    let cfg = LinkConfig::default().bandwidth(rate);
-                    let start = now.max(pc.busy[dir.index()]);
-                    let departure = start + cfg.serialization_time(packet.wire_bytes);
-                    pc.busy[dir.index()] = departure;
-                    shaping = departure - now;
-                }
-            }
-        }
-        self.stats.forwarded[dir.index()] += 1;
-        ctx.send_after(hold + shaping, packet);
+            _ => SimDuration::ZERO,
+        };
+        ctx.send_after(delay, packet);
     }
 }
 
@@ -1435,6 +1386,7 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2priv_netsim::{MbContext, Verdict};
 
     fn small_config() -> FleetConfig {
         FleetConfig {

@@ -12,10 +12,9 @@
 //! ```
 
 use h2priv::attack::experiment::{
-    analyze_trial, calibrate_size_map, objects_of_interest, run_paper_trial,
+    analyze_trial, calibrate_size_map, objects_of_interest, run_paper_trial, survey_outcome,
 };
 use h2priv::attack::AttackConfig;
-use h2priv::netsim::SimRng;
 
 fn main() {
     let trials: u64 = std::env::args()
@@ -47,7 +46,7 @@ fn main() {
                 .and_then(|a| a.analysis_start(&attack));
             let analysis = analyze_trial(&trial, &map, &objects, start);
             let golden = if defended {
-                SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9).wrapping_add(7)).permutation(8)
+                survey_outcome(seed)
             } else {
                 trial.iw.golden_order.clone()
             };

@@ -4,7 +4,7 @@
 //! randomization must destroy the ranking signal but not identification.
 
 use h2priv::attack::experiment::{
-    analyze_trial, calibrate_size_map, objects_of_interest, run_paper_trial,
+    analyze_trial, calibrate_size_map, objects_of_interest, run_paper_trial, survey_outcome,
 };
 use h2priv::attack::AttackConfig;
 use h2priv::web::PadSet;
@@ -139,9 +139,7 @@ fn order_randomization_kills_the_ranking_but_not_identification() {
             .and_then(|a| a.analysis_start(&attack));
         let analysis = analyze_trial(&trial, &map, &objects, start);
         // The *displayed* ranking belongs to the decoupled user `seed`.
-        let golden =
-            h2priv::netsim::SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9).wrapping_add(7))
-                .permutation(8);
+        let golden = survey_outcome(seed);
         rank_hits += (0..8)
             .filter(|&r| analysis.predicted_parties.get(r) == golden.get(r))
             .count();
