@@ -1,6 +1,6 @@
 # Convenience targets; each is a thin wrapper over cargo.
 
-.PHONY: build test lint bench bench-check bench-sched bench-defense bench-dos bench-fleet bench-fleet-mem bench-fleet-1m bench-scaleout check-conformance check-golden repro repro-quick
+.PHONY: build test lint doc bench bench-check bench-sched bench-defense bench-dos bench-fleet bench-fleet-mem bench-fleet-1m bench-scaleout check-conformance check-golden repro repro-quick
 
 build:
 	cargo build --release --workspace
@@ -10,6 +10,11 @@ test:
 
 lint:
 	sh scripts/lint.sh
+
+# API docs for every workspace crate; warnings (broken intra-doc links)
+# are errors, as in the lint gate.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 bench:
 	cargo bench -p h2priv-bench

@@ -5,11 +5,11 @@
 //! three sections:
 //!
 //! * **Standalone grid** — each attack variant against one server, with
-//!   and without the [`ServerGuard`] shedding policy. The undefended
-//!   column shows what the attack pins (workers held, parser threads
-//!   captured, control-plane backlog); the guarded column shows when the
-//!   guard shed the connection and how fast the online detector flagged
-//!   it.
+//!   and without the [`ServerGuard`](h2priv_dos::ServerGuard) shedding
+//!   policy. The undefended column shows what the attack pins (workers
+//!   held, parser threads captured, control-plane backlog); the guarded
+//!   column shows when the guard shed the connection and how fast the
+//!   online detector flagged it.
 //! * **Fleet contention** — hostile pairs inside the population run,
 //!   sharing one worker pool per shard with honest bystanders. Undefended,
 //!   the attackers starve bystander page loads; guarded, every attacker is

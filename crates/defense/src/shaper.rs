@@ -118,7 +118,7 @@ impl TlsShaper {
     }
 
     /// How many dummy records to seal at `now`. Advances the schedule;
-    /// bounded by [`MAX_DUMMIES_PER_POLL`] per call.
+    /// bounded by the shaper's `MAX_DUMMIES_PER_POLL` per call.
     pub fn dummies_due(&mut self, now: SimTime, rng: &mut SimRng) -> u32 {
         if !self.active {
             return 0;

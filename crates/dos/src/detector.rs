@@ -26,7 +26,7 @@
 //! in the tail (pinned by the false-positive suite in `tests/`), which is
 //! what makes zero-FP detection honest rather than tuned.
 
-use h2priv_http2::{FrameType, StreamId, CLIENT_PREFACE, FRAME_HEADER_LEN};
+use h2priv_http2::{FrameHeader, FrameType, StreamId, CLIENT_PREFACE, FRAME_HEADER_LEN};
 use h2priv_netsim::{SimDuration, SimTime};
 
 /// Detection thresholds. Defaults sit an order of magnitude outside
@@ -198,24 +198,19 @@ impl DosDetector {
             }
         }
         self.buf.extend_from_slice(bytes);
-        loop {
-            if self.buf.len() < FRAME_HEADER_LEN {
+        while let Some(h) = FrameHeader::decode(&self.buf) {
+            let payload_end = FRAME_HEADER_LEN + h.len;
+            if self.buf.len() < payload_end {
                 break;
             }
-            let len = ((self.buf[0] as usize) << 16)
-                | ((self.buf[1] as usize) << 8)
-                | self.buf[2] as usize;
-            if self.buf.len() < FRAME_HEADER_LEN + len {
-                break;
-            }
-            let ty = FrameType::from_u8(self.buf[3]);
-            let fl = self.buf[4];
-            let stream = StreamId(
-                u32::from_be_bytes([self.buf[5], self.buf[6], self.buf[7], self.buf[8]])
-                    & 0x7fff_ffff,
+            self.inspect(
+                h.kind,
+                h.flags,
+                h.stream_id,
+                FRAME_HEADER_LEN,
+                payload_end,
+                now,
             );
-            let payload_end = FRAME_HEADER_LEN + len;
-            self.inspect(ty, fl, stream, FRAME_HEADER_LEN, payload_end, now);
             self.buf.drain(..payload_end);
         }
         self.on_wakeup(now);

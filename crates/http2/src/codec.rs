@@ -67,16 +67,23 @@ fn header(out: &mut Vec<u8>, len: usize, ftype: FrameType, fl: u8, stream: Strea
     put_u32(out, stream.0 & 0x7FFF_FFFF);
 }
 
-/// Appends a bare 9-byte frame header — the split-DATA send path encodes
-/// the header alone and hands the body through as a shared chunk.
-pub(crate) fn encode_frame_header_into(
+/// Appends the wire bytes that precede a DATA frame's body: the 9-byte
+/// header plus the pad-length octet when padded. The send path encodes
+/// only this much and hands the body through as a shared chunk.
+pub(crate) fn encode_data_head_into(
     out: &mut Vec<u8>,
-    payload_len: usize,
-    ftype: FrameType,
-    fl: u8,
-    stream: StreamId,
+    stream_id: StreamId,
+    end_stream: bool,
+    body_len: usize,
+    pad: Option<u8>,
 ) {
-    header(out, payload_len, ftype, fl, stream);
+    let mut fl = if end_stream { flags::END_STREAM } else { 0 };
+    if pad.is_some() {
+        fl |= flags::PADDED;
+    }
+    let len = body_len + crate::frame::pad_overhead(pad);
+    header(out, len, FrameType::Data, fl, stream_id);
+    out.extend(pad);
 }
 
 /// Encodes a header block as a HEADERS frame followed by CONTINUATION
@@ -126,8 +133,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Encodes one frame, appending its wire bytes to `out`. Lets a caller
-/// reserve headroom in front of the frame for in-place transport sealing.
+/// Encodes one frame, appending its wire bytes to `out` (a recycled frame
+/// buffer on the send path).
 pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Data {
@@ -136,19 +143,9 @@ pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
             data,
             pad,
         } => {
-            let mut fl = if *end_stream { flags::END_STREAM } else { 0 };
-            if pad.is_some() {
-                fl |= flags::PADDED;
-            }
-            let len = data.len() + crate::frame::pad_overhead(*pad);
-            header(out, len, FrameType::Data, fl, *stream_id);
-            if let Some(p) = pad {
-                out.push(*p);
-            }
+            encode_data_head_into(out, *stream_id, *end_stream, data.len(), *pad);
             out.extend_from_slice(data);
-            if let Some(p) = pad {
-                out.resize(out.len() + *p as usize, 0);
-            }
+            out.resize(out.len() + pad.map_or(0, usize::from), 0);
         }
         Frame::Headers {
             stream_id,
@@ -228,13 +225,58 @@ pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
     }
 }
 
+/// The fixed 9-byte header that starts every frame (RFC 7540 §4.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Payload length from the 24-bit field, not yet checked against
+    /// `SETTINGS_MAX_FRAME_SIZE`.
+    pub len: usize,
+    /// The frame type; `None` for a type this model does not know, which
+    /// a receiver must ignore (RFC 7540 §4.1).
+    pub kind: Option<FrameType>,
+    /// The flags octet.
+    pub flags: u8,
+    /// The stream, with the reserved bit cleared.
+    pub stream_id: StreamId,
+}
+
+impl FrameHeader {
+    /// Decodes the header at the front of `bytes`: the one place frame
+    /// headers are read from the wire. `None` when fewer than
+    /// [`FRAME_HEADER_LEN`] bytes are there.
+    pub fn decode(bytes: &[u8]) -> Option<FrameHeader> {
+        let h = bytes.get(..FRAME_HEADER_LEN)?;
+        Some(FrameHeader {
+            len: u32::from_be_bytes([0, h[0], h[1], h[2]]) as usize,
+            kind: FrameType::from_u8(h[3]),
+            flags: h[4],
+            stream_id: StreamId(u32::from_be_bytes([h[5], h[6], h[7], h[8]]) & 0x7FFF_FFFF),
+        })
+    }
+}
+
+/// What [`FrameDecoder::parse_front`] made of the bytes at the front of a
+/// contiguous slice.
+enum Step {
+    /// The frame there is incomplete: it needs this many bytes in all.
+    Need(usize),
+    /// Consume this many bytes, then take the result: a frame, `None` for
+    /// a frame consumed without yielding one (an unknown type, or a header
+    /// fragment awaiting CONTINUATION), or a protocol error.
+    Done(usize, Result<Option<Frame>, FrameDecodeError>),
+}
+
 /// Incremental frame parser over a byte stream.
 ///
-/// Consumed frames advance a cursor rather than draining the front of the
-/// buffer, so parsing a frame does not `memmove` the bytes behind it; the
-/// consumed prefix is reclaimed when parsing pauses for more bytes.
+/// Frames that lie entirely within the bytes handed to
+/// [`next_frame_borrowed`](Self::next_frame_borrowed) are parsed in place;
+/// only a trailing partial frame is stashed for the next feed. Consumed
+/// stash bytes advance a cursor rather than draining the front of the
+/// buffer, and the consumed prefix is reclaimed when parsing pauses.
 #[derive(Debug, Clone)]
 pub struct FrameDecoder {
+    /// Stashed bytes: a partial frame, or whatever [`push`](Self::push)
+    /// buffered.
     buf: Vec<u8>,
     /// Start of unconsumed bytes in `buf`.
     pos: usize,
@@ -289,7 +331,7 @@ impl FrameDecoder {
         self.header_sequence.as_ref().map(|(id, _, _)| *id)
     }
 
-    /// Appends received bytes.
+    /// Appends received bytes for [`next_frame`](Self::next_frame).
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -308,91 +350,22 @@ impl FrameDecoder {
         }
     }
 
-    /// Attempts to parse the next frame; `Ok(None)` means more bytes are
+    /// Attempts to parse the next frame from the bytes
+    /// [`push`](Self::push)ed so far; `Ok(None)` means more bytes are
     /// needed.
     ///
     /// # Errors
     ///
     /// Fails on protocol violations; the connection must then GOAWAY.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameDecodeError> {
-        if self.preface_remaining > 0 {
-            let avail = self.buf.len() - self.pos;
-            let take = self.preface_remaining.min(avail);
-            let expected = &CLIENT_PREFACE[CLIENT_PREFACE.len() - self.preface_remaining..][..take];
-            if &self.buf[self.pos..self.pos + take] != expected {
-                return Err(FrameDecodeError::BadPreface);
-            }
-            self.pos += take;
-            self.preface_remaining -= take;
-            if self.preface_remaining > 0 {
-                self.compact();
-                return Ok(None);
-            }
-        }
-        let avail = &self.buf[self.pos..];
-        if avail.len() < FRAME_HEADER_LEN {
-            self.compact();
-            return Ok(None);
-        }
-        let len = ((avail[0] as usize) << 16) | ((avail[1] as usize) << 8) | avail[2] as usize;
-        if len > self.max_frame_size {
-            return Err(FrameDecodeError::FrameTooLarge);
-        }
-        if avail.len() < FRAME_HEADER_LEN + len {
-            self.compact();
-            return Ok(None);
-        }
-        let ftype = avail[3];
-        let fl = avail[4];
-        let stream_id =
-            StreamId(u32::from_be_bytes([avail[5], avail[6], avail[7], avail[8]]) & 0x7FFF_FFFF);
-        // DATA fast path: build the frame straight from the buffered bytes
-        // — one copy of the content (zero in opaque mode) instead of a
-        // payload `to_vec` plus a padded re-copy.
-        if self.header_sequence.is_none() && ftype == FrameType::Data.as_u8() {
-            let frame = data_frame_from_payload(
-                self.opaque_data,
-                fl,
-                stream_id,
-                &avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len],
-            )?;
-            self.pos += FRAME_HEADER_LEN + len;
-            if self.pos == self.buf.len() {
-                self.buf.clear();
-                self.pos = 0;
-            }
-            return Ok(Some(frame));
-        }
-        let payload: Vec<u8> = avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len].to_vec();
-        self.pos += FRAME_HEADER_LEN + len;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        let Some(ftype) = FrameType::from_u8(ftype) else {
-            // RFC 7540 §4.1: unknown types are ignored.
-            return self.next_frame();
-        };
-        // A header sequence admits only its own CONTINUATIONs.
-        if let Some((seq_stream, _, _)) = &self.header_sequence {
-            if ftype != FrameType::Continuation || stream_id != *seq_stream {
-                return Err(FrameDecodeError::UnexpectedContinuation);
-            }
-        }
-        match self.parse(ftype, fl, stream_id, payload)? {
-            Some(frame) => Ok(Some(frame)),
-            None => self.next_frame(), // mid-sequence fragment consumed
-        }
+        self.next_frame_borrowed(&mut &[][..])
     }
 
-    /// Attempts to parse the next frame from the internal buffer plus
-    /// `input`, consuming from `input`. The streaming variant of
-    /// [`next_frame`](Self::next_frame): complete frames that lie entirely
-    /// within `input` are parsed borrowed — only their payload is copied
-    /// out, never the whole stream — and a trailing partial frame is
-    /// stashed for the next feed. `Ok(None)` with a non-empty `input`
-    /// means the consumed bytes completed a mid-sequence fragment; call
-    /// again until `input` is empty.
+    /// Attempts to parse the next frame from the stash plus `input`,
+    /// consuming from `input`: frames that lie entirely within `input` are
+    /// parsed borrowed — only their payload is copied out, never the whole
+    /// stream — and a trailing partial frame is stashed for the next feed.
+    /// `Ok(None)` means more bytes are needed; `input` is then empty.
     ///
     /// # Errors
     ///
@@ -402,87 +375,93 @@ impl FrameDecoder {
         input: &mut &[u8],
     ) -> Result<Option<Frame>, FrameDecodeError> {
         if self.preface_remaining > 0 {
-            // Startup path (once per connection): lean on the buffered
-            // parser until the preface is consumed.
+            // Startup (once per connection): check the preface in the stash.
             self.push(input);
             *input = &[];
-            return self.next_frame();
-        }
-        if self.buffered_len() > 0 {
-            // Top the stashed partial frame up with only what it needs,
-            // then let the buffered parser finish it.
-            if self.buffered_len() < FRAME_HEADER_LEN {
-                let take = (FRAME_HEADER_LEN - self.buffered_len()).min(input.len());
-                self.buf.extend_from_slice(&input[..take]);
-                *input = &input[take..];
+            let take = self.preface_remaining.min(self.buffered_len());
+            let expected = &CLIENT_PREFACE[CLIENT_PREFACE.len() - self.preface_remaining..][..take];
+            if &self.buf[self.pos..self.pos + take] != expected {
+                return Err(FrameDecodeError::BadPreface);
             }
-            if self.buffered_len() < FRAME_HEADER_LEN {
-                self.compact();
-                return Ok(None);
+            self.pos += take;
+            self.preface_remaining -= take;
+            self.compact();
+        }
+        loop {
+            if self.buffered_len() == 0 {
+                // Nothing stashed: parse straight from the borrowed input.
+                match self.parse_front(input) {
+                    Step::Need(_) => {
+                        self.buf.extend_from_slice(input);
+                        *input = &[];
+                        return Ok(None);
+                    }
+                    Step::Done(n, frame) => {
+                        *input = &input[n..];
+                        if let Some(frame) = frame? {
+                            return Ok(Some(frame));
+                        }
+                    }
+                }
+                continue;
             }
-            let avail = &self.buf[self.pos..];
-            let len = ((avail[0] as usize) << 16) | ((avail[1] as usize) << 8) | avail[2] as usize;
-            if len > self.max_frame_size {
-                return Err(FrameDecodeError::FrameTooLarge);
+            // Finish the stashed frame, topping it up with only the bytes
+            // it needs.
+            let buf = std::mem::take(&mut self.buf);
+            let step = self.parse_front(&buf[self.pos..]);
+            self.buf = buf;
+            match step {
+                Step::Need(n) => {
+                    let take = (n - self.buffered_len()).min(input.len());
+                    if take == 0 {
+                        self.compact();
+                        return Ok(None);
+                    }
+                    self.buf.extend_from_slice(&input[..take]);
+                    *input = &input[take..];
+                }
+                Step::Done(n, frame) => {
+                    self.pos += n;
+                    if self.pos == self.buf.len() {
+                        self.buf.clear();
+                        self.pos = 0;
+                    }
+                    if let Some(frame) = frame? {
+                        return Ok(Some(frame));
+                    }
+                }
             }
-            let take = (FRAME_HEADER_LEN + len)
-                .saturating_sub(self.buffered_len())
-                .min(input.len());
-            self.buf.extend_from_slice(&input[..take]);
-            *input = &input[take..];
-            if self.buffered_len() < FRAME_HEADER_LEN + len {
-                self.compact();
-                return Ok(None);
-            }
-            return self.next_frame();
         }
-        let avail = *input;
-        if avail.len() < FRAME_HEADER_LEN {
-            self.buf.extend_from_slice(avail);
-            *input = &[];
-            return Ok(None);
-        }
-        let len = ((avail[0] as usize) << 16) | ((avail[1] as usize) << 8) | avail[2] as usize;
-        if len > self.max_frame_size {
-            return Err(FrameDecodeError::FrameTooLarge);
-        }
-        if avail.len() < FRAME_HEADER_LEN + len {
-            self.buf.extend_from_slice(avail);
-            *input = &[];
-            return Ok(None);
-        }
-        let ftype = avail[3];
-        let fl = avail[4];
-        let stream_id =
-            StreamId(u32::from_be_bytes([avail[5], avail[6], avail[7], avail[8]]) & 0x7FFF_FFFF);
-        // DATA fast path, as in `next_frame`: parse padding and content
-        // straight from the borrowed input.
-        if self.header_sequence.is_none() && ftype == FrameType::Data.as_u8() {
-            let frame = data_frame_from_payload(
-                self.opaque_data,
-                fl,
-                stream_id,
-                &avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len],
-            )?;
-            *input = &input[FRAME_HEADER_LEN + len..];
-            return Ok(Some(frame));
-        }
-        let payload: Vec<u8> = avail[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len].to_vec();
-        *input = &input[FRAME_HEADER_LEN + len..];
-        let Some(ftype) = FrameType::from_u8(ftype) else {
-            // RFC 7540 §4.1: unknown types are ignored.
-            return self.next_frame_borrowed(input);
+    }
+
+    /// The one frame parser behind both entry points: reads the frame at
+    /// the front of `avail` — header, size limit, unknown-type skip,
+    /// CONTINUATION rule, payload.
+    fn parse_front(&mut self, avail: &[u8]) -> Step {
+        let Some(h) = FrameHeader::decode(avail) else {
+            return Step::Need(FRAME_HEADER_LEN);
         };
-        // A header sequence admits only its own CONTINUATIONs.
-        if let Some((seq_stream, _, _)) = &self.header_sequence {
-            if ftype != FrameType::Continuation || stream_id != *seq_stream {
-                return Err(FrameDecodeError::UnexpectedContinuation);
+        if h.len > self.max_frame_size {
+            return Step::Done(0, Err(FrameDecodeError::FrameTooLarge));
+        }
+        let wire_len = FRAME_HEADER_LEN + h.len;
+        let Some(payload) = avail.get(FRAME_HEADER_LEN..wire_len) else {
+            return Step::Need(wire_len);
+        };
+        let frame = match h.kind {
+            // RFC 7540 §4.1: unknown types are ignored.
+            None => Ok(None),
+            // A header sequence admits only its own CONTINUATIONs.
+            Some(kind)
+                if self.header_sequence.as_ref().is_some_and(|(stream, _, _)| {
+                    kind != FrameType::Continuation || h.stream_id != *stream
+                }) =>
+            {
+                Err(FrameDecodeError::UnexpectedContinuation)
             }
-        }
-        match self.parse(ftype, fl, stream_id, payload)? {
-            Some(frame) => Ok(Some(frame)),
-            None => self.next_frame_borrowed(input), // mid-sequence fragment consumed
-        }
+            Some(kind) => self.parse(kind, h.flags, h.stream_id, payload),
+        };
+        Step::Done(wire_len, frame)
     }
 
     fn parse(
@@ -490,34 +469,46 @@ impl FrameDecoder {
         ftype: FrameType,
         fl: u8,
         stream_id: StreamId,
-        payload: Vec<u8>,
+        payload: &[u8],
     ) -> Result<Option<Frame>, FrameDecodeError> {
         match ftype {
-            FrameType::Data => Ok(Some(data_frame_from_payload(
-                self.opaque_data,
-                fl,
-                stream_id,
-                &payload,
-            )?)),
+            FrameType::Data => {
+                // The content is copied out of the wire bytes once, or in
+                // opaque mode replaced by a zero-page view of the same
+                // length with no allocation at all.
+                let (content, pad) = strip_padding(FrameType::Data, fl, payload)?;
+                let data = if self.opaque_data {
+                    h2priv_bytes::SharedBytes::zeros(content.len())
+                } else {
+                    h2priv_bytes::SharedBytes::copy_from_slice(content)
+                };
+                Ok(Some(Frame::Data {
+                    stream_id,
+                    end_stream: fl & flags::END_STREAM != 0,
+                    data,
+                    pad,
+                }))
+            }
             FrameType::Headers => {
                 let (mut block, pad) = strip_padding(FrameType::Headers, fl, payload)?;
                 if fl & flags::PRIORITY != 0 {
-                    if block.len() < 5 {
-                        return Err(FrameDecodeError::BadLength(FrameType::Headers));
-                    }
-                    block.drain(..5); // dependency + weight, advisory only
+                    // Dependency + weight, advisory only.
+                    block = block
+                        .get(5..)
+                        .ok_or(FrameDecodeError::BadLength(FrameType::Headers))?;
                 }
                 if fl & flags::END_HEADERS == 0 {
                     // Begin a header sequence awaiting CONTINUATION. The
                     // opening frame's padding is already accounted on the
                     // wire; the reassembled block reports no pad.
-                    self.header_sequence = Some((stream_id, fl & flags::END_STREAM != 0, block));
+                    self.header_sequence =
+                        Some((stream_id, fl & flags::END_STREAM != 0, block.to_vec()));
                     return Ok(None);
                 }
                 Ok(Some(Frame::Headers {
                     stream_id,
                     end_stream: fl & flags::END_STREAM != 0,
-                    header_block: block,
+                    header_block: block.to_vec(),
                     pad,
                 }))
             }
@@ -600,7 +591,7 @@ impl FrameDecoder {
                     return Err(FrameDecodeError::UnexpectedContinuation);
                 };
                 debug_assert_eq!(seq_stream, stream_id); // checked upstream
-                block.extend_from_slice(&payload);
+                block.extend_from_slice(payload);
                 if fl & flags::END_HEADERS == 0 {
                     self.header_sequence = Some((seq_stream, end_stream, block));
                     return Ok(None);
@@ -616,8 +607,8 @@ impl FrameDecoder {
     }
 }
 
-/// Strips DATA/HEADERS padding, returning the content bytes and the pad
-/// length (`None` when the PADDED flag is unset).
+/// Strips DATA/HEADERS padding, returning the content as a sub-slice of
+/// `payload` and the pad length (`None` when the PADDED flag is unset).
 ///
 /// # Errors
 ///
@@ -627,21 +618,6 @@ impl FrameDecoder {
 /// zero; this model enforces the RFC's MAY-check unconditionally so the
 /// conformance oracle sees covert pad contents).
 fn strip_padding(
-    ftype: FrameType,
-    fl: u8,
-    payload: Vec<u8>,
-) -> Result<(Vec<u8>, Option<u8>), FrameDecodeError> {
-    if fl & flags::PADDED == 0 {
-        return Ok((payload, None));
-    }
-    let (content, pad) = strip_padding_borrowed(ftype, fl, &payload)?;
-    Ok((content.to_vec(), pad))
-}
-
-/// Borrowing variant of [`strip_padding`]: the content comes back as a
-/// sub-slice of `payload`, deferring (or in opaque mode, skipping) the
-/// copy.
-fn strip_padding_borrowed(
     ftype: FrameType,
     fl: u8,
     payload: &[u8],
@@ -659,30 +635,6 @@ fn strip_padding_borrowed(
         return Err(FrameDecodeError::NonZeroPadding(ftype));
     }
     Ok((&rest[..rest_len], Some(pad_len)))
-}
-
-/// Builds a DATA frame straight from its borrowed wire payload: padding is
-/// validated against the real bytes, then the content is copied out once —
-/// or, in opaque mode, replaced by a zero-page view of the same length
-/// with no allocation at all.
-fn data_frame_from_payload(
-    opaque: bool,
-    fl: u8,
-    stream_id: StreamId,
-    payload: &[u8],
-) -> Result<Frame, FrameDecodeError> {
-    let (content, pad) = strip_padding_borrowed(FrameType::Data, fl, payload)?;
-    let data = if opaque {
-        h2priv_bytes::SharedBytes::zeros(content.len())
-    } else {
-        h2priv_bytes::SharedBytes::copy_from_slice(content)
-    };
-    Ok(Frame::Data {
-        stream_id,
-        end_stream: fl & flags::END_STREAM != 0,
-        data,
-        pad,
-    })
 }
 
 #[cfg(test)]

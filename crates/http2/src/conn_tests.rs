@@ -2,15 +2,23 @@
 
 use crate::*;
 
+/// One frame's complete wire bytes: DATA leaves split into header, body
+/// and padding parts.
+fn wire(out: &Outgoing) -> Vec<u8> {
+    let mut wire = Vec::new();
+    out.write_wire_into(&mut wire);
+    wire
+}
+
 fn shuttle(a: &mut H2Connection, b: &mut H2Connection) {
     loop {
         let mut moved = false;
         while let Some(out) = a.poll_send() {
-            b.recv(&out.bytes).unwrap();
+            b.recv(&wire(&out)).unwrap();
             moved = true;
         }
         while let Some(out) = b.poll_send() {
-            a.recv(&out.bytes).unwrap();
+            a.recv(&wire(&out)).unwrap();
             moved = true;
         }
         if !moved {
@@ -196,7 +204,7 @@ fn flow_control_stalls_without_updates() {
         {
             sent += payload_len;
         }
-        c.recv(&out.bytes).unwrap();
+        c.recv(&wire(&out)).unwrap();
     }
     assert!(sent <= 65_535, "sent {sent} beyond the connection window");
     // Open the return path: the rest drains.
@@ -231,7 +239,7 @@ fn window_bonus_lifts_connection_limit() {
         {
             sent += payload_len;
         }
-        c.recv(&out.bytes).unwrap();
+        c.recv(&wire(&out)).unwrap();
     }
     assert!(sent > 60_000 && sent <= 65_535, "sent = {sent}");
 }
@@ -248,7 +256,7 @@ fn rst_stream_drops_pending_data() {
     c.send_rst(a, ErrorCode::Cancel);
     // Deliver the reset to the server.
     while let Some(out) = c.poll_send() {
-        s.recv(&out.bytes).unwrap();
+        s.recv(&wire(&out)).unwrap();
     }
     assert_eq!(s.pending_data(a), 0);
     assert_eq!(s.stream_state(a), Some(StreamState::Closed));
@@ -274,7 +282,7 @@ fn late_data_after_reset_is_discarded() {
     c.send_rst(a, ErrorCode::Cancel);
     drain_events(&mut c);
     for out in in_flight {
-        c.recv(&out.bytes).unwrap();
+        c.recv(&wire(&out)).unwrap();
     }
     // No Data events for the reset stream reach the application.
     let events = drain_events(&mut c);
@@ -304,7 +312,7 @@ fn reset_stream_conn_accounting_is_exactly_once() {
         let in_flight: Vec<_> = std::iter::from_fn(|| s.poll_send()).collect();
         c.send_rst(a, ErrorCode::Cancel);
         for out in in_flight {
-            c.recv(&out.bytes).unwrap();
+            c.recv(&wire(&out)).unwrap();
         }
         shuttle(&mut c, &mut s);
         drain_events(&mut s);
@@ -453,7 +461,7 @@ fn weighted_fair_shares_by_weight() {
                 }
             }
         }
-        c.recv(&out.bytes).unwrap();
+        c.recv(&wire(&out)).unwrap();
     }
     assert!(light_bytes > 0, "light stream starved entirely");
     let ratio = heavy_bytes as f64 / light_bytes as f64;
@@ -524,7 +532,7 @@ fn drain_frames(c: &mut H2Connection) -> Vec<Frame> {
     let mut dec = FrameDecoder::new(false);
     while let Some(out) = c.poll_send() {
         if !matches!(out.meta, OutgoingMeta::Preface) {
-            dec.push(out.frame_bytes());
+            dec.push(&wire(&out));
         }
     }
     std::iter::from_fn(|| dec.next_frame().unwrap()).collect()
@@ -684,8 +692,8 @@ fn settings_received_counter_and_header_sequence_inspector() {
             )
         })
         .unwrap()
-        .frame_bytes()
-        .to_vec();
+        .bytes
+        .clone();
     // Clear the END_HEADERS flag (byte 4 of the frame header) and truncate
     // nothing: the sequence is now open until a CONTINUATION closes it.
     let mut partial = headers_wire.clone();

@@ -13,7 +13,9 @@ use h2priv_bytes::FxHashMap;
 
 use h2priv_bytes::SharedBytes;
 
-use crate::codec::{encode_frame_into, encode_headers_split, FrameDecoder, CLIENT_PREFACE};
+use crate::codec::{
+    encode_data_head_into, encode_frame_into, encode_headers_split, FrameDecoder, CLIENT_PREFACE,
+};
 use crate::error::{ErrorCode, H2Error};
 use crate::flow::FlowWindow;
 use crate::frame::{Frame, FrameType};
@@ -109,26 +111,20 @@ pub enum OutgoingMeta {
 /// One chunk of wire output: exact bytes plus what they are. The host uses
 /// the metadata to annotate which TCP byte ranges carry which stream's DATA
 /// — the simulation's ground truth for the degree-of-multiplexing metric.
+///
+/// DATA leaves split: `bytes` holds only the frame header (plus pad-length
+/// octet), and the body is the stream's shared chunk, handed through
+/// untouched so the transport's gather seal reads it exactly once. Every
+/// other frame is whole in `bytes`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outgoing {
-    /// Buffer holding the wire bytes at `bytes[headroom..]`. The leading
-    /// `headroom` bytes are reserved scratch the transport encryption may
-    /// claim to seal the frame in place (header + nonce) without copying
-    /// the payload into a fresh record buffer.
+    /// The encoded frame: all of it, or a DATA frame's header only.
     pub bytes: Vec<u8>,
-    /// Where the frame's wire bytes start within `bytes`.
-    pub headroom: usize,
-    /// Split sends ([`H2Config::split_data_frames`]): the DATA body bytes,
-    /// which follow `bytes[headroom..]` on the wire but are *not* encoded
-    /// into `bytes` — the mux hands the stream's shared chunk through
-    /// untouched so a transport with a gather path never copies it. Empty
-    /// for whole-frame sends and non-DATA frames.
-    ///
-    /// [`H2Config::split_data_frames`]: crate::settings::H2Config::split_data_frames
+    /// DATA body bytes, which follow `bytes` on the wire but are not
+    /// encoded into it. Empty for every other frame.
     pub body: SharedBytes,
-    /// Split sends: count of zero padding octets that follow `body` on the
-    /// wire (the pad-length byte itself is in `bytes`). Always 0 for
-    /// whole-frame sends.
+    /// Count of zero padding octets that follow `body` on the wire (the
+    /// pad-length byte itself is in `bytes`). 0 for every other frame.
     pub tail_pad: usize,
     /// What the bytes are.
     pub meta: OutgoingMeta,
@@ -139,27 +135,15 @@ pub struct Outgoing {
 static PAD_ZEROS: [u8; 255] = [0; 255];
 
 impl Outgoing {
-    /// The frame's encoded bytes held in `bytes`: the whole frame for
-    /// whole-frame sends; the frame header (plus pad-length byte) only,
-    /// with the body in [`Outgoing::body`], for split DATA sends.
-    pub fn frame_bytes(&self) -> &[u8] {
-        &self.bytes[self.headroom..]
-    }
-
     /// The frame's wire bytes as gather parts, in wire order:
-    /// `[frame_bytes, body, tail padding]`. For whole-frame sends the last
+    /// `[bytes, body, tail padding]`. For frames other than DATA the last
     /// two parts are empty.
     pub fn wire_parts(&self) -> [&[u8]; 3] {
         [
-            self.frame_bytes(),
+            &self.bytes,
             self.body.as_slice(),
             &PAD_ZEROS[..self.tail_pad],
         ]
-    }
-
-    /// Total wire length of the frame across all parts.
-    pub fn wire_len(&self) -> usize {
-        self.bytes.len() - self.headroom + self.body.len() + self.tail_pad
     }
 
     /// Appends the frame's complete wire bytes to `out` — the
@@ -322,15 +306,20 @@ impl StreamEntry {
 ///                    HeaderField::new(":path", "/")], true)
 ///     .unwrap();
 ///
-/// // Shuttle bytes until quiescent.
+/// // Shuttle bytes until quiescent; DATA leaves split, so flatten each
+/// // frame's parts into its wire bytes.
 /// loop {
 ///     let mut moved = false;
 ///     while let Some(out) = client.poll_send() {
-///         server.recv(&out.bytes).unwrap();
+///         let mut wire = Vec::new();
+///         out.write_wire_into(&mut wire);
+///         server.recv(&wire).unwrap();
 ///         moved = true;
 ///     }
 ///     while let Some(out) = server.poll_send() {
-///         client.recv(&out.bytes).unwrap();
+///         let mut wire = Vec::new();
+///         out.write_wire_into(&mut wire);
+///         client.recv(&wire).unwrap();
 ///         moved = true;
 ///     }
 ///     if !moved { break; }
@@ -370,9 +359,6 @@ pub struct H2Connection {
     headers_queue: VecDeque<Frame>,
     events: VecDeque<H2Event>,
 
-    /// Scratch bytes reserved at the front of every [`Outgoing`] buffer
-    /// (see [`Outgoing::headroom`]). Zero unless the transport opts in.
-    send_headroom: usize,
     /// Round-robin cursor into `data_order`.
     rr_cursor: usize,
     /// Set when a full [`H2Connection::poll_send`] pass came up empty and
@@ -441,7 +427,6 @@ impl H2Connection {
             control_queue: VecDeque::new(),
             headers_queue: VecDeque::new(),
             events: VecDeque::new(),
-            send_headroom: 0,
             rr_cursor: 0,
             output_idle: false,
             rand_state,
@@ -449,14 +434,6 @@ impl H2Connection {
             stats: H2Stats::default(),
             config,
         }
-    }
-
-    /// Reserves `headroom` scratch bytes at the front of every frame buffer
-    /// this connection emits, so a transport layer can seal frames in place
-    /// instead of copying them into a fresh record buffer. The wire bytes
-    /// are unchanged; only [`Outgoing::headroom`] moves.
-    pub fn set_send_headroom(&mut self, headroom: usize) {
-        self.send_headroom = headroom;
     }
 
     /// Returns an [`Outgoing`]'s frame buffer for reuse once the caller is
@@ -804,7 +781,6 @@ impl H2Connection {
             self.preface_sent = true;
             return Some(Outgoing {
                 bytes: CLIENT_PREFACE.to_vec(),
-                headroom: 0,
                 body: SharedBytes::new(),
                 tail_pad: 0,
                 meta: OutgoingMeta::Preface,
@@ -1028,76 +1004,49 @@ impl H2Connection {
                         payload_len: header_block.len(),
                         end_stream: *end_stream,
                     },
-                    headroom: 0,
                     body: SharedBytes::new(),
                     tail_pad: 0,
                     bytes,
                 };
             }
         }
-        let headroom = self.send_headroom;
         let mut bytes = self
             .spare_bufs
             .pop()
-            .unwrap_or_else(|| Vec::with_capacity(headroom + crate::frame::FRAME_HEADER_LEN + 64));
-        bytes.resize(headroom, 0);
-        // Split DATA sends: encode only the 9-byte header (plus pad-length
+            .unwrap_or_else(|| Vec::with_capacity(crate::frame::FRAME_HEADER_LEN + 64));
+        // DATA leaves split: encode only the 9-byte header (plus pad-length
         // byte) and pass the shared body chunk through untouched. The body
-        // is the overwhelming majority of the frame's bytes, and a
-        // transport with a gather seal reads it exactly once — straight
-        // from the stream's response buffer to the wire.
-        let frame = match frame {
-            Frame::Data {
-                stream_id,
-                end_stream,
-                data,
-                pad,
-            } if self.config.split_data_frames => {
-                let mut fl = if end_stream {
-                    crate::frame::flags::END_STREAM
-                } else {
-                    0
-                };
-                if pad.is_some() {
-                    fl |= crate::frame::flags::PADDED;
-                }
-                let payload_len = data.len() + crate::frame::pad_overhead(pad);
-                crate::codec::encode_frame_header_into(
-                    &mut bytes,
-                    payload_len,
-                    FrameType::Data,
-                    fl,
+        // is the overwhelming majority of the frame's bytes, and the
+        // transport's gather seal reads it exactly once — straight from the
+        // stream's response buffer to the wire.
+        if let Frame::Data {
+            stream_id,
+            end_stream,
+            data,
+            pad,
+        } = frame
+        {
+            encode_data_head_into(&mut bytes, stream_id, end_stream, data.len(), pad);
+            return Outgoing {
+                meta: OutgoingMeta::Frame {
+                    frame_type: FrameType::Data,
                     stream_id,
-                );
-                if let Some(p) = pad {
-                    bytes.push(p);
-                }
-                return Outgoing {
-                    bytes,
-                    headroom,
-                    body: data,
-                    tail_pad: pad.map_or(0, |p| p as usize),
-                    meta: OutgoingMeta::Frame {
-                        frame_type: FrameType::Data,
-                        stream_id,
-                        payload_len,
-                        end_stream,
-                    },
-                };
-            }
-            other => other,
-        };
+                    payload_len: data.len() + crate::frame::pad_overhead(pad),
+                    end_stream,
+                },
+                bytes,
+                body: data,
+                tail_pad: pad.map_or(0, usize::from),
+            };
+        }
         encode_frame_into(&mut bytes, &frame);
         let meta = OutgoingMeta::Frame {
             frame_type: frame.frame_type(),
             stream_id: frame.stream_id(),
-            payload_len: bytes.len() - headroom - crate::frame::FRAME_HEADER_LEN,
+            payload_len: bytes.len() - crate::frame::FRAME_HEADER_LEN,
             end_stream: matches!(
                 frame,
-                Frame::Data {
-                    end_stream: true,
-                    ..
-                } | Frame::Headers {
+                Frame::Headers {
                     end_stream: true,
                     ..
                 }
@@ -1105,7 +1054,6 @@ impl H2Connection {
         };
         Outgoing {
             bytes,
-            headroom,
             body: SharedBytes::new(),
             tail_pad: 0,
             meta,
@@ -1128,8 +1076,7 @@ impl H2Connection {
         let mut input = bytes;
         loop {
             match self.frame_decoder.next_frame_borrowed(&mut input) {
-                Ok(None) if input.is_empty() => return Ok(()),
-                Ok(None) => {} // consumed a mid-sequence fragment; keep going
+                Ok(None) => return Ok(()),
                 Ok(Some(frame)) => self.handle_frame(frame)?,
                 Err(_) => {
                     let err = H2Error::new(ErrorCode::ProtocolError, "frame decode failed");

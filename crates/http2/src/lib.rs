@@ -32,7 +32,7 @@ mod settings;
 mod stream;
 
 pub use codec::{
-    encode_frame, encode_headers_split, FrameDecodeError, FrameDecoder, CLIENT_PREFACE,
+    encode_frame, encode_headers_split, FrameDecodeError, FrameDecoder, FrameHeader, CLIENT_PREFACE,
 };
 pub use connection::{H2Connection, H2Event, H2Stats, Outgoing, OutgoingMeta, Peer};
 pub use error::{ErrorCode, H2Error};

@@ -125,17 +125,6 @@ pub struct H2Config {
     ///
     /// [`H2Event::Data`]: crate::connection::H2Event::Data
     pub opaque_data_payloads: bool,
-    /// Emit DATA frames split into header and body parts: `poll_send`
-    /// returns the encoded header in [`Outgoing::bytes`] and the body as
-    /// the untouched shared chunk in [`Outgoing::body`], so a transport
-    /// with a gather seal writes body bytes to the wire without first
-    /// copying them into a frame buffer. Off by default: plain consumers
-    /// expect [`Outgoing::frame_bytes`] to be the whole frame.
-    ///
-    /// [`Outgoing::bytes`]: crate::connection::Outgoing::bytes
-    /// [`Outgoing::body`]: crate::connection::Outgoing::body
-    /// [`Outgoing::frame_bytes`]: crate::connection::Outgoing::frame_bytes
-    pub split_data_frames: bool,
 }
 
 impl Default for H2Config {
@@ -148,7 +137,6 @@ impl Default for H2Config {
             data_pad_quantum: 0,
             headers_pad_quantum: 0,
             opaque_data_payloads: false,
-            split_data_frames: false,
         }
     }
 }

@@ -6,8 +6,8 @@ use std::collections::HashMap;
 
 use h2priv_http2::hpack::{Decoder, Encoder, HeaderField};
 use h2priv_http2::{
-    encode_frame, ErrorCode, Frame, FrameDecoder, H2Config, H2Connection, H2Event, SendPolicy,
-    StreamId,
+    encode_frame, ErrorCode, Frame, FrameDecodeError, FrameDecoder, H2Config, H2Connection,
+    H2Event, SendPolicy, StreamId,
 };
 use h2priv_netsim::prop::{self, Gen};
 
@@ -74,7 +74,25 @@ fn frame_codec_roundtrips() {
     });
 }
 
-/// A frame stream survives being cut in two anywhere.
+/// Streams `wire` through `next_frame_borrowed` in chunks of random sizes,
+/// as `H2Connection::recv` feeds it, up to the first error.
+fn stream_frames(g: &mut Gen, mut wire: &[u8]) -> Result<Vec<Frame>, FrameDecodeError> {
+    let mut dec = FrameDecoder::new(false);
+    let mut got = Vec::new();
+    let max = g.pick(&[1, 8, 64, 4_096]);
+    while !wire.is_empty() {
+        let (mut chunk, rest) = wire.split_at(g.range(1..=max).min(wire.len()));
+        wire = rest;
+        while let Some(f) = dec.next_frame_borrowed(&mut chunk)? {
+            got.push(f);
+        }
+        assert!(chunk.is_empty(), "Ok(None) leaves no input behind");
+    }
+    Ok(got)
+}
+
+/// A frame stream survives being cut in two anywhere, and being streamed
+/// in chunks of any size (the partial-frame stash and its top-up).
 #[test]
 fn frame_decoder_is_chunking_invariant() {
     prop::check("frame_decoder_is_chunking_invariant", 128, |g| {
@@ -90,6 +108,7 @@ fn frame_decoder_is_chunking_invariant() {
             }
         }
         assert_eq!(got, frames);
+        assert_eq!(stream_frames(g, &wire), Ok(frames));
     });
 }
 
@@ -115,17 +134,20 @@ fn hpack_decoder_total() {
     });
 }
 
-/// Frame decoding of arbitrary bytes never panics.
+/// Frame decoding of arbitrary bytes never panics, pushed whole or
+/// streamed in chunks.
 #[test]
 fn frame_decoder_total() {
     prop::check("frame_decoder_total", 2_048, |g| {
+        let bytes = g.bytes(0..512);
         let mut dec = FrameDecoder::new(false);
-        dec.push(&g.bytes(0..512));
+        dec.push(&bytes);
         for _ in 0..16 {
             if !matches!(dec.next_frame(), Ok(Some(_))) {
                 break;
             }
         }
+        let _ = stream_frames(g, &bytes);
     });
 }
 
@@ -150,7 +172,7 @@ fn shuttle(a: &mut H2Connection, b: &mut H2Connection) {
 }
 
 /// Conservation: every request gets a response, bytes sent on each stream
-/// equal bytes received, and no send policy, frame split or padding
+/// equal bytes received, and no send policy, frame size or padding
 /// schedule loses data.
 #[test]
 fn connection_conserves_bytes() {
@@ -167,7 +189,6 @@ fn connection_conserves_bytes() {
         let mut server = H2Connection::new_server(H2Config {
             send_policy: policy,
             data_chunk_size: g.range(256..4_096),
-            split_data_frames: g.bool(),
             data_pad_quantum: g.pick(&[0, 16, 256]),
             headers_pad_quantum: g.pick(&[0, 64]),
             ..H2Config::default()

@@ -123,11 +123,6 @@ pub struct GatewayStats {
 }
 
 impl GatewayStats {
-    /// Total packets forwarded in both directions.
-    pub fn total_forwarded(&self) -> u64 {
-        self.forwarded[0] + self.forwarded[1]
-    }
-
     /// Total packets dropped in both directions.
     pub fn total_dropped(&self) -> u64 {
         self.dropped[0] + self.dropped[1]

@@ -7,8 +7,6 @@
 //! multiplicative decrease, so the sender's window — and with it the burst
 //! of outstanding fast-retransmits — contracts.
 
-use crate::segment::DEFAULT_MSS;
-
 /// Congestion-control phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcPhase {
@@ -49,11 +47,6 @@ impl NewReno {
             acked_accum: 0,
             recover_offset: 0,
         }
-    }
-
-    /// Creates a controller with default MSS and a 10-segment initial window.
-    pub fn default_config() -> Self {
-        NewReno::new(DEFAULT_MSS, 10)
     }
 
     /// Current congestion window in bytes.

@@ -429,12 +429,6 @@ impl TcpConnection {
         self.send_buf.take_spare()
     }
 
-    /// Seeds the send buffer's recycled-chunk slot with a used buffer (a
-    /// pool warming a fresh connection); kept only if the slot is empty.
-    pub fn give_send_spare(&mut self, buf: Vec<u8>) {
-        self.send_buf.give_spare(buf);
-    }
-
     /// Surrenders every idle buffer this connection is holding for reuse
     /// — the send rope's recycled chunk and the reassembler's drained
     /// `ready` buffer — to `sink`. For connections whose work is done

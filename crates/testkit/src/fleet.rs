@@ -574,7 +574,8 @@ impl HostArena {
         if self.is_client && self.total_pairs > 0 && self.folded == self.total_pairs {
             ctx.halt();
         }
-        self.rearm_due(ctx);
+        let due = self.due.peek().map(|(at, _)| *at);
+        crate::host::rearm(ctx, &mut self.due_timer, due, TOKEN_DUE);
     }
 
     /// Client arena, after a pump: the first time the page load is over,
@@ -686,25 +687,6 @@ impl HostArena {
         }
         if let Some(&(at, _)) = self.admit.last() {
             ctx.set_timer(at.saturating_since(now), TOKEN_ADMIT);
-        }
-    }
-
-    fn rearm_due(&mut self, ctx: &mut Context<'_, FleetSegment>) {
-        let target = self.due.peek().map(|(at, _)| *at);
-        match (target, self.due_timer) {
-            (Some(at), Some((_, armed))) if at == armed => {}
-            (Some(at), prev) => {
-                if let Some((id, _)) = prev {
-                    ctx.cancel_timer(id);
-                }
-                let id = ctx.set_timer(at.saturating_since(ctx.now()), TOKEN_DUE);
-                self.due_timer = Some((id, at));
-            }
-            (None, Some((id, _))) => {
-                ctx.cancel_timer(id);
-                self.due_timer = None;
-            }
-            (None, None) => {}
         }
     }
 

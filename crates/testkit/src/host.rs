@@ -418,13 +418,13 @@ pub(crate) struct Host {
     app_timer: Option<(TimerId, SimTime)>,
 }
 
-/// Re-arms one of the host's two deadline timers, skipping the
-/// cancel+set round trip through the scheduler when the armed deadline
-/// is already the wanted one — between most pump pairs the app wakeup
-/// (and often the TCP timeout) is unchanged, and the scheduler churn of
-/// re-inserting it every pump shows up in profiles.
-fn rearm(
-    ctx: &mut Context<'_, TcpSegment>,
+/// Re-arms a deadline timer (a host's TCP or app timer, an arena's due
+/// timer), skipping the cancel+set round trip through the scheduler when
+/// the armed deadline is already the wanted one — between most pump pairs
+/// the app wakeup (and often the TCP timeout) is unchanged, and the
+/// scheduler churn of re-inserting it every pump shows up in profiles.
+pub(crate) fn rearm<P>(
+    ctx: &mut Context<'_, P>,
     slot: &mut Option<(TimerId, SimTime)>,
     want: Option<SimTime>,
     token: u64,
@@ -873,7 +873,7 @@ impl HostCore {
                 // The oracle wants the frame contiguous; split DATA frames
                 // are flattened into scratch, whole frames tap directly.
                 if out.body.is_empty() && out.tail_pad == 0 {
-                    oracle.h2.on_sent(out.frame_bytes(), now);
+                    oracle.h2.on_sent(&out.bytes, now);
                 } else {
                     scratch.oracle_frame.clear();
                     out.write_wire_into(&mut scratch.oracle_frame);

@@ -117,9 +117,6 @@ impl Default for ScenarioConfig {
                 // taps TLS plaintext upstream of the h2 decoder), so DATA
                 // payloads skip the per-frame copy on receive.
                 opaque_data_payloads: true,
-                // The host pump seals split frames with the TLS gather
-                // path, so sent bodies also skip the frame-buffer copy.
-                split_data_frames: true,
             },
             server_h2: H2Config {
                 settings: Settings::default(),
@@ -129,7 +126,6 @@ impl Default for ScenarioConfig {
                 data_pad_quantum: 0,
                 headers_pad_quantum: 0,
                 opaque_data_payloads: true,
-                split_data_frames: true,
             },
             tcp: TcpConfig::default(),
             // Links preserve order: real path jitter is shared queueing

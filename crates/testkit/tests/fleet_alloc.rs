@@ -3,14 +3,15 @@
 //! The fleet arena amortizes host work by pumping every dirty host per
 //! scheduler step with one shared scratch buffer. The cost model that
 //! makes that cheap lives in the outbound stage: each pass drains the
-//! HTTP/2 mux, seals every frame into **one** run buffer
-//! (`TlsSession::seal_app_data_into`), and hands TCP a single shared
-//! chunk — one buffer and one `Arc` per pass instead of one `Vec` per
-//! record, with the run buffer recycled from the rope's fully-acked
-//! chunks. This binary rebuilds that exact pass from the public
-//! tcp/tls/http2 APIs, installs the allocation-counting global
-//! allocator, and proves steady-state allocations scale with pump
-//! *passes*, not with sealed *records*.
+//! HTTP/2 mux, gather-seals every frame's wire parts (`[frame header,
+//! shared body, tail padding]`, through
+//! `TlsSession::seal_app_data_parts_into`) into **one** run buffer, and
+//! hands TCP a single shared chunk — one buffer and one `Arc` per pass
+//! instead of one `Vec` per record or frame, with the run buffer recycled
+//! from the rope's fully-acked chunks. This binary rebuilds that exact
+//! pass from the public tcp/tls/http2 APIs, installs the
+//! allocation-counting global allocator, and proves steady-state
+//! allocations scale with pump *passes*, not with sealed *records*.
 
 use h2priv_bytes::count_alloc::{measure, CountingAlloc};
 use h2priv_bytes::SharedBytes;
@@ -34,8 +35,8 @@ struct Endpoint {
 
 impl Endpoint {
     /// One outbound stage pass, mirroring the host pump: drain the mux
-    /// into `run` under the send-buffer limit, one sealed record per
-    /// frame, then enqueue the whole run as a single shared chunk.
+    /// into `run` under the send-buffer limit, one gather-sealed record
+    /// per frame, then enqueue the whole run as a single shared chunk.
     fn flush(&mut self, run: &mut Vec<u8>) {
         if run.capacity() == 0 {
             *run = self.tcp.take_send_spare().unwrap_or_default();
@@ -47,7 +48,7 @@ impl Endpoint {
                 break;
             };
             self.tls
-                .seal_app_data_into(out.frame_bytes(), run)
+                .seal_app_data_parts_into(&out.wire_parts(), run)
                 .expect("established session seals");
             self.h2.recycle_outgoing(out.bytes);
         }

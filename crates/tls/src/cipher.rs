@@ -97,7 +97,7 @@ impl Tag16 {
 /// per-record seed — splitmix64, run exactly four times per record. The
 /// expensive hash happens once per lane; within the record each lane then
 /// advances by a cheap Weyl increment per 32-byte quad (see
-/// [`transform`]), so the per-byte keystream cost is an add and a
+/// [`transform_from`]), so the per-byte keystream cost is an add and a
 /// shift-xor instead of three multiplies.
 #[inline]
 fn generator_word(seed: u64, lane: u64) -> u64 {
@@ -119,15 +119,15 @@ fn whiten(word: u64) -> u64 {
     word ^ (word >> 31)
 }
 
-/// One fused pass over `data`: XORs the keystream in place (8 bytes per
-/// block) and folds the **plaintext** side of the transform into `tag`.
-/// `data` holds plaintext when sealing and ciphertext when opening, so the
-/// plaintext block is the input block when `sealing` and the post-XOR
-/// block otherwise. A single read-modify-write sweep keeps the record hot
-/// path at one memory pass instead of separate keystream and tag
-/// traversals, and both the keystream and the tag lanes are free of
-/// cross-block serial dependencies.
-fn transform(seed: u64, tag: &mut Tag16, data: &mut [u8], sealing: bool) {
+/// One fused pass from `src` to `out`: XORs the keystream (8 bytes per
+/// block), appends the result, and folds the **plaintext** side of the
+/// transform into `tag`. `src` holds plaintext when sealing and ciphertext
+/// when opening, so the plaintext block is the input block when `sealing`
+/// and the post-XOR block otherwise. Each byte is read once from the
+/// source and written once to the destination, and neither the keystream
+/// nor the tag lanes carry a serial dependency from block to block.
+fn transform_from(seed: u64, tag: &mut Tag16, src: &[u8], out: &mut Vec<u8>, sealing: bool) {
+    out.reserve(src.len());
     // Four generator words, splitmix-hashed once per record. Block `i`
     // draws its keystream from lane `i % 4`, whose word has advanced by
     // `WEYL * (i / 4)`.
@@ -137,66 +137,10 @@ fn transform(seed: u64, tag: &mut Tag16, data: &mut [u8], sealing: bool) {
         generator_word(seed, 2),
         generator_word(seed, 3),
     ];
-    // Main loop: four blocks per iteration. Blocks land on tag lanes
-    // `0..4` in order (quads always start at a multiple of four), so the
-    // four keystream whitenings and the four lane multiplies are visibly
-    // independent and the CPU pipelines them instead of waiting on a
-    // one-block-at-a-time chain.
-    let mut quads = data.chunks_exact_mut(32);
-    for quad in &mut quads {
-        let mut xored = [0u64; 4];
-        for (j, x) in xored.iter_mut().enumerate() {
-            let word = &quad[j * 8..j * 8 + 8];
-            let block = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-            *x = block ^ whiten(w[j]);
-            w[j] = w[j].wrapping_add(WEYL);
-            tag.fold(j, if sealing { block } else { *x });
-        }
-        for (j, x) in xored.iter().enumerate() {
-            quad[j * 8..j * 8 + 8].copy_from_slice(&x.to_le_bytes());
-        }
-    }
-    // Tail: fewer than four blocks remain, continuing on lanes `0..`
-    // of the final (partial) quad row.
-    let mut lane = 0usize;
-    let mut chunks = quads.into_remainder().chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        let block = u64::from_le_bytes((&*chunk).try_into().expect("8-byte chunk"));
-        let xored = block ^ whiten(w[lane]);
-        tag.fold(lane, if sealing { block } else { xored });
-        chunk.copy_from_slice(&xored.to_le_bytes());
-        lane += 1;
-    }
-    let rest = chunks.into_remainder();
-    if !rest.is_empty() {
-        let ks = whiten(w[lane]);
-        let mut block = [0u8; 8];
-        block[..rest.len()].copy_from_slice(rest);
-        let plain = u64::from_le_bytes(block);
-        let xored = plain ^ (ks & !(u64::MAX << (8 * rest.len())));
-        tag.fold(lane, if sealing { plain } else { xored });
-        rest.copy_from_slice(&xored.to_le_bytes()[..rest.len()]);
-    }
-}
-
-/// The fused *gather* variant of [`transform`]: reads plaintext (or
-/// ciphertext) from `src`, XORs the keystream, and appends the result to
-/// `out` in the same sweep — one read of the source and one write of the
-/// destination per byte, where the copy-then-transform-in-place shape
-/// costs an extra read-modify-write pass over the destination. Keystream
-/// schedule, tag lane assignment, and output bytes are identical to
-/// [`transform`] over a copied buffer.
-fn transform_from(seed: u64, tag: &mut Tag16, src: &[u8], out: &mut Vec<u8>, sealing: bool) {
-    out.reserve(src.len());
-    let mut w = [
-        generator_word(seed, 0),
-        generator_word(seed, 1),
-        generator_word(seed, 2),
-        generator_word(seed, 3),
-    ];
-    // Main loop: a quad (four 8-byte blocks) is staged in one 32-byte
-    // stack row and appended in a single extend, so the inner work stays
-    // in registers and `out` grows one cache line at a time.
+    // Main loop: four blocks per iteration land on tag lanes `0..4` in
+    // order, so the four whitenings and lane multiplies are independent
+    // and pipeline. A quad is staged in one 32-byte stack row and appended
+    // in a single extend, so `out` grows one cache line at a time.
     let mut quads = src.chunks_exact(32);
     for quad in &mut quads {
         let mut row = [0u8; 32];
@@ -404,25 +348,6 @@ impl RecordCipher {
         out.resize(start + plaintext_len + AEAD_OVERHEAD, 0xA5);
     }
 
-    /// Seals one fragment *in place*: the plaintext already sits at
-    /// `buf[body_start..]` with (at least) 8 reserved bytes immediately
-    /// before it for the explicit nonce. Writes the nonce, transforms the
-    /// payload where it lies, and appends the tag + filler — byte-for-byte
-    /// identical output to [`RecordCipher::seal_into`], minus the plaintext
-    /// copy.
-    pub fn seal_in_place(&mut self, buf: &mut Vec<u8>, body_start: usize) {
-        debug_assert!(body_start >= 8);
-        let seq = self.seq;
-        self.seq += 1;
-        let plaintext_len = buf.len() - body_start;
-        buf[body_start - 8..body_start].copy_from_slice(&seq.to_be_bytes());
-        let seed = self.key ^ seq.wrapping_mul(PHI) | 1;
-        let mut tag = Tag16::new(self.key, seq, plaintext_len);
-        transform(seed, &mut tag, &mut buf[body_start..], true);
-        buf.extend_from_slice(&tag.finish().to_be_bytes());
-        buf.resize(body_start - 8 + plaintext_len + AEAD_OVERHEAD, 0xA5);
-    }
-
     /// Opens one fragment, consuming the next sequence number.
     ///
     /// Returns `None` if the fragment is too short, the explicit nonce does
@@ -546,33 +471,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_gather_seal_matches_in_place_seal() {
-        // `seal_into` (fused source→dest pass) and `seal_in_place`
-        // (copy + in-place transform) must stay byte-identical at every
-        // tail shape: empty, sub-block, block, quad, and fragment sizes.
-        for len in [0usize, 1, 7, 8, 9, 15, 31, 32, 33, 63, 64, 100, 1000, 16384] {
-            let msg: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(31) % 251) as u8).collect();
-            let mut fused_cipher = RecordCipher::new(0xABCD, 1);
-            let mut inplace_cipher = RecordCipher::new(0xABCD, 1);
-            let mut fused = Vec::new();
-            fused_cipher.seal_into(&msg, &mut fused);
-            let mut inplace = vec![0u8; 8];
-            inplace.extend_from_slice(&msg);
-            inplace_cipher.seal_in_place(&mut inplace, 8);
-            assert_eq!(fused, inplace, "len {len}");
-        }
-    }
-
-    #[test]
     fn gather_seal_matches_contiguous_seal() {
         // `seal_parts_into` over any split of the plaintext must be
         // byte-identical to `seal_into` over the concatenation — every
         // part-boundary phase vs. the 8-byte block grid and the 32-byte
-        // quad grid, including empty parts and an all-parts-empty record.
-        let msg: Vec<u8> = (0..1000)
+        // quad grid, including empty parts and an all-parts-empty record,
+        // at every tail shape: empty, sub-block, block, quad, and fragment
+        // sizes.
+        let msg: Vec<u8> = (0..16_384)
             .map(|i: usize| (i.wrapping_mul(37) % 241) as u8)
             .collect();
-        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 100, 1000] {
+        for len in [
+            0usize, 1, 7, 8, 9, 15, 31, 32, 33, 63, 64, 100, 1_000, 16_384,
+        ] {
             let msg = &msg[..len];
             let mut splits: Vec<Vec<usize>> = vec![vec![len]];
             for a in [0usize, 1, 7, 8, 9, 15, 16, 17] {

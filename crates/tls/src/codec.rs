@@ -12,9 +12,7 @@
 //! `content_type == 23` filter on top of it.
 
 use crate::cipher::RecordCipher;
-use crate::record::{
-    ContentType, RecordHeader, AEAD_OVERHEAD, HEADER_LEN, MAX_PLAINTEXT, RECORD_PREFIX,
-};
+use crate::record::{ContentType, RecordHeader, AEAD_OVERHEAD, HEADER_LEN, MAX_PLAINTEXT};
 
 /// Seals application messages into record wire bytes.
 #[derive(Debug, Clone)]
@@ -80,24 +78,23 @@ impl RecordWriter {
     /// contiguous message. The HTTP/2 host pump passes a frame header and
     /// the stream's shared body chunk as separate parts, so body bytes are
     /// never copied into a frame buffer before sealing.
-    pub fn seal_message_parts_into(
+    pub fn seal_message_parts_into<const N: usize>(
         &mut self,
         content_type: ContentType,
-        parts: &[&[u8]],
+        parts: &[&[u8]; N],
         out: &mut Vec<u8>,
     ) {
         let total: usize = parts.iter().map(|p| p.len()).sum();
         // Record cursor into the logical concatenation: part index + byte
         // offset within it. Each record gathers at most MAX_PLAINTEXT
-        // bytes as sub-slices — no copies, just a tiny per-record Vec of
-        // slice views reused across records.
+        // bytes as sub-slices into a stack array — no copies and no heap.
         let mut part_idx = 0usize;
         let mut part_off = 0usize;
         let mut remaining = total;
-        let mut record_parts: Vec<&[u8]> = Vec::with_capacity(parts.len());
         loop {
             let n = remaining.min(MAX_PLAINTEXT);
-            record_parts.clear();
+            let mut record_parts: [&[u8]; N] = [&[]; N];
+            let mut count = 0;
             let mut need = n;
             while need > 0 {
                 let part = parts[part_idx];
@@ -108,7 +105,8 @@ impl RecordWriter {
                     continue;
                 }
                 let take = avail.min(need);
-                record_parts.push(&part[part_off..part_off + take]);
+                record_parts[count] = &part[part_off..part_off + take];
+                count += 1;
                 part_off += take;
                 need -= take;
             }
@@ -117,29 +115,12 @@ impl RecordWriter {
                 fragment_len: (n + AEAD_OVERHEAD) as u16,
             };
             out.extend_from_slice(&header.encode());
-            self.cipher.seal_parts_into(&record_parts, out);
+            self.cipher.seal_parts_into(&record_parts[..count], out);
             remaining -= n;
             if remaining == 0 {
                 break;
             }
         }
-    }
-
-    /// Seals one message *in place*: the plaintext already sits at
-    /// `buf[RECORD_PREFIX..]` (at most [`MAX_PLAINTEXT`] bytes), with the
-    /// leading [`RECORD_PREFIX`] bytes reserved for the record header and
-    /// explicit nonce. Produces wire bytes identical to
-    /// [`RecordWriter::seal_message`] without copying the plaintext.
-    pub fn seal_message_in_place(&mut self, content_type: ContentType, buf: &mut Vec<u8>) {
-        debug_assert!(buf.len() >= RECORD_PREFIX);
-        let plaintext_len = buf.len() - RECORD_PREFIX;
-        debug_assert!(plaintext_len <= MAX_PLAINTEXT);
-        let header = RecordHeader {
-            content_type,
-            fragment_len: (plaintext_len + AEAD_OVERHEAD) as u16,
-        };
-        buf[..HEADER_LEN].copy_from_slice(&header.encode());
-        self.cipher.seal_in_place(buf, RECORD_PREFIX);
     }
 
     /// Records sealed so far.
@@ -180,10 +161,13 @@ impl std::error::Error for ReadRecordError {}
 
 /// Incrementally parses and opens records from a byte stream.
 ///
-/// Consumed records advance a cursor instead of draining the front of the
-/// buffer, so reading a record is free of the `memmove` a `Vec::drain`
-/// would do on every record; the consumed prefix is reclaimed at the
-/// quiescent points (buffer fully drained, or waiting for more bytes).
+/// Records that lie entirely within the bytes handed to
+/// [`next_record_borrowed`](Self::next_record_borrowed) are opened in
+/// place; only a trailing partial record is stashed for the next feed.
+/// Consumed stash bytes advance a cursor instead of draining the front of
+/// the buffer (the `memmove` a `Vec::drain` would do on every record); the
+/// consumed prefix is reclaimed at the quiescent points (buffer fully
+/// drained, or waiting for more bytes).
 #[derive(Debug, Clone)]
 pub struct RecordReader {
     cipher: RecordCipher,
@@ -204,7 +188,8 @@ impl RecordReader {
         }
     }
 
-    /// Appends newly received stream bytes.
+    /// Appends newly received stream bytes for
+    /// [`next_message`](Self::next_message).
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -238,7 +223,8 @@ impl RecordReader {
         }
     }
 
-    /// Attempts to read the next complete message.
+    /// Attempts to read the next complete message from the bytes
+    /// [`push`](Self::push)ed so far.
     ///
     /// Returns `Ok(None)` when more bytes are needed.
     ///
@@ -250,67 +236,20 @@ impl RecordReader {
     pub fn next_message(&mut self) -> Result<Option<TlsMessage>, ReadRecordError> {
         let mut plaintext = Vec::new();
         Ok(self
-            .next_record_into(&mut plaintext)?
+            .next_record_borrowed(&mut &[][..], &mut plaintext)?
             .map(|content_type| TlsMessage {
                 content_type,
                 plaintext,
             }))
     }
 
-    /// Attempts to read the next complete record, appending its plaintext
-    /// to `out` — the sink variant [`next_message`](Self::next_message)
-    /// wraps, for callers assembling a plaintext stream (no per-record
-    /// allocation). Returns the record's content type, or `Ok(None)` when
-    /// more bytes are needed; on `Ok(None)` and on errors `out` is
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// As for [`next_message`](Self::next_message).
-    pub fn next_record_into(
-        &mut self,
-        out: &mut Vec<u8>,
-    ) -> Result<Option<ContentType>, ReadRecordError> {
-        if self.poisoned {
-            return Err(ReadRecordError::DecryptFailed);
-        }
-        let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_LEN {
-            self.compact();
-            return Ok(None);
-        }
-        let header = match RecordHeader::decode(avail) {
-            Some(h) => h,
-            None => {
-                self.poisoned = true;
-                return Err(ReadRecordError::BadHeader);
-            }
-        };
-        if avail.len() < header.wire_len() {
-            self.compact();
-            return Ok(None);
-        }
-        let fragment = &self.buf[self.pos + HEADER_LEN..self.pos + header.wire_len()];
-        if !self.cipher.open_into(fragment, out) {
-            self.poisoned = true;
-            return Err(ReadRecordError::DecryptFailed);
-        }
-        self.pos += header.wire_len();
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(Some(header.content_type))
-    }
-
-    /// Attempts to read the next complete record from the internal buffer
-    /// plus `input`, consuming from `input` and appending plaintext to
-    /// `out`. The streaming variant of
-    /// [`next_record_into`](Self::next_record_into): complete records that
-    /// lie entirely within `input` are parsed *borrowed* — never copied
-    /// into the internal buffer — and only a trailing partial record is
-    /// stashed for the next feed. Returns `Ok(None)` when more bytes are
-    /// needed (at which point `input` is fully consumed).
+    /// Attempts to read the next complete record from the stash plus
+    /// `input`, consuming from `input` and appending plaintext to `out`:
+    /// records that lie entirely within `input` are opened *borrowed* —
+    /// never copied into the stash — and only a trailing partial record is
+    /// stashed for the next feed. Returns the record's content type, or
+    /// `Ok(None)` when more bytes are needed (`input` is then empty). On
+    /// `Ok(None)` and on errors `out` is untouched.
     ///
     /// # Errors
     ///
@@ -323,72 +262,53 @@ impl RecordReader {
         if self.poisoned {
             return Err(ReadRecordError::DecryptFailed);
         }
-        // Finish any record whose prefix was stashed by an earlier feed,
-        // topping the buffer up with only the bytes that record needs.
-        if self.buffered_len() > 0 {
-            if self.buffered_len() < HEADER_LEN {
-                let take = (HEADER_LEN - self.buffered_len()).min(input.len());
-                self.buf.extend_from_slice(&input[..take]);
-                *input = &input[take..];
+        let read = self.read_record(input, out);
+        self.poisoned = read.is_err();
+        read
+    }
+
+    fn read_record(
+        &mut self,
+        input: &mut &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<Option<ContentType>, ReadRecordError> {
+        loop {
+            if self.buffered_len() == 0 {
+                // Nothing stashed: open straight from the borrowed input.
+                return Ok(match open_front(&mut self.cipher, input, out)? {
+                    Step::Need(_) => {
+                        self.buf.extend_from_slice(input);
+                        *input = &[];
+                        None
+                    }
+                    Step::Opened(content_type, n) => {
+                        *input = &input[n..];
+                        Some(content_type)
+                    }
+                });
             }
-            if self.buffered_len() < HEADER_LEN {
-                self.compact();
-                return Ok(None);
-            }
-            let header = match RecordHeader::decode(&self.buf[self.pos..]) {
-                Some(h) => h,
-                None => {
-                    self.poisoned = true;
-                    return Err(ReadRecordError::BadHeader);
+            // Finish the stashed record, topping it up with only the bytes
+            // it needs.
+            match open_front(&mut self.cipher, &self.buf[self.pos..], out)? {
+                Step::Need(n) => {
+                    let take = (n - self.buffered_len()).min(input.len());
+                    if take == 0 {
+                        self.compact();
+                        return Ok(None);
+                    }
+                    self.buf.extend_from_slice(&input[..take]);
+                    *input = &input[take..];
                 }
-            };
-            let take = header
-                .wire_len()
-                .saturating_sub(self.buffered_len())
-                .min(input.len());
-            self.buf.extend_from_slice(&input[..take]);
-            *input = &input[take..];
-            if self.buffered_len() < header.wire_len() {
-                self.compact();
-                return Ok(None);
+                Step::Opened(content_type, n) => {
+                    self.pos += n;
+                    if self.pos == self.buf.len() {
+                        self.buf.clear();
+                        self.pos = 0;
+                    }
+                    return Ok(Some(content_type));
+                }
             }
-            let fragment = &self.buf[self.pos + HEADER_LEN..self.pos + header.wire_len()];
-            if !self.cipher.open_into(fragment, out) {
-                self.poisoned = true;
-                return Err(ReadRecordError::DecryptFailed);
-            }
-            self.pos += header.wire_len();
-            if self.pos == self.buf.len() {
-                self.buf.clear();
-                self.pos = 0;
-            }
-            return Ok(Some(header.content_type));
         }
-        // Buffer empty: parse straight from the borrowed input.
-        if input.len() < HEADER_LEN {
-            self.buf.extend_from_slice(input);
-            *input = &[];
-            return Ok(None);
-        }
-        let header = match RecordHeader::decode(input) {
-            Some(h) => h,
-            None => {
-                self.poisoned = true;
-                return Err(ReadRecordError::BadHeader);
-            }
-        };
-        if input.len() < header.wire_len() {
-            self.buf.extend_from_slice(input);
-            *input = &[];
-            return Ok(None);
-        }
-        let fragment = &input[HEADER_LEN..header.wire_len()];
-        if !self.cipher.open_into(fragment, out) {
-            self.poisoned = true;
-            return Err(ReadRecordError::DecryptFailed);
-        }
-        *input = &input[header.wire_len()..];
-        Ok(Some(header.content_type))
     }
 
     /// Drains all complete messages currently buffered.
@@ -408,6 +328,36 @@ impl RecordReader {
     pub fn buffered_len(&self) -> usize {
         self.buf.len() - self.pos
     }
+}
+
+/// What [`open_front`] made of the bytes at the front of a contiguous
+/// slice.
+enum Step {
+    /// The record there is incomplete: it needs this many bytes in all.
+    Need(usize),
+    /// A record of this many wire bytes opened; its plaintext was appended.
+    Opened(ContentType, usize),
+}
+
+/// The one record parser behind [`RecordReader`]'s entry points: decodes
+/// the header at the front of `avail` and, once the whole record is there,
+/// opens it into `out`.
+fn open_front(
+    cipher: &mut RecordCipher,
+    avail: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<Step, ReadRecordError> {
+    if avail.len() < HEADER_LEN {
+        return Ok(Step::Need(HEADER_LEN));
+    }
+    let header = RecordHeader::decode(avail).ok_or(ReadRecordError::BadHeader)?;
+    let Some(fragment) = avail.get(HEADER_LEN..header.wire_len()) else {
+        return Ok(Step::Need(header.wire_len()));
+    };
+    if !cipher.open_into(fragment, out) {
+        return Err(ReadRecordError::DecryptFailed);
+    }
+    Ok(Step::Opened(header.content_type, header.wire_len()))
 }
 
 /// Header-level view of one record, as visible to an eavesdropper.
@@ -499,11 +449,11 @@ mod tests {
         // path does, for messages below, at, and spanning MAX_PLAINTEXT —
         // including record boundaries that fall inside a part.
         for (label, sizes) in [
-            ("sub-record", vec![10usize, 100, 7]),
-            ("exact record", vec![9, MAX_PLAINTEXT - 9]),
-            ("multi-record", vec![10, 2 * MAX_PLAINTEXT + 100, 4990]),
-            ("empty parts", vec![0, 25, 0]),
-            ("all empty", vec![0, 0]),
+            ("sub-record", [10usize, 100, 7]),
+            ("exact record", [9, MAX_PLAINTEXT - 9, 0]),
+            ("multi-record", [10, 2 * MAX_PLAINTEXT + 100, 4990]),
+            ("empty parts", [0, 25, 0]),
+            ("all empty", [0, 0, 0]),
         ] {
             let total: usize = sizes.iter().sum();
             let msg: Vec<u8> = (0..total).map(|i| (i % 249) as u8).collect();
@@ -513,12 +463,11 @@ mod tests {
                 &msg,
                 &mut contiguous,
             );
-            let mut parts: Vec<&[u8]> = Vec::new();
             let mut pos = 0;
-            for n in &sizes {
-                parts.push(&msg[pos..pos + n]);
+            let parts = sizes.map(|n| {
                 pos += n;
-            }
+                &msg[pos - n..pos]
+            });
             let mut gathered = Vec::new();
             RecordWriter::new(RecordCipher::new(9, 1)).seal_message_parts_into(
                 ContentType::ApplicationData,

@@ -31,7 +31,6 @@ pub use codec::{
     ReadRecordError, RecordReader, RecordScanner, RecordWriter, ScannedRecord, TlsMessage,
 };
 pub use record::{
-    ContentType, RecordHeader, AEAD_OVERHEAD, HEADER_LEN, MAX_CIPHERTEXT, MAX_PLAINTEXT,
-    RECORD_PREFIX, VERSION,
+    ContentType, RecordHeader, AEAD_OVERHEAD, HEADER_LEN, MAX_CIPHERTEXT, MAX_PLAINTEXT, VERSION,
 };
 pub use session::{Role, SessionError, SessionOutput, TlsSession};

@@ -21,12 +21,6 @@ pub const AEAD_OVERHEAD: usize = 24;
 /// Maximum ciphertext fragment length per record.
 pub const MAX_CIPHERTEXT: usize = MAX_PLAINTEXT + AEAD_OVERHEAD;
 
-/// Bytes of a sealed record that precede the transformed payload on the
-/// wire: the plaintext header plus the 8-byte explicit nonce. A caller
-/// that reserves this much headroom in front of a payload can have it
-/// sealed in place (no copy into a fresh record buffer).
-pub const RECORD_PREFIX: usize = HEADER_LEN + 8;
-
 /// The TLS 1.2 wire version bytes (0x03, 0x03).
 pub const VERSION: (u8, u8) = (3, 3);
 

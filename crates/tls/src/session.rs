@@ -11,7 +11,7 @@
 use h2priv_bytes::SharedBytes;
 
 use crate::cipher::RecordCipher;
-use crate::codec::{ReadRecordError, RecordReader, RecordWriter, TlsMessage};
+use crate::codec::{ReadRecordError, RecordReader, RecordWriter};
 use crate::record::ContentType;
 
 /// Which side of the connection a session is.
@@ -184,12 +184,7 @@ impl TlsSession {
     /// establishment, or out-of-place handshake messages. A failed session
     /// should be torn down, as a real stack would after a fatal alert.
     pub fn receive(&mut self, bytes: &[u8]) -> Result<SessionOutput, SessionError> {
-        self.reader.push(bytes);
-        let mut out = SessionOutput::default();
-        while let Some(msg) = self.reader.next_message()? {
-            self.handle_message(msg, &mut out)?;
-        }
-        Ok(out)
+        self.read_records(bytes, &mut Vec::new(), true)
     }
 
     /// Feeds received wire bytes into the session, appending application
@@ -206,6 +201,19 @@ impl TlsSession {
         bytes: &[u8],
         app: &mut Vec<u8>,
     ) -> Result<SessionOutput, SessionError> {
+        self.read_records(bytes, app, false)
+    }
+
+    /// The record loop behind both receive paths: opens every record the
+    /// stash plus `bytes` completes, appending application plaintext to
+    /// `app`. With `per_record`, each application record's plaintext moves
+    /// on into [`SessionOutput::app_data`].
+    fn read_records(
+        &mut self,
+        bytes: &[u8],
+        app: &mut Vec<u8>,
+        per_record: bool,
+    ) -> Result<SessionOutput, SessionError> {
         let mut input = bytes;
         let mut out = SessionOutput::default();
         loop {
@@ -218,6 +226,9 @@ impl TlsSession {
                     if self.state != HandshakeState::Established {
                         return Err(SessionError::EarlyAppData);
                     }
+                    if per_record {
+                        out.app_data.push(app.split_off(before));
+                    }
                 }
                 ContentType::Handshake | ContentType::ChangeCipherSpec => {
                     // Handshake plaintext drives the state machine but is
@@ -225,28 +236,11 @@ impl TlsSession {
                     app.truncate(before);
                     self.advance_handshake(&mut out)?;
                 }
+                // Modeled alerts are informational.
                 ContentType::Alert => app.truncate(before),
             }
         }
         Ok(out)
-    }
-
-    fn handle_message(
-        &mut self,
-        msg: TlsMessage,
-        out: &mut SessionOutput,
-    ) -> Result<(), SessionError> {
-        match msg.content_type {
-            ContentType::ApplicationData => {
-                if self.state != HandshakeState::Established {
-                    return Err(SessionError::EarlyAppData);
-                }
-                out.app_data.push(msg.plaintext);
-                Ok(())
-            }
-            ContentType::Handshake | ContentType::ChangeCipherSpec => self.advance_handshake(out),
-            ContentType::Alert => Ok(()), // modeled alerts are informational
-        }
     }
 
     fn advance_handshake(&mut self, out: &mut SessionOutput) -> Result<(), SessionError> {
@@ -342,9 +336,9 @@ impl TlsSession {
     ///
     /// Fails with [`SessionError::EarlyAppData`] before establishment
     /// (leaving `out` untouched).
-    pub fn seal_app_data_parts_into(
+    pub fn seal_app_data_parts_into<const N: usize>(
         &mut self,
-        parts: &[&[u8]],
+        parts: &[&[u8]; N],
         out: &mut Vec<u8>,
     ) -> Result<(), SessionError> {
         if self.state != HandshakeState::Established {
@@ -352,27 +346,6 @@ impl TlsSession {
         }
         self.writer
             .seal_message_parts_into(ContentType::ApplicationData, parts, out);
-        Ok(())
-    }
-
-    /// Seals application bytes *in place*: `buf[RECORD_PREFIX..]` holds the
-    /// payload (at most [`MAX_PLAINTEXT`](crate::MAX_PLAINTEXT) bytes) and
-    /// the leading [`RECORD_PREFIX`](crate::RECORD_PREFIX) bytes are
-    /// reserved for the record header and nonce. On success `buf` holds the
-    /// complete wire record — byte-identical to what
-    /// [`TlsSession::seal_app_data`] would return, without copying the
-    /// payload.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`SessionError::EarlyAppData`] before establishment
-    /// (leaving `buf` untouched).
-    pub fn seal_app_data_in_place(&mut self, buf: &mut Vec<u8>) -> Result<(), SessionError> {
-        if self.state != HandshakeState::Established {
-            return Err(SessionError::EarlyAppData);
-        }
-        self.writer
-            .seal_message_in_place(ContentType::ApplicationData, buf);
         Ok(())
     }
 

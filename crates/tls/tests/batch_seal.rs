@@ -1,15 +1,19 @@
-//! Vectorized record-sealing regression tests.
+//! Batched record-sealing regression tests.
 //!
 //! The batched host pump seals a whole run of queued HTTP/2 frames into
-//! one reused buffer via [`TlsSession::seal_app_data_into`]. This binary
-//! installs the allocation-counting global allocator and proves the two
-//! properties that path depends on:
+//! one reused buffer: each split DATA frame through the gather seal
+//! [`TlsSession::seal_app_data_parts_into`] (`[frame header, shared body,
+//! tail padding]`), and the attacker's and shaper's contiguous bytes
+//! through [`TlsSession::seal_app_data_into`]. This binary installs the
+//! allocation-counting global allocator and pins what that pump depends
+//! on:
 //!
 //! * sealing into a sink is **byte-identical** to the allocating
 //!   [`TlsSession::seal_app_data`] — coalescing records changes nothing
 //!   on the wire; and
 //! * sealing a run of records into a warm (pre-sized) buffer performs
-//!   **zero** heap allocations — one keystream pass, no per-record `Vec`.
+//!   **zero** heap allocations on both seal paths — one keystream pass,
+//!   no per-record or per-frame `Vec`.
 
 use h2priv_bytes::count_alloc::{measure, CountingAlloc};
 use h2priv_tls::{Role, TlsSession};
@@ -81,5 +85,21 @@ fn sealing_a_run_into_a_warm_buffer_is_allocation_free() {
     assert_eq!(
         allocs, 0,
         "sealing a run of records into a warm buffer must not allocate"
+    );
+
+    // The same run through the gather seal, as the pump seals split DATA.
+    let header = [0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01];
+    run.clear();
+    let ((), allocs) = measure(|| {
+        for _ in 0..16 {
+            session
+                .seal_app_data_parts_into(&[&header, &payload, &[]], &mut run)
+                .unwrap();
+        }
+    });
+    assert!(!run.is_empty());
+    assert_eq!(
+        allocs, 0,
+        "gather-sealing a run of frames into a warm buffer must not allocate"
     );
 }

@@ -4,8 +4,8 @@
 
 use h2priv_netsim::prop::{self, Gen};
 use h2priv_tls::{
-    ContentType, RecordCipher, RecordReader, RecordScanner, RecordWriter, AEAD_OVERHEAD,
-    HEADER_LEN, MAX_PLAINTEXT,
+    ContentType, RecordCipher, RecordReader, RecordScanner, RecordWriter, Role, SessionError,
+    TlsSession, AEAD_OVERHEAD, HEADER_LEN, MAX_PLAINTEXT,
 };
 
 /// Up to `count` messages of any content type and up to `max_len` bytes.
@@ -25,23 +25,50 @@ fn seal_all(writer: &mut RecordWriter, msgs: &[(ContentType, Vec<u8>)]) -> Vec<u
         .collect()
 }
 
-/// Message streams round-trip through seal → chunked delivery → open.
+/// Streams server→client `wire` (label 2) into a client session that has
+/// sent its hello, through `receive_into` in chunks of random sizes as the
+/// host pump feeds it; the application plaintext, or the first error.
+fn stream_records(g: &mut Gen, key: u64, mut wire: &[u8]) -> Result<Vec<u8>, SessionError> {
+    let mut client = TlsSession::new(Role::Client, key);
+    client.initial_flight();
+    let mut app = Vec::new();
+    let max = g.pick(&[1, 8, 64, 4_096]);
+    while !wire.is_empty() {
+        let (piece, rest) = wire.split_at(g.range(1..=max).min(wire.len()));
+        wire = rest;
+        client.receive_into(piece, &mut app)?;
+    }
+    Ok(app)
+}
+
+/// Message streams round-trip through seal → chunked delivery → open, both
+/// pushed into a reader and streamed through a session in chunks of any
+/// size (the partial-record stash and its top-up).
 #[test]
 fn records_roundtrip_under_any_chunking() {
     prop::check("records_roundtrip_under_any_chunking", 64, |g| {
         let key = g.any();
-        let msgs = messages(g, 1..8, 2_000);
+        // The server flight establishes the streaming client, which then
+        // takes records of every content type.
+        let mut msgs = vec![(ContentType::Handshake, b"server flight".to_vec())];
+        msgs.extend(messages(g, 1..8, 2_000));
         let chunk = g.range(1usize..1_600);
-        let mut writer = RecordWriter::new(RecordCipher::new(key, 1));
-        let mut reader = RecordReader::new(RecordCipher::new(key, 1));
+        let wire = seal_all(&mut RecordWriter::new(RecordCipher::new(key, 2)), &msgs);
+        let mut reader = RecordReader::new(RecordCipher::new(key, 2));
         let mut got = Vec::new();
-        for piece in seal_all(&mut writer, &msgs).chunks(chunk) {
+        for piece in wire.chunks(chunk) {
             reader.push(piece);
             while let Some(msg) = reader.next_message().unwrap() {
                 got.push((msg.content_type, msg.plaintext));
             }
         }
         assert_eq!(got, msgs);
+        let app: Vec<u8> = msgs
+            .iter()
+            .filter(|(ct, _)| *ct == ContentType::ApplicationData)
+            .flat_map(|(_, m)| m.clone())
+            .collect();
+        assert_eq!(stream_records(g, key, &wire), Ok(app));
     });
 }
 
@@ -100,9 +127,10 @@ fn scanner_agrees_with_reader() {
     });
 }
 
-/// The scanner and the reader never panic on arbitrary bytes: either pure
-/// noise, or a valid record stream with a few bytes overwritten, which gets
-/// past header checks into length and tag handling.
+/// The scanner, the reader and the streaming session never panic on
+/// arbitrary bytes: either pure noise, or a valid record stream with a few
+/// bytes overwritten, which gets past header checks into length and tag
+/// handling.
 #[test]
 fn scanner_and_reader_total() {
     prop::check("scanner_and_reader_total", 2_048, |g| {
@@ -111,7 +139,7 @@ fn scanner_and_reader_total() {
             g.bytes(0..2_000)
         } else {
             let msgs = messages(g, 1..4, 600);
-            let mut wire = seal_all(&mut RecordWriter::new(RecordCipher::new(key, 1)), &msgs);
+            let mut wire = seal_all(&mut RecordWriter::new(RecordCipher::new(key, 2)), &msgs);
             for _ in 0..g.range(1u32..4) {
                 let i = g.range(0..wire.len());
                 wire[i] = g.any();
@@ -119,8 +147,9 @@ fn scanner_and_reader_total() {
             wire
         };
         let _ = RecordScanner::new().push(&bytes);
-        let mut reader = RecordReader::new(RecordCipher::new(key, 1));
+        let mut reader = RecordReader::new(RecordCipher::new(key, 2));
         reader.push(&bytes);
         while let Ok(Some(_)) = reader.next_message() {}
+        let _ = stream_records(g, key, &bytes);
     });
 }

@@ -1,13 +1,17 @@
 #!/usr/bin/env sh
 # Lint gate: the workspace must be clippy-clean (warnings are errors),
-# rustfmt-clean, and protocol-conformant (the oracle must stay silent
-# across a quick repro run). CI and `make lint` both run this.
+# rustfmt-clean, rustdoc-clean, and protocol-conformant (the oracle must
+# stay silent across a quick repro run). CI and `make lint` both run this.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+
+# Rustdoc with warnings as errors (equivalent to `make doc`): an intra-doc
+# link to a renamed, private or deleted item fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 sh scripts/bench_check.sh
 
