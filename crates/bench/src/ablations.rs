@@ -1,15 +1,13 @@
 //! Ablations of the design choices DESIGN.md §6 calls out, plus the §IV-A
 //! uniform-delay control and the §VII defense sketch.
 
-use h2priv_core::experiment::{
-    analyze_trial, objects_of_interest, run_paper_trial, survey_outcome,
-};
+use h2priv_core::experiment::{analyze_trial, objects_of_interest, survey_outcome};
 use h2priv_core::AttackConfig;
 use h2priv_http2::SendPolicy;
 use h2priv_netsim::SimDuration;
 use h2priv_web::PadSet;
 
-use crate::common::{calibrated_map, run_batch};
+use crate::common::{calibrated_map, paper_trial, run_batch};
 use crate::json::{object, Json, ToJson};
 
 /// One ablation outcome.
@@ -124,16 +122,10 @@ pub fn order_randomization_defense(trials: u64) -> Vec<AblationRow> {
                 // The displayed order is golden(seed); the requested order is
                 // an unrelated permutation. We model it by running the plan
                 // of a different user and scoring against this user's golden.
-                run_paper_trial(
-                    seed.wrapping_add(10_000),
-                    Some(&attack),
-                    crate::common::conformance_tweak,
-                )
+                paper_trial(seed.wrapping_add(10_000), Some(&attack), |_| {})
             } else {
-                run_paper_trial(seed, Some(&attack), crate::common::conformance_tweak)
+                paper_trial(seed, Some(&attack), |_| {})
             };
-            crate::common::record_conformance(&trial.result);
-            crate::runner::record_sched(&trial.result.sched);
             let start = trial
                 .adversary
                 .as_ref()
@@ -153,11 +145,10 @@ pub fn order_randomization_defense(trials: u64) -> Vec<AblationRow> {
                 })
                 .count() as u64;
             let ident_hits = (1..9).filter(|&i| analysis.objects[i].identified).count() as u64;
-            (rank_hits, ident_hits, trial.result.events)
+            (rank_hits, ident_hits)
         });
-        crate::runner::record_events(per_seed.iter().map(|&(_, _, ev)| ev).sum());
-        let rank_hits: u64 = per_seed.iter().map(|&(r, _, _)| r).sum();
-        let ident_hits: u64 = per_seed.iter().map(|&(_, i, _)| i).sum();
+        let rank_hits: u64 = per_seed.iter().map(|&(r, _)| r).sum();
+        let ident_hits: u64 = per_seed.iter().map(|&(_, i)| i).sum();
         let rank_total = trials * 8;
         rows.push(AblationRow {
             name: "order-randomization-defense".into(),
@@ -228,9 +219,7 @@ pub fn pairwise_decomposition(trials: u64) -> Vec<AblationRow> {
     let attack = AttackConfig::jitter_only(SimDuration::from_millis(50));
     let total = trials * 9;
     let per_seed = crate::runner::run_seeded(trials, |seed| {
-        let trial = run_paper_trial(seed, Some(&attack), crate::common::conformance_tweak);
-        crate::common::record_conformance(&trial.result);
-        crate::runner::record_sched(&trial.result.sched);
+        let trial = paper_trial(seed, Some(&attack), |_| {});
         let records = extract_records(&trial.result.trace);
         let data = app_data_records(&records, h2priv_netsim::Dir::RightToLeft);
         let bursts = segment_bursts(&data, BURST_GAP);
@@ -245,11 +234,10 @@ pub fn pairwise_decomposition(trials: u64) -> Vec<AblationRow> {
             .iter()
             .filter(|&&o| pairs.iter().any(|i| i.object == o))
             .count() as u64;
-        (single_hits, pair_hits, trial.result.events)
+        (single_hits, pair_hits)
     });
-    crate::runner::record_events(per_seed.iter().map(|&(_, _, ev)| ev).sum());
-    let single_hits: u64 = per_seed.iter().map(|&(s, _, _)| s).sum();
-    let pair_hits: u64 = per_seed.iter().map(|&(_, p, _)| p).sum();
+    let single_hits: u64 = per_seed.iter().map(|&(s, _)| s).sum();
+    let pair_hits: u64 = per_seed.iter().map(|&(_, p)| p).sum();
     vec![
         AblationRow {
             name: "pairwise-decomposition".into(),

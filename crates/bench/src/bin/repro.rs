@@ -63,18 +63,18 @@ use h2priv_defense::DefenseSpec;
 static ALLOC: count_alloc::CountingAlloc = count_alloc::CountingAlloc;
 
 /// Per-exhibit wall-clock record emitted by `--bench-json`.
+#[derive(Default)]
 struct ExhibitTiming {
     exhibit: &'static str,
     trials: u64,
     threads: usize,
     wall_ms: f64,
-    events: u64,
-    /// Event-scheduler behaviour over the exhibit's trials (tier split,
-    /// promotions, peak bucket/overflow occupancy), so baselines are
-    /// self-describing about which scheduler produced them. For the fleet
-    /// exhibit the peaks are summed across concurrently-resident shards
-    /// (`SchedStats::merge_concurrent`), not maxed.
-    sched: h2priv_netsim::SchedStats,
+    /// What the exhibit's runs recorded: events, violations, and the
+    /// event-scheduler behaviour (tier split, promotions, peak
+    /// bucket/overflow occupancy) that makes baselines self-describing.
+    /// For the fleet exhibit the peaks are summed across
+    /// concurrently-resident shards (`SchedStats::merge_concurrent`).
+    tally: runner::Tally,
     /// Per-shard event counts (fleet exhibit only; empty otherwise) —
     /// the shard occupancy balance.
     shard_events: Vec<u64>,
@@ -93,7 +93,7 @@ impl ExhibitTiming {
         if self.wall_ms <= 0.0 {
             return 0.0;
         }
-        self.events as f64 / (self.wall_ms / 1e3)
+        self.tally.events as f64 / (self.wall_ms / 1e3)
     }
 
     /// Aggregate throughput divided by the worker-thread count — the
@@ -106,21 +106,22 @@ impl ExhibitTiming {
 
 impl ToJson for ExhibitTiming {
     fn to_json(&self) -> Json {
+        let sched = &self.tally.sched;
         object([
             ("exhibit", self.exhibit.to_json()),
             ("trials", self.trials.to_json()),
             ("threads", self.threads.to_json()),
             ("wall_ms", self.wall_ms.to_json()),
-            ("events", self.events.to_json()),
+            ("events", self.tally.events.to_json()),
             ("events_per_sec", self.events_per_sec().to_json()),
             ("ev_s_per_core", self.ev_s_per_core().to_json()),
             ("scheduler", h2priv_netsim::SchedStats::SCHEDULER.to_json()),
-            ("sched_near_inserts", self.sched.near_inserts.to_json()),
-            ("sched_far_inserts", self.sched.far_inserts.to_json()),
-            ("sched_promotions", self.sched.promotions.to_json()),
-            ("sched_rebases", self.sched.rebases.to_json()),
-            ("sched_peak_near", self.sched.peak_near.to_json()),
-            ("sched_peak_overflow", self.sched.peak_overflow.to_json()),
+            ("sched_near_inserts", sched.near_inserts.to_json()),
+            ("sched_far_inserts", sched.far_inserts.to_json()),
+            ("sched_promotions", sched.promotions.to_json()),
+            ("sched_rebases", sched.rebases.to_json()),
+            ("sched_peak_near", sched.peak_near.to_json()),
+            ("sched_peak_overflow", sched.peak_overflow.to_json()),
             ("shard_events", self.shard_events.to_json()),
             ("peak_alloc_bytes", self.peak_alloc_bytes.to_json()),
             ("bytes_per_pair", self.bytes_per_pair.to_json()),
@@ -208,25 +209,23 @@ fn main() {
     let threads = runner::threads();
     let mut timings: Vec<ExhibitTiming> = Vec::new();
     let mut timed = |exhibit: &'static str, trials: u64, body: &mut dyn FnMut()| {
-        let events_before = runner::events_snapshot();
-        runner::sched_take(); // reset so the exhibit reports only its own
         let t0 = Instant::now();
         let ((), peak_alloc_bytes) = count_alloc::measure_peak_bytes(body);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let events = runner::events_snapshot() - events_before;
         let timing = ExhibitTiming {
             exhibit,
             trials,
             threads,
             wall_ms,
-            events,
-            sched: runner::sched_take(),
-            shard_events: Vec::new(),
+            // Exhibits run back to back, so the tally taken after each one
+            // holds exactly that exhibit's runs.
+            tally: runner::take(),
             peak_alloc_bytes,
-            bytes_per_pair: 0,
+            ..ExhibitTiming::default()
         };
         eprintln!(
-            "[timing] {exhibit}: {wall_ms:.0} ms, {events} events, {:.0} events/sec, {threads} thread(s), peak {:.1} MiB",
+            "[timing] {exhibit}: {wall_ms:.0} ms, {} events, {:.0} events/sec, {threads} thread(s), peak {:.1} MiB",
+            timing.tally.events,
             timing.events_per_sec(),
             peak_alloc_bytes as f64 / (1024.0 * 1024.0)
         );
@@ -354,9 +353,10 @@ fn main() {
             // element-wise: the balance the hash partition achieved.
             t.shard_events = r
                 .baseline
+                .merged
                 .shard_events
                 .iter()
-                .zip(&r.attacked.shard_events)
+                .zip(&r.attacked.merged.shard_events)
                 .map(|(a, b)| a + b)
                 .collect();
             // Per-pair working set: the peak divided by how many pairs were
@@ -406,11 +406,11 @@ fn main() {
                 trials: population as u64,
                 threads: p.threads,
                 wall_ms: p.wall_ms,
-                events: p.events,
-                sched: Default::default(),
-                shard_events: Vec::new(),
-                peak_alloc_bytes: 0,
-                bytes_per_pair: 0,
+                tally: runner::Tally {
+                    events: p.events,
+                    ..runner::Tally::default()
+                },
+                ..ExhibitTiming::default()
             });
         }
     }
@@ -424,12 +424,15 @@ fn main() {
     }
 
     if check {
-        let violations = runner::violations_snapshot();
+        // Scaleout runs outside a timed exhibit: its tally is still open.
+        let rest = runner::take();
+        let tallies: Vec<_> = timings.iter().map(|t| &t.tally).chain([&rest]).collect();
+        let violations: u64 = tallies.iter().map(|t| t.violations).sum();
         if violations == 0 {
             eprintln!("[conformance] all trials clean: no protocol invariant violations");
         } else {
             eprintln!("[conformance] {violations} violation(s) detected:");
-            for sample in runner::violation_samples() {
+            for sample in tallies.iter().flat_map(|t| &t.samples) {
                 eprintln!("[conformance]   {sample}");
             }
             std::process::exit(2);

@@ -5,7 +5,7 @@ use h2priv_core::experiment::{
     AttackTrial, TrialAnalysis,
 };
 use h2priv_core::{AttackConfig, SizeMap};
-use h2priv_testkit::{RunResult, ScenarioConfig};
+use h2priv_testkit::ScenarioConfig;
 
 /// Number of trials per experimental point — the paper's "the webpage was
 /// downloaded 100 times".
@@ -41,12 +41,7 @@ pub fn run_batch(
     tweak: impl Fn(&mut ScenarioConfig) + Sync,
 ) -> Batch {
     let out = crate::runner::run_seeded(trials, |seed| {
-        let trial = run_paper_trial(seed, attack, |cfg| {
-            conformance_tweak(cfg);
-            tweak(cfg);
-        });
-        record_conformance(&trial.result);
-        crate::runner::record_sched(&trial.result.sched);
+        let trial = paper_trial(seed, attack, &tweak);
         let start = attack.and_then(|a| {
             trial
                 .adversary
@@ -57,23 +52,24 @@ pub fn run_batch(
         let analysis = analyze_trial(&trial, map, &objects, start);
         (trial, analysis)
     });
-    crate::runner::record_events(out.iter().map(|(t, _)| t.result.events).sum());
     Batch { trials: out }
 }
 
-/// Applies the process-wide `--check` switch to a trial config. Every
-/// bench trial site routes its config through this so one flag governs
-/// the whole run.
-pub fn conformance_tweak(cfg: &mut ScenarioConfig) {
-    cfg.conformance = crate::runner::conformance_enabled();
-}
-
-/// Forwards a checked trial's violations to the run-wide counter.
-pub fn record_conformance(result: &RunResult) {
-    crate::runner::record_violations(
-        result.violations_total,
-        result.violations.iter().map(|v| v.to_string()),
-    );
+/// Runs one paper trial under the process-wide `--check` switch and
+/// records it in the run's tally. Every single-pair bench trial goes
+/// through here, so one flag governs the whole run.
+pub(crate) fn paper_trial(
+    seed: u64,
+    attack: Option<&AttackConfig>,
+    tweak: impl FnOnce(&mut ScenarioConfig),
+) -> AttackTrial {
+    let trial = run_paper_trial(seed, attack, |cfg| {
+        cfg.conformance = crate::runner::conformance_enabled();
+        tweak(cfg);
+    });
+    let r = &trial.result;
+    crate::runner::record(r.events, &r.sched, r.violations_total, &r.violations);
+    trial
 }
 
 impl Batch {

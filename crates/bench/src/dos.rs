@@ -24,14 +24,14 @@
 //! All attacks are RFC-legal by construction, so `--check` keeps the
 //! conformance oracle green across the whole exhibit.
 
-use h2priv_core::experiment::run_paper_trial;
 use h2priv_core::AttackConfig;
 use h2priv_dos::{DetectorConfig, DosAttack, DosConfig, GuardConfig};
 use h2priv_netsim::{mbps, SimDuration};
-use h2priv_testkit::fleet::{merge_shards, run_fleet_shard, FleetConfig, FleetConformance};
+use h2priv_testkit::fleet::{run_fleet_shard, FleetConfig, FleetConformance, FleetDosConfig};
 use h2priv_testkit::{build_scenario, run_scenario, ScenarioConfig};
 use h2priv_web::{isidewith, PoolConfig};
 
+use crate::common::paper_trial;
 use crate::json::{object, Json, ToJson};
 use crate::runner;
 
@@ -198,11 +198,7 @@ fn grid_cell(attack: DosAttack, guarded: bool) -> DosCell {
     let scenario = build_scenario(&iw.site, &iw.plan, &config, None);
     let (client, server) = (scenario.client.clone(), scenario.server.clone());
     let r = run_scenario(scenario);
-    runner::record_events(r.events);
-    runner::record_violations(
-        r.violations_total,
-        r.violations.iter().map(|v| v.to_string()),
-    );
+    runner::record(r.events, &r.sched, r.violations_total, &r.violations);
     let (client, server) = (client.borrow(), server.borrow());
     let (attacker, site_server) = (client.attacker(), server.server());
     let pool = site_server
@@ -244,7 +240,7 @@ fn fleet_dos_config(attack: DosAttack, guarded: bool) -> FleetConfig {
         },
         start_spread: SimDuration::from_millis(200),
         deadline: SimDuration::from_secs(40),
-        dos: Some(h2priv_testkit::FleetDosConfig {
+        dos: Some(FleetDosConfig {
             attack,
             attackers: 4,
             guard: guarded.then(GuardConfig::default),
@@ -263,13 +259,7 @@ fn fleet_row(attack: DosAttack, guarded: bool) -> DosFleetRow {
     let results = runner::run_seeded(config.shards as u64, |shard| {
         run_fleet_shard(&config, shard as u32, None)
     });
-    let merged = merge_shards(config.population, config.shards, results);
-    runner::record_events(merged.events);
-    runner::record_sched(&merged.sched);
-    runner::record_violations(
-        merged.violations_total,
-        merged.violations.iter().map(|v| v.to_string()),
-    );
+    let merged = crate::fleet::merge_recorded(&config, results);
     let bystanders = config.population - merged.attackers;
     DosFleetRow {
         attack: attack.name(),
@@ -318,13 +308,10 @@ fn fp_grid() -> [(&'static str, Option<AttackConfig>); 4] {
 
 fn fp_row(condition: &'static str, attack: Option<&AttackConfig>, trials: u64) -> DosFpRow {
     let rows = runner::run_seeded(trials, |seed| {
-        let trial = run_paper_trial(seed, attack, |cfg| {
-            cfg.conformance = runner::conformance_enabled();
+        let trial = paper_trial(seed, attack, |cfg| {
             cfg.dos_guard = Some(GuardConfig::default());
             cfg.dos_detector = Some(DetectorConfig::default());
         });
-        crate::common::record_conformance(&trial.result);
-        crate::runner::record_sched(&trial.result.sched);
         let guard = trial.result.guard.unwrap_or_default();
         let kills = guard.header_timeouts
             + guard.progress_kills
@@ -335,20 +322,14 @@ fn fp_row(condition: &'static str, attack: Option<&AttackConfig>, trials: u64) -
             .outcomes
             .iter()
             .all(|o| o.completed_at.is_some());
-        (
-            trial.result.dos_alerts.len() as u64,
-            kills,
-            completed,
-            trial.result.events,
-        )
+        (trial.result.dos_alerts.len() as u64, kills, completed)
     });
-    runner::record_events(rows.iter().map(|&(_, _, _, e)| e).sum());
     DosFpRow {
         condition,
         trials,
-        alerts: rows.iter().map(|&(a, _, _, _)| a).sum(),
-        guard_kills: rows.iter().map(|&(_, k, _, _)| k).sum(),
-        completed: rows.iter().filter(|&&(_, _, c, _)| c).count() as u64,
+        alerts: rows.iter().map(|&(a, _, _)| a).sum(),
+        guard_kills: rows.iter().map(|&(_, k, _)| k).sum(),
+        completed: rows.iter().filter(|&&(_, _, c)| c).count() as u64,
     }
 }
 

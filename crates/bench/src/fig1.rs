@@ -84,15 +84,13 @@ pub fn run() -> Vec<Fig1Case> {
             let (site, plan) = scenario(concurrent);
             let mut cfg = ScenarioConfig {
                 seed: 7,
+                conformance: crate::runner::conformance_enabled(),
                 ..ScenarioConfig::default()
             };
             cfg.browser.gap_noise_frac = 0.0;
-            crate::common::conformance_tweak(&mut cfg);
-            let result = run_trial(&site, &plan, &cfg, None);
-            crate::common::record_conformance(&result);
-            crate::runner::record_events(result.events);
-            crate::runner::record_sched(&result.sched);
-            let records = extract_records(&result.trace);
+            let r = run_trial(&site, &plan, &cfg, None);
+            crate::runner::record(r.events, &r.sched, r.violations_total, &r.violations);
+            let records = extract_records(&r.trace);
             let data = app_data_records(&records, Dir::RightToLeft);
             let bursts = segment_bursts(&data, BURST_GAP);
             // Keep bursts that plausibly carry object data (skip the tiny

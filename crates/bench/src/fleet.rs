@@ -29,7 +29,7 @@ use h2priv_defense::DefenseSpec;
 use h2priv_netsim::SimDuration;
 use h2priv_testkit::fleet::{
     merge_shards, run_fleet_shard, victim_shard, FleetConfig, FleetConformance, FleetProgress,
-    FleetResult,
+    ShardResult,
 };
 use h2priv_web::isidewith;
 
@@ -42,22 +42,11 @@ use crate::runner;
 pub struct FleetRun {
     /// "baseline" or "attacked".
     pub label: &'static str,
-    /// Simulator events across all shards.
-    pub events: u64,
-    /// Per-shard event counts, shard order (occupancy balance).
-    pub shard_events: Vec<u64>,
+    /// The merged shards, less the victim's capture: the `victim_*`
+    /// fields below analyze it.
+    pub merged: ShardResult,
     /// Wall-clock for the whole population, milliseconds.
     pub wall_ms: f64,
-    /// Pairs whose page load completed.
-    pub completed: u32,
-    /// Pairs whose connection died.
-    pub broken: u32,
-    /// Object requests issued / completed across the population.
-    pub requests: u64,
-    /// Requests that completed.
-    pub requests_complete: u64,
-    /// Latest simulated shard end time, milliseconds.
-    pub end_time_ms: u64,
     /// The victim's HTML was recovered per the §II-A criterion (degree of
     /// multiplexing 0 **and** identified from the encrypted trace).
     pub victim_success: bool,
@@ -73,23 +62,24 @@ impl FleetRun {
         if self.wall_ms <= 0.0 {
             return 0.0;
         }
-        self.events as f64 / (self.wall_ms / 1e3)
+        self.merged.events as f64 / (self.wall_ms / 1e3)
     }
 }
 
 impl ToJson for FleetRun {
     fn to_json(&self) -> Json {
+        let m = &self.merged;
         object([
             ("label", self.label.to_json()),
-            ("events", self.events.to_json()),
-            ("shard_events", self.shard_events.to_json()),
+            ("events", m.events.to_json()),
+            ("shard_events", m.shard_events.to_json()),
             ("wall_ms", self.wall_ms.to_json()),
             ("events_per_sec", self.events_per_sec().to_json()),
-            ("completed", (self.completed as u64).to_json()),
-            ("broken", (self.broken as u64).to_json()),
-            ("requests", self.requests.to_json()),
-            ("requests_complete", self.requests_complete.to_json()),
-            ("end_time_ms", self.end_time_ms.to_json()),
+            ("completed", (m.completed as u64).to_json()),
+            ("broken", (m.broken as u64).to_json()),
+            ("requests", m.requests.to_json()),
+            ("requests_complete", m.requests_complete.to_json()),
+            ("end_time_ms", m.end_time.as_millis().to_json()),
             ("victim_success", self.victim_success.to_json()),
             (
                 "victim_degree",
@@ -229,12 +219,20 @@ impl Drop for Heartbeat {
     }
 }
 
+/// Merges a fleet run's shards in shard order and records the merge in
+/// the run's tally.
+pub(crate) fn merge_recorded(config: &FleetConfig, results: Vec<ShardResult>) -> ShardResult {
+    let m = merge_shards(config.population, config.shards, results);
+    runner::record(m.events, &m.sched, m.violations_total, &m.violations);
+    m
+}
+
 fn run_population(
     label: &'static str,
     config: &FleetConfig,
     attack: Option<&AttackConfig>,
     map: &h2priv_core::SizeMap,
-) -> (FleetRun, FleetResult) {
+) -> FleetRun {
     let vs = victim_shard(config);
     let t0 = Instant::now();
     // Shards fan out over the worker pool exactly like seeded trials: the
@@ -253,16 +251,8 @@ fn run_population(
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let snapshot = results.iter().find_map(|(_, s)| s.clone());
     let results = results.into_iter().map(|(r, _)| r).collect();
-    let merged = merge_shards(config.population, config.shards, results);
-
-    runner::record_events(merged.events);
-    runner::record_sched(&merged.sched);
-    runner::record_violations(
-        merged.violations_total,
-        merged.violations.iter().map(|v| v.to_string()),
-    );
-
-    let victim = merged.victim.as_ref().expect("victim shard always runs");
+    let mut merged = merge_recorded(config, results);
+    let victim = merged.victim.take().expect("victim shard always runs");
     let iw = isidewith::build(&victim.golden_order);
     // The full attack analyzes the post-reset serialized window, exactly
     // like the single-pair table2 pipeline.
@@ -277,21 +267,14 @@ fn run_population(
         analysis_start,
     );
 
-    let run = FleetRun {
+    FleetRun {
         label,
-        events: merged.events,
-        shard_events: merged.shard_events.clone(),
+        merged,
         wall_ms,
-        completed: merged.completed,
-        broken: merged.broken,
-        requests: merged.requests,
-        requests_complete: merged.requests_complete,
-        end_time_ms: merged.end_time_max.as_millis(),
         victim_success: analysis.objects[0].success,
         victim_degree: analysis.objects[0].degree,
         victim_broken: analysis.broken,
-    };
-    (run, merged)
+    }
 }
 
 /// Runs the exhibit: one baseline population and one attacked population,
@@ -323,9 +306,9 @@ pub fn run_with(
         let objects = h2priv_core::experiment::objects_of_interest(&iw);
         h2priv_core::experiment::calibrate_size_map_with(&objects, |cfg| cfg.defense = defense)
     };
-    let (baseline, _) = run_population("baseline", &config, None, &map);
+    let baseline = run_population("baseline", &config, None, &map);
     let attack = AttackConfig::paper_attack();
-    let (attacked, _) = run_population("attacked", &config, Some(&attack), &map);
+    let attacked = run_population("attacked", &config, Some(&attack), &map);
     FleetReport {
         population,
         shards,
@@ -395,12 +378,12 @@ pub fn scaleout(
     for &threads in thread_counts {
         runner::set_threads(threads);
         let t0 = Instant::now();
-        let (run, _) = run_population("baseline", &config, None, &map);
+        let run = run_population("baseline", &config, None, &map);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let events_per_sec = run.events as f64 / (wall_ms / 1e3).max(1e-9);
+        let events_per_sec = run.merged.events as f64 / (wall_ms / 1e3).max(1e-9);
         if let Some(first) = points.first() {
             assert_eq!(
-                run.completed, first.completed,
+                run.merged.completed, first.completed,
                 "thread count must not change outcomes"
             );
         }
@@ -411,11 +394,11 @@ pub fn scaleout(
         points.push(ScaleoutPoint {
             threads,
             wall_ms,
-            events: run.events,
+            events: run.merged.events,
             events_per_sec,
             ev_s_per_core: events_per_sec / threads.max(1) as f64,
             efficiency,
-            completed: run.completed,
+            completed: run.merged.completed,
         });
     }
     runner::set_threads(restore_threads);
@@ -460,10 +443,10 @@ pub fn render(report: &FleetReport) -> String {
         out.push_str(&format!(
             "| {:<8} | {:>9} | {:>6} | {:>7}/{:<5} | {:>13} | {:>16} |\n",
             run.label,
-            run.completed,
-            run.broken,
-            run.requests_complete,
-            run.requests,
+            run.merged.completed,
+            run.merged.broken,
+            run.merged.requests_complete,
+            run.merged.requests,
             run.victim_degree
                 .map(|d| format!("{d:.2}"))
                 .unwrap_or_else(|| "-".to_owned()),
@@ -488,12 +471,10 @@ mod tests {
         let s = render(&report);
         assert!(s.contains("baseline"));
         assert!(s.contains("attacked"));
-        assert_eq!(report.baseline.shard_events.len(), 2);
-        assert!(report.baseline.events > 0);
+        let baseline = &report.baseline.merged;
+        assert_eq!(baseline.shard_events.len(), 2);
+        assert!(baseline.events > 0);
         // Whatever the victim verdicts, the runs must account for every pair.
-        assert_eq!(
-            report.baseline.completed + report.baseline.broken,
-            report.population
-        );
+        assert_eq!(baseline.completed + baseline.broken, report.population);
     }
 }

@@ -18,12 +18,14 @@
 //! `repro` binary's `--threads` flag), defaulting to the machine's
 //! available parallelism.
 //!
-//! The module also owns the run-wide simulator-event counter feeding the
-//! `events/sec` throughput instrumentation: batches report the events
-//! their trials processed via [`record_events`], and the `repro` binary
-//! diffs [`events_snapshot`] around each exhibit.
+//! The module also owns the run's [`Tally`]: every bench run hands its
+//! simulator events, scheduler counters and conformance violations to
+//! [`record`], and the `repro` binary [`take`]s the tally after each
+//! exhibit for its `[timing]` line, `--bench-json` and the `--check`
+//! verdict.
 
 use std::collections::VecDeque;
+use std::fmt::Display;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -33,30 +35,56 @@ use h2priv_netsim::SchedStats;
 /// Configured worker count; 0 = auto (available parallelism).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Simulator events processed by trials run through this module.
-static EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Run-wide event-scheduler counters (tier split, promotions, peak
-/// occupancy), merged across trials. Counters accumulate with `fetch_add`,
-/// peaks with `fetch_max`; [`sched_take`] drains them per exhibit.
-static SCHED_NEAR_INSERTS: AtomicU64 = AtomicU64::new(0);
-static SCHED_FAR_INSERTS: AtomicU64 = AtomicU64::new(0);
-static SCHED_PROMOTIONS: AtomicU64 = AtomicU64::new(0);
-static SCHED_REBASES: AtomicU64 = AtomicU64::new(0);
-static SCHED_PEAK_NEAR: AtomicU64 = AtomicU64::new(0);
-static SCHED_PEAK_OVERFLOW: AtomicU64 = AtomicU64::new(0);
-
 /// Whether trials run with the conformance oracle (the `--check` flag).
 /// Off by default so the perf baseline measures the stacks, not the
 /// checkers.
 static CONFORMANCE: AtomicBool = AtomicBool::new(false);
 
-/// Conformance violations reported by checked trials.
-static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
+/// What the runs recorded since the last [`take`] (`None` = nothing yet).
+static TALLY: Mutex<Option<Tally>> = Mutex::new(None);
 
-/// A few stored violation details for the end-of-run diagnostic.
-static VIOLATION_SAMPLES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+/// Violation details a tally stores for the end-of-run diagnostic.
 const MAX_VIOLATION_SAMPLES: usize = 16;
+
+/// Counters summed over the runs recorded since the last [`take`].
+#[derive(Debug, Default)]
+pub struct Tally {
+    /// Simulator events processed.
+    pub events: u64,
+    /// Event-scheduler counters, merged with [`SchedStats::merge`]:
+    /// counts add, peaks take the maximum.
+    pub sched: SchedStats,
+    /// Conformance violations reported, including any past the samples.
+    pub violations: u64,
+    /// The first few violations' details.
+    pub samples: Vec<String>,
+}
+
+/// Adds one run's counters to the tally: its `events`, its `sched`
+/// counters, its `violations` total and the stored violations behind it.
+/// Every bench run reaches the tally through this one call.
+pub fn record(events: u64, sched: &SchedStats, violations: u64, samples: &[impl Display]) {
+    let mut guard = TALLY.lock().expect("tally lock poisoned");
+    let tally = guard.get_or_insert_default();
+    tally.events += events;
+    tally.sched.merge(sched);
+    tally.violations += violations;
+    tally
+        .samples
+        .extend(samples.iter().map(ToString::to_string));
+    tally.samples.truncate(MAX_VIOLATION_SAMPLES);
+}
+
+/// Drains the tally, returning everything recorded since the previous
+/// take. Exhibits run one after another, so taking after each yields
+/// per-exhibit counters, peaks included.
+pub fn take() -> Tally {
+    TALLY
+        .lock()
+        .expect("tally lock poisoned")
+        .take()
+        .unwrap_or_default()
+}
 
 /// Turns the conformance oracle on/off for all subsequent trials.
 pub fn set_conformance(on: bool) {
@@ -66,35 +94,6 @@ pub fn set_conformance(on: bool) {
 /// True when trials should run with the conformance oracle attached.
 pub fn conformance_enabled() -> bool {
     CONFORMANCE.load(Ordering::SeqCst)
-}
-
-/// Adds `total` violations to the run-wide counter, keeping the first few
-/// `details` for diagnostics.
-pub fn record_violations(total: u64, details: impl IntoIterator<Item = String>) {
-    if total == 0 {
-        return;
-    }
-    VIOLATIONS.fetch_add(total, Ordering::Relaxed);
-    let mut samples = VIOLATION_SAMPLES.lock().expect("samples lock poisoned");
-    for d in details {
-        if samples.len() >= MAX_VIOLATION_SAMPLES {
-            break;
-        }
-        samples.push(d);
-    }
-}
-
-/// Total conformance violations recorded so far.
-pub fn violations_snapshot() -> u64 {
-    VIOLATIONS.load(Ordering::Relaxed)
-}
-
-/// The stored violation details (at most a small sample).
-pub fn violation_samples() -> Vec<String> {
-    VIOLATION_SAMPLES
-        .lock()
-        .expect("samples lock poisoned")
-        .clone()
 }
 
 /// Sets the worker-pool size for all subsequent batches (0 = auto).
@@ -110,42 +109,6 @@ pub fn threads() -> usize {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
         n => n,
-    }
-}
-
-/// Adds `n` simulator events to the run-wide throughput counter.
-pub fn record_events(n: u64) {
-    EVENTS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total simulator events recorded so far (diff around an exhibit to get
-/// its event count).
-pub fn events_snapshot() -> u64 {
-    EVENTS.load(Ordering::Relaxed)
-}
-
-/// Merges one trial's scheduler counters into the run-wide accumulator.
-pub fn record_sched(stats: &SchedStats) {
-    SCHED_NEAR_INSERTS.fetch_add(stats.near_inserts, Ordering::Relaxed);
-    SCHED_FAR_INSERTS.fetch_add(stats.far_inserts, Ordering::Relaxed);
-    SCHED_PROMOTIONS.fetch_add(stats.promotions, Ordering::Relaxed);
-    SCHED_REBASES.fetch_add(stats.rebases, Ordering::Relaxed);
-    SCHED_PEAK_NEAR.fetch_max(stats.peak_near, Ordering::Relaxed);
-    SCHED_PEAK_OVERFLOW.fetch_max(stats.peak_overflow, Ordering::Relaxed);
-}
-
-/// Drains the scheduler accumulator, returning everything recorded since
-/// the previous take. Exhibits run sequentially, so taking around each one
-/// yields per-exhibit stats (peaks included — a plain snapshot diff could
-/// not reset the maxima).
-pub fn sched_take() -> SchedStats {
-    SchedStats {
-        near_inserts: SCHED_NEAR_INSERTS.swap(0, Ordering::Relaxed),
-        far_inserts: SCHED_FAR_INSERTS.swap(0, Ordering::Relaxed),
-        promotions: SCHED_PROMOTIONS.swap(0, Ordering::Relaxed),
-        rebases: SCHED_REBASES.swap(0, Ordering::Relaxed),
-        peak_near: SCHED_PEAK_NEAR.swap(0, Ordering::Relaxed),
-        peak_overflow: SCHED_PEAK_OVERFLOW.swap(0, Ordering::Relaxed),
     }
 }
 
@@ -335,10 +298,14 @@ mod tests {
     }
 
     #[test]
-    fn events_counter_accumulates() {
-        let before = events_snapshot();
-        record_events(123);
-        assert_eq!(events_snapshot() - before, 123);
+    fn tally_holds_the_runs_recorded_until_taken() {
+        // Other tests record concurrently but never take, and without
+        // `--check` they record no violations.
+        record(123, &SchedStats::default(), 2, &["late ack"]);
+        let tally = take();
+        assert!(tally.events >= 123);
+        assert_eq!(tally.violations, 2);
+        assert_eq!(tally.samples, ["late ack"]);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * success % targeting all objects at once — 90, 90, 85, 81, 80, 62, 64,
 //!   78, 64.
 
-use h2priv_core::experiment::{paper_scenario, run_paper_trial};
+use h2priv_core::experiment::paper_scenario;
 use h2priv_core::AttackConfig;
 
-use crate::common::{calibrated_map, run_batch};
+use crate::common::{calibrated_map, paper_trial, run_batch};
 use crate::json::{object, Json, ToJson};
 
 /// One column of the regenerated Table II.
@@ -55,9 +55,7 @@ pub fn run(trials: u64) -> Vec<Table2Column> {
     // the rank-k image requests within the issue sequence.
     let gap_trials = 10.min(trials).max(1);
     let per_seed = crate::runner::run_seeded(gap_trials, |seed| {
-        let trial = run_paper_trial(seed, None, crate::common::conformance_tweak);
-        crate::common::record_conformance(&trial.result);
-        crate::runner::record_sched(&trial.result.sched);
+        let trial = paper_trial(seed, None, |_| {});
         // Issue times in plan order.
         let mut times: Vec<(u64, h2priv_web::ObjectId)> = trial
             .result
@@ -69,7 +67,7 @@ pub fn run(trials: u64) -> Vec<Table2Column> {
         let pos_of = |obj| times.iter().position(|&(_, o)| o == obj);
         let mut targets = vec![trial.iw.html];
         targets.extend(trial.iw.golden_order.iter().map(|&p| trial.iw.images[p]));
-        let gaps: Vec<(usize, Option<f64>, Option<f64>)> = targets
+        targets
             .iter()
             .enumerate()
             .filter_map(|(i, &obj)| {
@@ -80,13 +78,11 @@ pub fn run(trials: u64) -> Vec<Table2Column> {
                     (i, prev, next)
                 })
             })
-            .collect();
-        (trial.result.events, gaps)
+            .collect::<Vec<_>>()
     });
-    crate::runner::record_events(per_seed.iter().map(|(ev, _)| ev).sum());
     let mut gaps_prev = vec![Vec::new(); 9];
     let mut gaps_next = vec![Vec::new(); 9];
-    for (_, gaps) in &per_seed {
+    for gaps in &per_seed {
         for &(i, prev, next) in gaps {
             if let Some(gap) = prev {
                 gaps_prev[i].push(gap);

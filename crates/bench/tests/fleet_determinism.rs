@@ -73,19 +73,15 @@ fn fleet_report_is_identical_across_thread_counts() {
                 (&serial.baseline, &threaded.baseline),
                 (&serial.attacked, &threaded.attacked),
             ] {
-                assert_eq!(a.events, b.events, "{} events diverged", a.label);
+                let (label, m, n) = (a.label, &a.merged, &b.merged);
+                assert_eq!(m.events, n.events, "{label} events diverged");
                 assert_eq!(
-                    a.shard_events, b.shard_events,
-                    "{} shard occupancy diverged",
-                    a.label
+                    m.shard_events, n.shard_events,
+                    "{label} shard occupancy diverged"
                 );
-                assert_eq!(
-                    a.end_time_ms, b.end_time_ms,
-                    "{} sim end time diverged",
-                    a.label
-                );
-                assert_eq!(a.requests, b.requests);
-                assert_eq!(a.requests_complete, b.requests_complete);
+                assert_eq!(m.end_time, n.end_time, "{label} sim end time diverged");
+                assert_eq!(m.requests, n.requests);
+                assert_eq!(m.requests_complete, n.requests_complete);
                 assert_eq!(a.victim_success, b.victim_success);
                 assert_eq!(a.victim_degree, b.victim_degree);
             }

@@ -10,8 +10,8 @@ use h2priv_core::AttackConfig;
 use h2priv_defense::DefenseSpec;
 use h2priv_dos::{DetectorConfig, DosAttack, GuardConfig, GuardStats};
 use h2priv_netsim::{mbps, SimDuration};
-use h2priv_testkit::fleet::{run_fleet, FleetConfig, FleetConformance};
-use h2priv_testkit::{FleetDosConfig, RunResult, ScenarioConfig};
+use h2priv_testkit::fleet::{run_fleet, FleetConfig, FleetConformance, FleetDosConfig};
+use h2priv_testkit::{RunResult, ScenarioConfig};
 use h2priv_web::PoolConfig;
 
 fn arm(cfg: &mut ScenarioConfig) {

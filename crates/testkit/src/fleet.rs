@@ -46,7 +46,7 @@ use std::sync::Arc;
 use h2priv_analysis::{GroundTruth, WireTrace};
 use h2priv_conformance::{ConformanceTap, Violation, ViolationSink};
 use h2priv_defense::DefenseSpec;
-use h2priv_dos::{Alert, DetectorConfig, DosAttack, DosConfig, GuardConfig};
+use h2priv_dos::{DetectorConfig, DosAttack, DosConfig, GuardConfig};
 use h2priv_netsim::{
     Context, Dir, LinkConfig, Middlebox, MiddleboxChain, Node, NodeId, Packet, SchedStats,
     SimDuration, SimRng, SimTime, Simulator, StopReason, TimerId,
@@ -340,86 +340,21 @@ pub(crate) struct HostArena {
     /// folded their outcome row — the shard halts once all have.
     total_pairs: u32,
     folded: u32,
-    /// Client arena: the outcome rows.
-    fold: FleetFold,
+    /// Client arena: the outcome rows, folded as each page load finishes.
+    result: ShardResult,
+    /// Client arena of the victim's shard: where the victim's capture
+    /// comes from.
+    victim: Option<VictimTap>,
     progress: Option<Arc<FleetProgress>>,
 }
 
-/// The per-shard outcome accumulator: everything [`ShardResult`] needs
-/// that is folded per pair, so a finished pair contributes its row before
-/// its state is dropped.
-#[derive(Default)]
-struct FleetFold {
-    completed: u32,
-    broken: u32,
-    requests: u64,
-    requests_complete: u64,
-    attackers: u32,
-    attackers_shed: u32,
-    detected: u32,
-    detection_latency_us: u64,
-    benign_alerts: u64,
-    victim: Option<VictimCapture>,
-    /// Victim-capture context, installed on the client arena's fold only.
-    victim_golden: Vec<usize>,
-    trace: Option<Rc<RefCell<WireTrace>>>,
-    truth: Option<Rc<RefCell<GroundTruth>>>,
-}
-
-impl FleetFold {
-    /// Folds one pair's outcome row: when its page load finishes, or after
-    /// the run for a load the deadline cut off. Every counter is a
-    /// commutative sum and at most one pair is the victim, so fold order
-    /// cannot change the shard result.
-    fn fold_pair(
-        &mut self,
-        pair: u32,
-        client: &HostCore,
-        finished: bool,
-        server_dead: bool,
-        server_alerts: &[Alert],
-    ) {
-        if let App::Attacker(dos_client) = &client.app {
-            // Hostile pairs report attack outcomes, not page metrics:
-            // folding them into completed/broken would skew the bystander
-            // completion rate the exhibit quantifies.
-            self.attackers += 1;
-            if dos_client.shed_at().is_some() {
-                self.attackers_shed += 1;
-            }
-            if let Some(alert) = server_alerts.first() {
-                self.detected += 1;
-                let start = dos_client.attack_started().unwrap_or(SimTime::ZERO);
-                self.detection_latency_us += alert.at.saturating_since(start).as_micros();
-            }
-            return;
-        }
-        self.benign_alerts += server_alerts.len() as u64;
-        let dead = client.dead || server_dead;
-        if dead {
-            self.broken += 1;
-        } else if finished {
-            self.completed += 1;
-        }
-        let outcomes = client.browser().outcomes();
-        self.requests += outcomes.len() as u64;
-        self.requests_complete +=
-            outcomes.iter().filter(|o| o.completed_at.is_some()).count() as u64;
-        if pair == VICTIM_PAIR {
-            let trace = self
-                .trace
-                .as_ref()
-                .expect("victim shard folds with a trace");
-            let truth = self.truth.as_ref().expect("victim shard folds with truth");
-            self.victim = Some(VictimCapture {
-                golden_order: self.victim_golden.clone(),
-                trace: std::mem::replace(&mut *trace.borrow_mut(), WireTrace::new()),
-                truth: std::mem::replace(&mut *truth.borrow_mut(), GroundTruth::new()),
-                outcomes,
-                broken: dead,
-            });
-        }
-    }
+/// The victim's capture sources: the preference order its site was built
+/// for, the gateway tap's trace and the server's ground truth. Folding the
+/// victim's row moves them into its [`VictimCapture`].
+struct VictimTap {
+    golden_order: Vec<usize>,
+    trace: Rc<RefCell<WireTrace>>,
+    truth: Rc<RefCell<GroundTruth>>,
 }
 
 impl HostArena {
@@ -447,7 +382,8 @@ impl HostArena {
             builder: None,
             total_pairs: 0,
             folded: 0,
-            fold: FleetFold::default(),
+            result: ShardResult::default(),
+            victim: None,
             progress: None,
         }
     }
@@ -611,8 +547,8 @@ impl HostArena {
         let server = servers.cores[servers.slot_of_pair[pair as usize] as usize]
             .as_ref()
             .expect("a finishing pair's server is live");
-        self.fold
-            .fold_pair(pair, core, true, server.dead, &server.dos_alerts());
+        self.result
+            .fold_pair(pair, core, server, true, self.victim.as_ref());
         self.folded += 1;
         let freed = servers.client_finished(pair);
         if freed {
@@ -941,36 +877,37 @@ pub struct VictimCapture {
     pub broken: bool,
 }
 
-/// One shard's merged outcome.
-#[derive(Debug, Clone)]
+/// One shard's outcome, or the fold of several ([`merge_shards`]).
+#[derive(Debug, Clone, Default)]
 pub struct ShardResult {
-    /// Which shard this is.
+    /// Which shard this is (0 for a whole fleet's merge).
     pub shard: u32,
-    /// Pairs simulated in this shard.
+    /// Pairs simulated.
     pub pairs: u32,
-    /// Why the shard's run stopped.
-    pub stop: StopReason,
-    /// Events the shard's engine processed.
+    /// Events the shard engines processed.
     pub events: u64,
-    /// Simulated end time of the shard.
+    /// Per-shard event counts in shard order (occupancy reporting).
+    pub shard_events: Vec<u64>,
+    /// Latest simulated end time of the shards.
     pub end_time: SimTime,
-    /// The shard engine's scheduler counters.
+    /// The engines' scheduler counters; a merge adds their peaks too
+    /// ([`SchedStats::merge_concurrent`]: the shards run side by side).
     pub sched: SchedStats,
     /// Pairs whose page load completed (browser done, connection alive).
     pub completed: u32,
     /// Pairs whose connection died on either side.
     pub broken: u32,
-    /// Total page-object requests issued across the shard's clients.
+    /// Total page-object requests issued across the clients.
     pub requests: u64,
     /// Requests that completed.
     pub requests_complete: u64,
-    /// Victim capture, when the victim pair lives in this shard.
+    /// Victim capture, when the victim pair is among the shards.
     pub victim: Option<VictimCapture>,
     /// Stored conformance violations (empty when checking is off).
     pub violations: Vec<Violation>,
     /// Total violations reported, including past the storage cap.
     pub violations_total: u64,
-    /// Hostile pairs simulated in this shard.
+    /// Hostile pairs simulated.
     pub attackers: u32,
     /// Hostile pairs the server shed (guard `RST_STREAM`/GOAWAY observed
     /// by the attacker).
@@ -981,65 +918,98 @@ pub struct ShardResult {
     pub detection_latency_us: u64,
     /// Detector alerts on *benign* pairs — the fleet false-positive count.
     pub benign_alerts: u64,
-    /// High-water mark of co-resident pairs (max over the two arenas):
-    /// the in-flight set the memory bound follows.
+    /// High-water mark of co-resident pairs (max over a shard's two
+    /// arenas, summed over merged shards): the memory bound follows it.
     pub peak_resident: u32,
     /// Data-bearing segments that reached a freed pair slot. A pair is
     /// freed only once its page load is over and its server is quiet, so
     /// this is 0 unless freeing cut off traffic a live core would have
     /// answered.
     pub stray_segments: u64,
-    /// Final worker-pool counters, when the shard ran a pool.
+    /// Final worker-pool counters, when the shards ran pools.
     pub pool: Option<PoolStats>,
 }
 
-/// Seed-ordered merge of all shards.
-#[derive(Debug, Clone)]
-pub struct FleetResult {
-    /// Pairs simulated.
-    pub population: u32,
-    /// Shards merged.
-    pub shards: u32,
-    /// Total events across shards.
-    pub events: u64,
-    /// Per-shard event counts, shard order (occupancy reporting).
-    pub shard_events: Vec<u64>,
-    /// Scheduler counters summed as concurrently-resident shards
-    /// ([`SchedStats::merge_concurrent`]: peaks add, they don't max).
-    pub sched: SchedStats,
-    /// Latest shard end time.
-    pub end_time_max: SimTime,
-    /// Pairs whose page load completed.
-    pub completed: u32,
-    /// Pairs whose connection died.
-    pub broken: u32,
-    /// Requests issued across the population.
-    pub requests: u64,
-    /// Requests completed.
-    pub requests_complete: u64,
-    /// The victim capture (exactly one shard produces it).
-    pub victim: Option<VictimCapture>,
-    /// Stored violations across shards.
-    pub violations: Vec<Violation>,
-    /// Total violations across shards.
-    pub violations_total: u64,
-    /// Hostile pairs across the population.
-    pub attackers: u32,
-    /// Hostile pairs shed by their server.
-    pub attackers_shed: u32,
-    /// Hostile pairs with at least one detector alert.
-    pub detected: u32,
-    /// Summed first-alert latency over detected hostile pairs, µs.
-    pub detection_latency_us: u64,
-    /// Detector alerts on benign pairs (fleet false positives).
-    pub benign_alerts: u64,
-    /// Peak co-resident pairs summed across shards — an upper bound on
-    /// simultaneous pair-state when every shard runs concurrently.
-    pub peak_resident: u32,
-    /// Data-bearing segments that reached a freed pair slot, across shards.
-    pub stray_segments: u64,
-    /// Pool counters summed across shards, when pools ran.
-    pub pool: Option<PoolStats>,
+impl ShardResult {
+    /// Folds `other` into this result: counts and peaks add, the end time
+    /// is the later one, and `other`'s shard event counts and violations
+    /// follow this result's. Folding in shard order therefore keeps those
+    /// in shard order, and the fold is associative.
+    pub fn merge(&mut self, other: ShardResult) {
+        self.pairs += other.pairs;
+        self.events += other.events;
+        self.shard_events.extend(other.shard_events);
+        self.end_time = self.end_time.max(other.end_time);
+        self.sched.merge_concurrent(&other.sched);
+        self.completed += other.completed;
+        self.broken += other.broken;
+        self.requests += other.requests;
+        self.requests_complete += other.requests_complete;
+        self.victim = self.victim.take().or(other.victim);
+        self.violations.extend(other.violations);
+        self.violations_total += other.violations_total;
+        self.attackers += other.attackers;
+        self.attackers_shed += other.attackers_shed;
+        self.detected += other.detected;
+        self.detection_latency_us += other.detection_latency_us;
+        self.benign_alerts += other.benign_alerts;
+        self.peak_resident += other.peak_resident;
+        self.stray_segments += other.stray_segments;
+        if let Some(pool) = other.pool {
+            self.pool.get_or_insert_default().merge(&pool);
+        }
+    }
+
+    /// Folds one pair's outcome row: when its page load finishes, or after
+    /// the run for a load the deadline cut off. Every counter is a
+    /// commutative sum and at most one pair is the victim, so fold order
+    /// cannot change the shard result.
+    fn fold_pair(
+        &mut self,
+        pair: u32,
+        client: &HostCore,
+        server: &HostCore,
+        finished: bool,
+        victim: Option<&VictimTap>,
+    ) {
+        let server_alerts = server.dos_alerts();
+        if let App::Attacker(dos_client) = &client.app {
+            // Hostile pairs report attack outcomes, not page metrics:
+            // folding them into completed/broken would skew the bystander
+            // completion rate the exhibit quantifies.
+            self.attackers += 1;
+            if dos_client.shed_at().is_some() {
+                self.attackers_shed += 1;
+            }
+            if let Some(alert) = server_alerts.first() {
+                self.detected += 1;
+                let start = dos_client.attack_started().unwrap_or(SimTime::ZERO);
+                self.detection_latency_us += alert.at.saturating_since(start).as_micros();
+            }
+            return;
+        }
+        self.benign_alerts += server_alerts.len() as u64;
+        let dead = client.dead || server.dead;
+        if dead {
+            self.broken += 1;
+        } else if finished {
+            self.completed += 1;
+        }
+        let outcomes = client.browser().outcomes();
+        self.requests += outcomes.len() as u64;
+        self.requests_complete +=
+            outcomes.iter().filter(|o| o.completed_at.is_some()).count() as u64;
+        if pair == VICTIM_PAIR {
+            let tap = victim.expect("the victim's shard folds it with its tap");
+            self.victim = Some(VictimCapture {
+                golden_order: tap.golden_order.clone(),
+                trace: std::mem::replace(&mut *tap.trace.borrow_mut(), WireTrace::new()),
+                truth: std::mem::replace(&mut *tap.truth.borrow_mut(), GroundTruth::new()),
+                outcomes,
+                broken: dead,
+            });
+        }
+    }
 }
 
 /// Runs one shard of the fleet. `adversary` (if any) is installed on the
@@ -1169,9 +1139,11 @@ pub fn run_fleet_shard(
         }
         c.total_pairs = pairs.len() as u32;
         c.progress = config.progress.clone();
-        c.fold.victim_golden = victim_golden.clone();
-        c.fold.trace = Some(trace.clone());
-        c.fold.truth = Some(truth.clone());
+        c.victim = victim_here.then(|| VictimTap {
+            golden_order: victim_golden,
+            trace: trace.clone(),
+            truth: truth.clone(),
+        });
         let mut admit: Vec<(SimTime, u32)> =
             pairs.iter().map(|&p| (builder.start_at(p), p)).collect();
         // Descending, so the next admission pops off the end.
@@ -1246,12 +1218,9 @@ pub fn run_fleet_shard(
             .as_ref()
             .expect("an unfinished pair's server is live");
         arena
-            .fold
-            .fold_pair(pair, core, false, server.dead, &server.dos_alerts());
+            .result
+            .fold_pair(pair, core, server, false, arena.victim.as_ref());
     }
-    let peak_resident = arena.peak_resident.max(servers_ref.peak_resident);
-    let stray_segments = arena.stray_segments + servers_ref.stray_segments;
-    let fold = std::mem::take(&mut arena.fold);
     let (violations, violations_total) = match &sink {
         Some(sink) => (sink.take(), sink.total()),
         None => (Vec::new(), 0),
@@ -1262,86 +1231,40 @@ pub fn run_fleet_shard(
     ShardResult {
         shard,
         pairs: pairs.len() as u32,
-        stop: summary.stop,
         events: summary.events,
+        shard_events: vec![summary.events],
         end_time: summary.end_time,
         sched,
-        completed: fold.completed,
-        broken: fold.broken,
-        requests: fold.requests,
-        requests_complete: fold.requests_complete,
-        victim: fold.victim,
         violations,
         violations_total,
-        attackers: fold.attackers,
-        attackers_shed: fold.attackers_shed,
-        detected: fold.detected,
-        detection_latency_us: fold.detection_latency_us,
-        benign_alerts: fold.benign_alerts,
-        peak_resident,
-        stray_segments,
+        peak_resident: arena.peak_resident.max(servers_ref.peak_resident),
+        stray_segments: arena.stray_segments + servers_ref.stray_segments,
         pool: shard_pool.map(|p| p.borrow().stats()),
+        ..std::mem::take(&mut arena.result)
     }
 }
 
 /// Merges shard results in shard order (seed order), independent of the
 /// order the shards actually finished in — the other half of the
-/// any-thread-count determinism guarantee.
-pub fn merge_shards(population: u32, shards: u32, mut results: Vec<ShardResult>) -> FleetResult {
+/// any-thread-count determinism guarantee. Panics unless `results` holds
+/// each of shards `0..shards` once and their pairs add up to `population`.
+pub fn merge_shards(population: u32, shards: u32, mut results: Vec<ShardResult>) -> ShardResult {
     results.sort_by_key(|s| s.shard);
-    let mut out = FleetResult {
-        population,
-        shards,
-        events: 0,
-        shard_events: Vec::with_capacity(results.len()),
-        sched: SchedStats::default(),
-        end_time_max: SimTime::ZERO,
-        completed: 0,
-        broken: 0,
-        requests: 0,
-        requests_complete: 0,
-        victim: None,
-        violations: Vec::new(),
-        violations_total: 0,
-        attackers: 0,
-        attackers_shed: 0,
-        detected: 0,
-        detection_latency_us: 0,
-        benign_alerts: 0,
-        peak_resident: 0,
-        stray_segments: 0,
-        pool: None,
-    };
+    assert!(
+        results.iter().map(|s| s.shard).eq(0..shards),
+        "merging shards {:?}, not each of 0..{shards} once",
+        results.iter().map(|s| s.shard).collect::<Vec<_>>()
+    );
+    let mut merged = ShardResult::default();
     for s in results {
-        out.events += s.events;
-        out.shard_events.push(s.events);
-        out.sched.merge_concurrent(&s.sched);
-        out.end_time_max = out.end_time_max.max(s.end_time);
-        out.completed += s.completed;
-        out.broken += s.broken;
-        out.requests += s.requests;
-        out.requests_complete += s.requests_complete;
-        if s.victim.is_some() {
-            out.victim = s.victim;
-        }
-        out.violations.extend(s.violations);
-        out.violations_total += s.violations_total;
-        out.attackers += s.attackers;
-        out.attackers_shed += s.attackers_shed;
-        out.detected += s.detected;
-        out.detection_latency_us += s.detection_latency_us;
-        out.benign_alerts += s.benign_alerts;
-        out.peak_resident += s.peak_resident;
-        out.stray_segments += s.stray_segments;
-        if let Some(p) = s.pool {
-            let merged = out.pool.get_or_insert_with(PoolStats::default);
-            merged.admitted += p.admitted;
-            merged.parked += p.parked;
-            merged.settings_processed += p.settings_processed;
-            merged.parser_holds += p.parser_holds;
-        }
+        merged.merge(s);
     }
-    out
+    assert_eq!(
+        merged.pairs, population,
+        "the merged shards simulated {} pairs, not {population}",
+        merged.pairs
+    );
+    merged
 }
 
 /// Convenience: runs every shard sequentially on the calling thread.
@@ -1349,7 +1272,7 @@ pub fn merge_shards(population: u32, shards: u32, mut results: Vec<ShardResult>)
 pub fn run_fleet(
     config: &FleetConfig,
     make_adversary: impl FnOnce() -> Option<Box<dyn Middlebox<TcpSegment>>>,
-) -> FleetResult {
+) -> ShardResult {
     let shards = config.shards.max(1);
     let vs = victim_shard(config);
     let mut make_adversary = Some(make_adversary);
@@ -1407,30 +1330,6 @@ mod tests {
             (a.completed, a.broken, a.requests, a.requests_complete),
             (b.completed, b.broken, b.requests, b.requests_complete)
         );
-    }
-
-    #[test]
-    fn merge_order_is_shard_order_not_finish_order() {
-        let config = small_config();
-        let fwd = merge_shards(
-            config.population,
-            config.shards,
-            (0..config.shards)
-                .map(|s| run_fleet_shard(&config, s, None))
-                .collect(),
-        );
-        let rev = merge_shards(
-            config.population,
-            config.shards,
-            (0..config.shards)
-                .rev()
-                .map(|s| run_fleet_shard(&config, s, None))
-                .collect(),
-        );
-        assert_eq!(fwd.events, rev.events);
-        assert_eq!(fwd.shard_events, rev.shard_events);
-        assert_eq!(fwd.sched, rev.sched);
-        assert_eq!(fwd.completed, rev.completed);
     }
 
     #[test]

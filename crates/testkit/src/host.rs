@@ -26,7 +26,7 @@ use h2priv_http2::{
     ErrorCode, H2Config, H2Connection, H2Event, HeaderField, OutgoingMeta, StreamId, StreamState,
 };
 use h2priv_netsim::{Context, Node, NodeId, Packet, SimRng, SimTime, TimerId};
-use h2priv_tcp::{AbortReason, TcpConfig, TcpConnection, TcpSegment, TcpStats};
+use h2priv_tcp::{TcpConfig, TcpConnection, TcpSegment, TcpStats};
 use h2priv_tls::{Role, TlsSession};
 use h2priv_web::{Browser, BrowserCmd, ObjectId, SiteServer};
 
@@ -241,11 +241,6 @@ impl HostCore {
     /// Client/server TCP statistics.
     pub fn tcp_stats(&self) -> TcpStats {
         *self.tcp.stats()
-    }
-
-    /// Why TCP aborted, if it did.
-    pub fn abort_reason(&self) -> Option<AbortReason> {
-        self.tcp.abort_reason()
     }
 
     /// The browser, if this is a client host.

@@ -22,9 +22,5 @@ mod pair;
 mod scenario;
 mod tap;
 
-pub use fleet::{
-    merge_shards, run_fleet, run_fleet_shard, shard_of_pair, victim_shard, FleetConfig,
-    FleetConformance, FleetDosConfig, FleetResult, ShardResult, VictimCapture, VICTIM_PAIR,
-};
 pub use host::{App, HostCore};
 pub use scenario::{build_scenario, run_scenario, run_trial, RunResult, Scenario, ScenarioConfig};

@@ -18,9 +18,9 @@ use h2priv_defense::{AdaptivePacer, ConstantRatePacer, DefenseSpec};
 use h2priv_dos::{Alert, DetectorConfig, DosConfig, GuardConfig, GuardStats};
 use h2priv_http2::{H2Config, SendPolicy, Settings};
 use h2priv_netsim::{
-    Dir, GatewayNode, LinkConfig, Middlebox, NodeId, SimDuration, SimRng, Simulator, StopReason,
+    Dir, GatewayNode, LinkConfig, Middlebox, SimDuration, SimRng, Simulator, StopReason,
 };
-use h2priv_tcp::{AbortReason, TcpConfig, TcpSegment, TcpStats};
+use h2priv_tcp::{TcpConfig, TcpSegment, TcpStats};
 use h2priv_web::{
     BrowsePlan, BrowserConfig, RequestOutcome, SiteServerConfig, Website, WorkerPool,
 };
@@ -153,27 +153,23 @@ impl Default for ScenarioConfig {
 /// A built, not-yet-run trial.
 pub struct Scenario {
     /// The simulator, ready to run.
-    pub sim: Simulator<TcpSegment>,
+    sim: Simulator<TcpSegment>,
     /// Client host handle (browser or attacker, TCP stats).
     pub client: Rc<RefCell<HostCore>>,
     /// Server host handle.
     pub server: Rc<RefCell<HostCore>>,
     /// The gateway's capture.
-    pub trace: Rc<RefCell<WireTrace>>,
+    trace: Rc<RefCell<WireTrace>>,
     /// Seal-time annotations.
-    pub truth: Rc<RefCell<GroundTruth>>,
-    /// Node ids (client, gateway, server).
-    pub nodes: (NodeId, NodeId, NodeId),
+    truth: Rc<RefCell<GroundTruth>>,
     /// The conformance oracle's sink, when the oracle is enabled.
-    pub violations: Option<ViolationSink>,
+    violations: Option<ViolationSink>,
     deadline: h2priv_netsim::SimDuration,
 }
 
 impl std::fmt::Debug for Scenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scenario")
-            .field("nodes", &self.nodes)
-            .finish()
+        f.debug_struct("Scenario").finish_non_exhaustive()
     }
 }
 
@@ -196,8 +192,6 @@ pub struct RunResult {
     /// True if either endpoint's connection died (the paper's "broken
     /// connection").
     pub broken: bool,
-    /// The client-side abort reason, if any.
-    pub client_abort: Option<AbortReason>,
     /// Simulator events the trial processed (throughput accounting).
     pub events: u64,
     /// Event-scheduler behaviour counters (tier split, promotions, peak
@@ -348,7 +342,6 @@ pub fn build_scenario(
         server,
         trace,
         truth,
-        nodes: (client_id, gateway_id, server_id),
         violations,
         deadline: config.deadline,
     }
@@ -385,7 +378,6 @@ pub fn run_scenario(mut scenario: Scenario) -> RunResult {
         client_tcp: client.tcp_stats(),
         server_tcp: server.tcp_stats(),
         broken: client.dead || server.dead,
-        client_abort: client.abort_reason(),
         events: summary.events,
         sched,
         violations,

@@ -59,6 +59,17 @@ pub struct PoolStats {
     pub parser_holds: u64,
 }
 
+impl PoolStats {
+    /// Adds another pool's counters to these (the fleet sums its shards'
+    /// pools).
+    pub fn merge(&mut self, other: &PoolStats) {
+        self.admitted += other.admitted;
+        self.parked += other.parked;
+        self.settings_processed += other.settings_processed;
+        self.parser_holds += other.parser_holds;
+    }
+}
+
 /// A bounded worker pool modeling the server's thread budget, shared
 /// between the servers of a shard. Request workers draw from `capacity`;
 /// a connection whose frame parser is wedged mid-HEADERS-sequence *holds*

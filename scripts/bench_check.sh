@@ -62,20 +62,22 @@ for attempt in $(seq 1 "$attempts"); do
 
     if awk '
         /"exhibit"/ { gsub(/[",]/, "", $2); name = $2 }
+        # gsub leaves $2 a string, so every read adds 0: rates compare as
+        # numbers, not lexically ("797687.2" > "1648800.5" as strings).
         /"events_per_sec"/ {
             gsub(/,/, "", $2)
-            if (NR == FNR)            base[name] = $2
-            else if ($2 > cur[name])  cur[name]  = $2
+            if (NR == FNR)                base[name] = $2 + 0
+            else if ($2 + 0 > cur[name])  cur[name]  = $2 + 0
         }
         /"ev_s_per_core"/ {
             gsub(/,/, "", $2)
-            if (NR == FNR)                   base_core[name] = $2
-            else if ($2 > cur_core[name])    cur_core[name]  = $2
+            if (NR == FNR)                     base_core[name] = $2 + 0
+            else if ($2 + 0 > cur_core[name])  cur_core[name]  = $2 + 0
         }
         /"bytes_per_pair"/ {
             gsub(/,/, "", $2)
-            if (NR == FNR)                                     base_mem[name] = $2
-            else if (!(name in cur_mem) || $2 < cur_mem[name]) cur_mem[name]  = $2
+            if (NR == FNR)                                         base_mem[name] = $2 + 0
+            else if (!(name in cur_mem) || $2 + 0 < cur_mem[name]) cur_mem[name]  = $2 + 0
         }
         END {
             status = 0

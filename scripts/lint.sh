@@ -26,7 +26,8 @@ cargo bench -q -p h2priv-bench --bench sched -- fig5_mix
 # HTTP/2 invariant violation.
 cargo run --release -p h2priv-bench --bin repro -- --quick --check > /dev/null
 
-# The recorded full-run stdout must still reproduce byte for byte.
+# The recorded full-run stdout and per-exhibit counts must still
+# reproduce exactly.
 sh scripts/check_golden.sh
 
 echo "lint: clean"
