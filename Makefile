@@ -19,6 +19,8 @@ doc:
 bench:
 	cargo bench -p h2priv-bench
 
+# Perf gate: fleet bytes/pair at one thread against BENCH_repro.json, and
+# the pagebench workloads against pagebench/BASELINE.json on that host.
 bench-check:
 	sh scripts/bench_check.sh
 
@@ -45,8 +47,9 @@ bench-fleet:
 
 # Memory telemetry at fleet size: the counting allocator reports
 # peak_alloc_bytes and bytes per co-resident pair on stderr ([timing]
-# lines) and in the JSON. bench-check gates the fleet entry's
-# bytes_per_pair against BENCH_repro.json (>20% growth fails).
+# lines) and in the JSON. bench-check gates the default 1000-pair fleet's
+# bytes_per_pair at --threads 1 against BENCH_repro.json (>20% growth
+# fails); this target only reports.
 bench-fleet-mem:
 	cargo run --release -p h2priv-bench --bin repro -- fleet --population 10000 --shards 8 --bench-json=/dev/stdout
 
@@ -78,4 +81,4 @@ repro:
 	cargo run --release -p h2priv-bench --bin repro
 
 repro-quick:
-	cargo run --release -p h2priv-bench --bin repro -- --quick --bench-json
+	cargo run --release -p h2priv-bench --bin repro -- --quick --bench-json=target/BENCH_repro_quick.json

@@ -2,20 +2,20 @@
 //!
 //! ```text
 //! repro [--quick] [--json] [--check] [--threads N] [--trials N]
-//!       [--population N] [--shards N] [--defense NAME] [--bench-json[=PATH]]
+//!       [--population N] [--shards N] [--defense NAME] [--bench-json=PATH]
 //!       [--spread SECS] [--progress]
 //!       [table1] [fig5] [ivd] [table2] [fig1] [ablations] [defend] [dos]
 //!       [fleet] [scaleout]
 //! ```
 //!
-//! With no exhibit names, everything runs. `--quick` uses 25 trials per
-//! point instead of the paper's 100; `--trials N` overrides both. Trials
-//! fan out over `--threads N` workers (default: available parallelism);
-//! any thread count produces byte-identical stdout, because results are
-//! collected in seed order. Per-exhibit wall-clock and events/sec lines go
-//! to stderr, and `--bench-json` additionally records them in
-//! `BENCH_repro.json` (or the given path) so the perf trajectory is
-//! tracked across changes.
+//! With no exhibit names, everything runs. An unknown exhibit name or
+//! flag prints the usage line to stderr and exits 1. `--quick` uses 25
+//! trials per point instead of the paper's 100; `--trials N` overrides
+//! both. Trials fan out over `--threads N` workers (default: available
+//! parallelism); any thread count produces byte-identical stdout, because
+//! results are collected in seed order. Per-exhibit wall-clock, event
+//! count and peak heap lines go to stderr, and `--bench-json=PATH`
+//! additionally writes them, with the scheduler counters, to PATH.
 //!
 //! The `fleet` exhibit simulates `--population N` client–server pairs
 //! (default 1000, `--quick` 128) split over `--shards N` independent
@@ -88,22 +88,6 @@ struct ExhibitTiming {
     bytes_per_pair: u64,
 }
 
-impl ExhibitTiming {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            return 0.0;
-        }
-        self.tally.events as f64 / (self.wall_ms / 1e3)
-    }
-
-    /// Aggregate throughput divided by the worker-thread count — the
-    /// scale-out health number: flat across `--threads` means the shards
-    /// parallelize without stepping on each other.
-    fn ev_s_per_core(&self) -> f64 {
-        self.events_per_sec() / self.threads.max(1) as f64
-    }
-}
-
 impl ToJson for ExhibitTiming {
     fn to_json(&self) -> Json {
         let sched = &self.tally.sched;
@@ -113,9 +97,6 @@ impl ToJson for ExhibitTiming {
             ("threads", self.threads.to_json()),
             ("wall_ms", self.wall_ms.to_json()),
             ("events", self.tally.events.to_json()),
-            ("events_per_sec", self.events_per_sec().to_json()),
-            ("ev_s_per_core", self.ev_s_per_core().to_json()),
-            ("scheduler", h2priv_netsim::SchedStats::SCHEDULER.to_json()),
             ("sched_near_inserts", sched.near_inserts.to_json()),
             ("sched_far_inserts", sched.far_inserts.to_json()),
             ("sched_promotions", sched.promotions.to_json()),
@@ -129,8 +110,68 @@ impl ToJson for ExhibitTiming {
     }
 }
 
+/// Every exhibit name the command line accepts.
+const EXHIBITS: [&str; 10] = [
+    "fig1",
+    "table1",
+    "fig5",
+    "ivd",
+    "table2",
+    "ablations",
+    "defend",
+    "dos",
+    "fleet",
+    "scaleout",
+];
+/// Flags that take a value, as `--flag V` or `--flag=V`.
+const VALUE_FLAGS: [&str; 6] = [
+    "--threads",
+    "--trials",
+    "--population",
+    "--shards",
+    "--defense",
+    "--spread",
+];
+const SWITCHES: [&str; 4] = ["--quick", "--json", "--check", "--progress"];
+const USAGE: &str = "usage: repro [--quick] [--json] [--check] [--threads N] [--trials N] \
+    [--population N] [--shards N] [--defense NAME] [--bench-json=PATH] [--spread SECS] \
+    [--progress] [fig1|table1|fig5|ivd|table2|ablations|defend|dos|fleet|scaleout]...";
+
+/// Prints `msg` and the usage line to stderr and exits 1.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("repro: {msg}\n{USAGE}");
+    std::process::exit(1);
+}
+
+/// The exhibit names on the command line, after checking that every
+/// argument is a documented flag or exhibit.
+fn exhibit_names(args: &[String]) -> Vec<&str> {
+    let mut names = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if VALUE_FLAGS.contains(&a) {
+            if it.next().is_none() {
+                usage_error(&format!("{a} needs a value"));
+            }
+        } else if EXHIBITS.contains(&a) {
+            names.push(a);
+        } else if !(SWITCHES.contains(&a)
+            || a.starts_with("--bench-json=")
+            || VALUE_FLAGS
+                .iter()
+                .any(|f| a.strip_prefix(f).is_some_and(|v| v.starts_with('='))))
+        {
+            usage_error(&format!("unknown argument {a:?}"));
+        }
+    }
+    names
+}
+
 fn parse_flag_value(args: &[String], flag: &str) -> Option<u64> {
-    parse_flag_str(args, flag).and_then(|v| v.parse().ok())
+    parse_flag_str(args, flag).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag} needs a number, got {v:?}")))
+    })
 }
 
 fn parse_flag_str(args: &[String], flag: &str) -> Option<String> {
@@ -148,17 +189,12 @@ fn parse_flag_str(args: &[String], flag: &str) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let wanted = exhibit_names(&args);
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let check = args.iter().any(|a| a == "--check");
     runner::set_conformance(check);
-    let bench_json: Option<String> = args.iter().find_map(|a| {
-        if a == "--bench-json" {
-            Some("BENCH_repro.json".to_owned())
-        } else {
-            a.strip_prefix("--bench-json=").map(str::to_owned)
-        }
-    });
+    let bench_json = parse_flag_str(&args, "--bench-json");
     if let Some(threads) = parse_flag_value(&args, "--threads") {
         runner::set_threads(threads as usize);
     }
@@ -185,25 +221,6 @@ fn main() {
         },
         None => None,
     };
-    let wanted: Vec<&str> = {
-        // Skip flags and their detached values.
-        let mut names = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            if a == "--threads"
-                || a == "--trials"
-                || a == "--population"
-                || a == "--shards"
-                || a == "--defense"
-                || a == "--spread"
-            {
-                it.next();
-            } else if !a.starts_with("--") {
-                names.push(a.as_str());
-            }
-        }
-        names
-    };
     let want = |name: &str| wanted.is_empty() || wanted.contains(&name);
 
     let threads = runner::threads();
@@ -224,9 +241,8 @@ fn main() {
             ..ExhibitTiming::default()
         };
         eprintln!(
-            "[timing] {exhibit}: {wall_ms:.0} ms, {} events, {:.0} events/sec, {threads} thread(s), peak {:.1} MiB",
+            "[timing] {exhibit}: {wall_ms:.0} ms, {} events, {threads} thread(s), peak {:.1} MiB",
             timing.tally.events,
-            timing.events_per_sec(),
             peak_alloc_bytes as f64 / (1024.0 * 1024.0)
         );
         timings.push(timing);
@@ -395,11 +411,11 @@ fn main() {
             println!("{}", fleet::render_scaleout(population, shards, &points));
         }
         // One timing row per thread count, so `--bench-json` carries the
-        // whole scaling curve (`ev_s_per_core` is derived per row).
+        // whole scaling curve.
         for p in &points {
             eprintln!(
-                "[timing] scaleout --threads {}: {:.0} ms, {:.0} ev/s aggregate, {:.0} ev/s per core, efficiency {:.2}",
-                p.threads, p.wall_ms, p.events_per_sec, p.ev_s_per_core, p.efficiency
+                "[timing] scaleout --threads {}: {:.0} ms, {} events, efficiency {:.2}",
+                p.threads, p.wall_ms, p.events, p.efficiency
             );
             timings.push(ExhibitTiming {
                 exhibit: "scaleout",

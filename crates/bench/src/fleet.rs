@@ -14,8 +14,8 @@
 //!   infrastructure beyond the one middlebox chain, and the thousand
 //!   bystander flows neither mask the victim nor break the attack.
 //!
-//! The exhibit reports per-run aggregate throughput (events/sec across
-//! all shards) and the victim's §II-A attack criterion in both runs.
+//! The exhibit reports per-run outcome counts and the victim's §II-A
+//! attack criterion in both runs.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,16 +56,6 @@ pub struct FleetRun {
     pub victim_broken: bool,
 }
 
-impl FleetRun {
-    /// Aggregate simulator throughput of the run.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            return 0.0;
-        }
-        self.merged.events as f64 / (self.wall_ms / 1e3)
-    }
-}
-
 impl ToJson for FleetRun {
     fn to_json(&self) -> Json {
         let m = &self.merged;
@@ -74,7 +64,6 @@ impl ToJson for FleetRun {
             ("events", m.events.to_json()),
             ("shard_events", m.shard_events.to_json()),
             ("wall_ms", self.wall_ms.to_json()),
-            ("events_per_sec", self.events_per_sec().to_json()),
             ("completed", (m.completed as u64).to_json()),
             ("broken", (m.broken as u64).to_json()),
             ("requests", m.requests.to_json()),

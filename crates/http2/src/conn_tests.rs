@@ -422,75 +422,6 @@ fn garbage_input_kills_connection_with_goaway() {
 }
 
 #[test]
-fn weighted_fair_shares_by_weight() {
-    let server_cfg = H2Config {
-        send_policy: SendPolicy::WeightedFair,
-        data_chunk_size: 1_024,
-        ..H2Config::default()
-    };
-    let (mut c, mut s) = ready_pair(H2Config::default(), server_cfg);
-    let heavy = c.open_stream(&get("/heavy"), true).unwrap();
-    let light = c.open_stream(&get("/light"), true).unwrap();
-    shuttle(&mut c, &mut s);
-    drain_events(&mut s);
-    s.set_stream_weight(heavy, 64);
-    s.set_stream_weight(light, 8);
-    s.send_headers(heavy, &resp_200(), false).unwrap();
-    s.send_headers(light, &resp_200(), false).unwrap();
-    s.send_data(heavy, &vec![1u8; 40_000], true).unwrap();
-    s.send_data(light, &vec![2u8; 40_000], true).unwrap();
-    // Measure the share each stream got up to the instant the heavy
-    // stream finished: DRR should have served them roughly 8:1 until then.
-    let mut heavy_bytes = 0usize;
-    let mut light_bytes = 0usize;
-    let mut heavy_done = false;
-    while let Some(out) = s.poll_send() {
-        if let OutgoingMeta::Frame {
-            frame_type: FrameType::Data,
-            stream_id,
-            payload_len,
-            end_stream,
-        } = out.meta
-        {
-            if !heavy_done {
-                if stream_id == heavy {
-                    heavy_bytes += payload_len;
-                    heavy_done = end_stream;
-                } else {
-                    light_bytes += payload_len;
-                }
-            }
-        }
-        c.recv(&wire(&out)).unwrap();
-    }
-    assert!(light_bytes > 0, "light stream starved entirely");
-    let ratio = heavy_bytes as f64 / light_bytes as f64;
-    assert!(
-        (4.0..=14.0).contains(&ratio),
-        "expected roughly 8:1 service, got {heavy_bytes}:{light_bytes}"
-    );
-    // Both still complete.
-    shuttle(&mut c, &mut s);
-    let totals: usize = data_sequence(&drain_events(&mut c))
-        .iter()
-        .map(|(_, l)| l)
-        .sum();
-    assert_eq!(totals, 80_000);
-}
-
-#[test]
-fn priority_frames_update_weights() {
-    let (mut c, mut s) = ready_pair(H2Config::default(), H2Config::default());
-    let a = c.open_stream(&get("/a"), true).unwrap();
-    shuttle(&mut c, &mut s);
-    drain_events(&mut s);
-    assert_eq!(s.stream_weight(a), Some(16));
-    c.set_stream_weight(a, 128);
-    shuttle(&mut c, &mut s);
-    assert_eq!(s.stream_weight(a), Some(128));
-}
-
-#[test]
 fn concurrent_stream_limit_is_enforced() {
     let server_cfg = H2Config {
         settings: Settings {

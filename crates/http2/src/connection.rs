@@ -262,11 +262,6 @@ struct StreamEntry {
     pending: PendingData,
     /// Send END_STREAM once `pending` drains.
     pending_end: bool,
-    /// RFC 7540 priority weight (1–256; default 16). Only the
-    /// [`SendPolicy::WeightedFair`] mux consults it.
-    weight: u16,
-    /// Deficit counter for weighted-fair scheduling.
-    credit: i64,
 }
 
 impl StreamEntry {
@@ -278,8 +273,6 @@ impl StreamEntry {
             recv_consumed: 0,
             pending: PendingData::default(),
             pending_end: false,
-            weight: 16,
-            credit: 0,
         }
     }
 
@@ -734,27 +727,6 @@ impl H2Connection {
             .push_back(Frame::Ping { ack: false, data });
     }
 
-    /// Sets a stream's local scheduling weight and announces it with a
-    /// PRIORITY frame (wire value = weight − 1 per RFC 7540 §6.3).
-    pub fn set_stream_weight(&mut self, stream_id: StreamId, weight: u16) {
-        self.output_idle = false;
-        let weight = weight.clamp(1, 256);
-        if let Some(entry) = self.streams.get_mut(&stream_id) {
-            entry.weight = weight;
-        }
-        self.control_queue.push_back(Frame::Priority {
-            stream_id,
-            depends_on: StreamId::CONNECTION,
-            exclusive: false,
-            weight: (weight - 1) as u8,
-        });
-    }
-
-    /// A stream's current scheduling weight.
-    pub fn stream_weight(&self, stream_id: StreamId) -> Option<u16> {
-        self.streams.get(&stream_id).map(|e| e.weight)
-    }
-
     /// Queues a GOAWAY.
     pub fn send_goaway(&mut self, error_code: ErrorCode) {
         self.output_idle = false;
@@ -870,8 +842,22 @@ impl H2Connection {
                 }
                 i
             }
-            SendPolicy::RandomOrder { .. } | SendPolicy::WeightedFair => {
-                return self.poll_send_data_listed(conn_avail);
+            SendPolicy::RandomOrder { .. } => {
+                // A uniform draw needs the whole candidate set.
+                let ready: Vec<usize> = (0..self.data_order.len())
+                    .filter(|&i| is_ready(&self.streams[&self.data_order[i]]))
+                    .collect();
+                if ready.is_empty() {
+                    return self.note_send_stall(conn_avail);
+                }
+                // xorshift64* pick.
+                let mut x = self.rand_state;
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                self.rand_state = x;
+                let r = (x.wrapping_mul(0x2545F4914F6CDD1D) >> 32) as usize;
+                ready[r % ready.len()]
             }
         };
         self.send_data_at(pick, conn_avail)
@@ -889,58 +875,6 @@ impl H2Connection {
             self.stats.conn_window_stalls += 1;
         }
         None
-    }
-
-    /// The list-materializing scheduler for policies whose pick needs the
-    /// whole candidate set (random draw, deficit round-robin).
-    fn poll_send_data_listed(&mut self, conn_avail: usize) -> Option<Outgoing> {
-        let ready: Vec<usize> = self
-            .data_order
-            .iter()
-            .enumerate()
-            .filter(|(_, id)| {
-                let e = &self.streams[id];
-                (e.sendable() > 0 && conn_avail > 0)
-                    || (e.pending.is_empty() && e.pending_end && e.state.can_send())
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if ready.is_empty() {
-            return self.note_send_stall(conn_avail);
-        }
-        let pick = match self.config.send_policy {
-            SendPolicy::Sequential | SendPolicy::RoundRobin => unreachable!("handled inline"),
-            SendPolicy::RandomOrder { .. } => {
-                // xorshift64* pick.
-                let mut x = self.rand_state;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rand_state = x;
-                let r = (x.wrapping_mul(0x2545F4914F6CDD1D) >> 32) as usize;
-                ready[r % ready.len()]
-            }
-            SendPolicy::WeightedFair => {
-                // Deficit round-robin: take any ready stream with positive
-                // credit; when all are exhausted, replenish ready streams
-                // in proportion to their weights.
-                loop {
-                    if let Some(&i) = ready
-                        .iter()
-                        .find(|&&i| self.streams[&self.data_order[i]].credit > 0)
-                    {
-                        break i;
-                    }
-                    for &i in &ready {
-                        let id = self.data_order[i];
-                        let e = self.streams.get_mut(&id).expect("ready stream");
-                        // One weight unit buys 128 bytes of service.
-                        e.credit += e.weight as i64 * 128;
-                    }
-                }
-            }
-        };
-        self.send_data_at(pick, conn_avail)
     }
 
     /// Emits the next DATA chunk of the stream at `data_order[pick]`.
@@ -968,7 +902,6 @@ impl H2Connection {
         }
         let cost = n + crate::frame::pad_overhead(pad);
         entry.send_window.consume(cost);
-        entry.credit -= n as i64;
         self.conn_send_window.consume(cost);
         self.stats.data_frames_sent += 1;
         self.stats.data_bytes_sent += n as u64;
@@ -1338,17 +1271,9 @@ impl H2Connection {
                 }
                 Ok(())
             }
-            Frame::Priority {
-                stream_id, weight, ..
-            } => {
-                // Wire weight is value + 1 (RFC 7540 §6.3); applied if the
-                // stream exists (prioritizing unknown streams is legal but
-                // meaningless to this mux).
-                if let Some(entry) = self.streams.get_mut(&stream_id) {
-                    entry.weight = weight as u16 + 1;
-                }
-                Ok(())
-            }
+            // Priority is advisory (RFC 7540 §5.3): no send policy here
+            // reads it.
+            Frame::Priority { .. } => Ok(()),
         }
     }
 }

@@ -78,11 +78,6 @@ pub enum SendPolicy {
         /// Seed for the scheduler's private generator.
         seed: u64,
     },
-    /// Deficit-weighted round-robin honoring RFC 7540 PRIORITY weights:
-    /// streams share the mux in proportion to their weight (1–256,
-    /// default 16). The §VII discussion notes prioritization as another
-    /// lever a client could vary for privacy.
-    WeightedFair,
 }
 
 /// Full connection configuration.

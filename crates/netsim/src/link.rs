@@ -5,9 +5,8 @@
 //!
 //! * **Delay** — fixed propagation latency.
 //! * **Jitter** — a per-packet random extra delay drawn from a
-//!   [`DurationDist`]; with `preserve_order` (the default) jitter can stretch
-//!   inter-arrival gaps but never reorder packets, matching FIFO queueing on
-//!   real paths.
+//!   [`DurationDist`]; jitter can stretch inter-arrival gaps but never
+//!   reorder packets, matching FIFO queueing on real paths.
 //! * **Bandwidth** — serialization delay `bytes / rate`, with a busy-until
 //!   cursor so back-to-back packets queue behind one another.
 //! * **Loss** — i.i.d. random drops, plus drop-tail queue overflow when more
@@ -40,12 +39,6 @@ pub struct LinkConfig {
     /// Maximum bytes that may be queued awaiting serialization before
     /// drop-tail discards kick in. `None` means unbounded.
     pub queue_limit: Option<u64>,
-    /// If true (default), a packet never arrives before a packet sent
-    /// earlier on the same link — [`Link::transmit`] returns non-decreasing
-    /// arrival times. The engine's batched link delivery depends on this
-    /// contract: ordered links keep their in-flight packets in a plain FIFO
-    /// with a single scheduler entry for the head.
-    pub preserve_order: bool,
 }
 
 impl Default for LinkConfig {
@@ -56,7 +49,6 @@ impl Default for LinkConfig {
             bandwidth: None,
             loss: 0.0,
             queue_limit: None,
-            preserve_order: true,
         }
     }
 }
@@ -178,10 +170,10 @@ impl Link {
     /// Offers a packet of `bytes` to the link at time `now`.
     ///
     /// Returns the scheduled arrival time at the far end, or the reason the
-    /// packet was dropped. With `preserve_order` the returned arrivals are
-    /// non-decreasing across calls (enforced by clamping to the latest
-    /// scheduled arrival), which is what lets the simulator queue this
-    /// link's in-flight packets as a FIFO.
+    /// packet was dropped. The returned arrivals are non-decreasing across
+    /// calls (enforced by clamping to the latest scheduled arrival), which
+    /// is what lets the simulator queue this link's in-flight packets as a
+    /// FIFO.
     pub fn transmit(
         &mut self,
         now: SimTime,
@@ -205,10 +197,8 @@ impl Link {
         let start = now.max(self.busy_until);
         let departure = start + self.config.serialization_time(bytes);
         self.busy_until = departure;
-        let mut arrival = departure + self.config.delay + rng.sample_duration(&self.config.jitter);
-        if self.config.preserve_order {
-            arrival = arrival.max(self.last_arrival);
-        }
+        let arrival = (departure + self.config.delay + rng.sample_duration(&self.config.jitter))
+            .max(self.last_arrival);
         self.last_arrival = arrival;
         self.stats.delivered += 1;
         self.stats.delivered_bytes += bytes as u64;
@@ -343,30 +333,6 @@ mod tests {
             assert!(t >= last, "reordered: {t} < {last}");
             last = t;
         }
-    }
-
-    #[test]
-    fn jitter_can_reorder_when_allowed() {
-        let mut cfg =
-            LinkConfig::with_delay(SimDuration::from_millis(1)).jitter(DurationDist::Uniform {
-                lo: SimDuration::ZERO,
-                hi: SimDuration::from_millis(50),
-            });
-        cfg.preserve_order = false;
-        let mut link = Link::new(cfg);
-        let mut r = rng();
-        let mut reordered = false;
-        let mut last = SimTime::ZERO;
-        for i in 0..200 {
-            let t = link
-                .transmit(SimTime::from_micros(i * 10), 100, &mut r)
-                .unwrap();
-            if t < last {
-                reordered = true;
-            }
-            last = t;
-        }
-        assert!(reordered);
     }
 
     #[test]

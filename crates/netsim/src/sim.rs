@@ -7,7 +7,7 @@
 //!
 //! The queue is a two-tier calendar queue ([`CalendarQueue`]): O(1) for the
 //! dense near-future mix, an overflow heap for RTO/stall-scale deadlines.
-//! Order-preserving links additionally get **batched delivery**: their
+//! Links never reorder, so delivery is **batched**: each link's
 //! in-flight packets wait in a per-link FIFO with a single scheduler entry
 //! for the head, and one scheduler visit drains the whole due packet-train
 //! (each next packet is delivered in-line exactly while it is provably the
@@ -28,9 +28,6 @@ use crate::wheel::{CalendarQueue, SchedStats};
 /// Internal event kinds.
 #[derive(Debug)]
 enum Ev<P> {
-    /// A packet arrives at a node (used by links that may reorder; ordered
-    /// links batch through [`Ev::LinkHead`] instead).
-    Deliver { to: NodeId, packet: Packet<P> },
     /// A node's timer fires.
     Timer {
         node: NodeId,
@@ -39,8 +36,8 @@ enum Ev<P> {
     },
     /// A deferred transmission enters the outbound link of `from`.
     Transmit { from: NodeId, packet: Packet<P> },
-    /// The head of an order-preserving link's in-flight FIFO is due; the
-    /// visit drains the link's whole due packet-train.
+    /// The head of a link's in-flight FIFO is due; the visit drains the
+    /// link's whole due packet-train.
     LinkHead { link: u32 },
 }
 
@@ -136,7 +133,7 @@ pub struct Simulator<P> {
     /// (outer `None` = not computed yet). Node counts are tiny, so a flat
     /// table keeps the per-transmit lookup to one indexed load instead of
     /// a hash probe. Invalidated (cleared / resized) on topology change.
-    route_cache: Vec<Option<Option<(usize, u32)>>>,
+    route_cache: Vec<Option<Option<u32>>>,
     /// Timers scheduled but not yet fired or cancelled. An id is removed
     /// when its event pops (fired or skipped-as-cancelled), so the set is
     /// bounded by the number of live timers.
@@ -339,7 +336,6 @@ impl<P: 'static> Simulator<P> {
             self.now = at;
             self.events_processed += 1;
             match ev {
-                Ev::Deliver { to, packet } => self.dispatch_packet(to, packet),
                 Ev::Timer { node, token, id } => {
                     // A timer fires only while still pending; removing the
                     // id here keeps the set bounded by live timers.
@@ -427,6 +423,9 @@ impl<P: 'static> Simulator<P> {
         self.scratch = effects;
     }
 
+    // Kept out of line: inlined into its one caller, `deliver_link_head`,
+    // it made pagebench's `attack` loads about 4% slower.
+    #[inline(never)]
     fn dispatch_packet(&mut self, node: NodeId, packet: Packet<P>) {
         let mut boxed = self.nodes[node.0].take().expect("node present");
         let mut effects = std::mem::take(&mut self.scratch);
@@ -495,7 +494,7 @@ impl<P: 'static> Simulator<P> {
             self.packet_seq += 1;
             packet.id = self.packet_seq;
         }
-        let Some((next, link)) = self.next_hop(from.0, packet.dst.0) else {
+        let Some(link) = self.next_hop(from.0, packet.dst.0) else {
             self.stats.unroutable += 1;
             return;
         };
@@ -505,29 +504,17 @@ impl<P: 'static> Simulator<P> {
             .transmit(self.now, packet.wire_bytes, &mut self.rng)
         {
             Ok(arrival) => {
-                if state.link.config().preserve_order {
-                    // Batched path: the packet joins the link's in-flight
-                    // FIFO under its own (arrival, seq) key; one LinkHead
-                    // scheduler entry — keyed by the head packet — stands
-                    // for the whole FIFO, so a serialized train costs one
-                    // queue round-trip instead of one per packet.
-                    let seq = self.seq;
-                    self.seq += 1;
-                    let was_empty = state.inflight.is_empty();
-                    state.inflight.push_back((arrival, seq, packet));
-                    if was_empty {
-                        self.queue.push(arrival, seq, Ev::LinkHead { link });
-                    }
-                } else {
-                    // A link that may reorder gets per-packet events: FIFO
-                    // batching would impose order the link does not promise.
-                    self.schedule(
-                        arrival,
-                        Ev::Deliver {
-                            to: NodeId(next),
-                            packet,
-                        },
-                    );
+                // The packet joins the link's in-flight FIFO under its own
+                // (arrival, seq) key; one LinkHead scheduler entry — keyed
+                // by the head packet — stands for the whole FIFO, so a
+                // serialized train costs one queue round-trip instead of
+                // one per packet.
+                let seq = self.seq;
+                self.seq += 1;
+                let was_empty = state.inflight.is_empty();
+                state.inflight.push_back((arrival, seq, packet));
+                if was_empty {
+                    self.queue.push(arrival, seq, Ev::LinkHead { link });
                 }
             }
             Err(LinkDrop::RandomLoss) | Err(LinkDrop::QueueOverflow) => {
@@ -537,9 +524,8 @@ impl<P: 'static> Simulator<P> {
     }
 
     /// BFS next-hop routing over the maintained adjacency lists, memoized.
-    /// Returns the neighbor node and the index of the `from` → neighbor
-    /// link.
-    fn next_hop(&mut self, from: usize, dst: usize) -> Option<(usize, u32)> {
+    /// Returns the index of the link from `from` to the next hop.
+    fn next_hop(&mut self, from: usize, dst: usize) -> Option<u32> {
         if from == dst {
             return None;
         }
@@ -579,11 +565,10 @@ impl<P: 'static> Simulator<P> {
             while parent[cur] != Some(from) {
                 cur = parent[cur].expect("parent chain reaches from");
             }
-            let link = *self
+            *self
                 .links
                 .get(&(from, cur))
-                .expect("adjacency implies link exists");
-            (cur, link)
+                .expect("adjacency implies link exists")
         });
         self.route_cache[from * n + dst] = Some(hop);
         hop
@@ -794,7 +779,9 @@ mod tests {
         // No path a→c yet: transmitting toward c is unroutable.
         // Now connect b→c and verify a→c routes through b.
         sim.add_link(b, c, LinkConfig::with_delay(SimDuration::from_millis(5)));
-        let hop = sim.next_hop(a.0, c.0).map(|(node, _link)| node);
+        let hop = sim
+            .next_hop(a.0, c.0)
+            .map(|link| sim.link_states[link as usize].to);
         assert_eq!(hop, Some(b.0));
     }
 

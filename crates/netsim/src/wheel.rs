@@ -139,7 +139,7 @@ impl<T> Arena<T> {
 
 /// Counters describing how the scheduler behaved over a run; exposed via
 /// [`Simulator::sched_stats`](crate::Simulator::sched_stats) and recorded
-/// into `BENCH_repro.json` so baselines are self-describing.
+/// per exhibit by `repro --bench-json` (pinned in `repro_counts.txt`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Keys inserted straight into the near-future bucket ring.
@@ -157,9 +157,6 @@ pub struct SchedStats {
 }
 
 impl SchedStats {
-    /// Identifies the scheduler implementation these stats describe.
-    pub const SCHEDULER: &'static str = "wheel";
-
     /// Accumulates another run's stats into `self`: counters add, peaks
     /// take the maximum. Use this when the runs are *alternative
     /// executions* of the same workload (sequential trials on one

@@ -1,19 +1,27 @@
 #!/usr/bin/env sh
-# Perf regression gate: re-times the fast exhibits (fig1, table2), the
-# countermeasure arena (defend), the slow-DoS triad (dos) and
-# the population-scale fleet exhibit with fresh `repro --bench-json`
-# runs and fails when events/sec (aggregate or per worker core) drops
-# more than 20% below the
-# checked-in BENCH_repro.json baseline, or when the fleet exhibit's
-# bytes-per-co-resident-pair (the counting-allocator telemetry) grows
-# more than 20% above it. A spread-out fleet run is smoked up front and
-# must keep its working set below the baseline. Built to
-# tolerate CI noise without missing real regressions: shared CI hosts
-# oscillate in speed on minute timescales, and fig1 is a ~1 ms exhibit
-# whose single-run rate is mostly scheduler jitter — so the gate makes up
-# to three attempts and scores each exhibit by its best rate across all
-# attempts so far. A reintroduced per-segment copy costs 2-3x and fails
-# every attempt in any window; a transiently contended host does not.
+# Perf regression gate: one memory check and one time check.
+#
+# Memory, at one thread. `repro fleet --threads 1` runs the fleet's shards
+# one after another, so the counting allocator's peak, and with it the
+# fleet row's bytes per co-resident pair, is the same on every run.
+# BENCH_repro.json holds the output of this same command; the gate fails
+# when bytes/pair grows more than 20% above it. A spread-out fleet run
+# (`--spread 60`, the million-pair configuration at a gate-friendly size)
+# must stay strictly below the baseline: holding pairs that have finished
+# and gone quiet is the regression streaming exists to prevent.
+#
+# Time, through pagebench only, and only on the host that recorded
+# pagebench/BASELINE.json. The host counts as the same when `nproc` and
+# the first `model name` of /proc/cpuinfo equal the baseline's `cpus` and
+# `model`. The kernel release is not compared: pagebench scales every
+# time by its reference tick, which runs on the same kernel as the loads.
+# Each workload runs once, at seed 1 for BENCHMARK.json's `run_seconds`.
+# The gate fails when pagebench exits nonzero (one of its correctness
+# checks failed), or when an end-to-end metric on its last stdout line is
+# worse than the baseline's median for that workload by more than
+# BENCHMARK.json's bound for that metric. On another host it says it
+# cannot judge time and points at `pagebench/ab.sh`, the interleaved A/B
+# against a parent revision on one host.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,125 +29,112 @@ cd "$(dirname "$0")/.."
 cargo build --release -q -p h2priv-bench --bin repro
 
 fresh=$(mktemp)
-seen=$(mktemp)
-trap 'rm -f "$fresh" "$seen"' EXIT INT TERM
+log=$(mktemp)
+lock=$(mktemp)
+trap 'rm -f "$fresh" "$log" "$lock"' EXIT INT TERM
+status=0
 
-# Smoke a spread-out fleet run (the bench-fleet-1m hot path at a
-# gate-friendly size) before the rate gate: it must complete, and its
-# peak working set must stay strictly below the fleet baseline's
-# bytes-per-pair — holding pairs that have finished and gone quiet is a
-# regression in the one property streaming exists to provide. Kept out of the
-# best-of pool on purpose: its low peak would mask a memory regression
-# of the default fleet in the min-scored memory gate below.
-./target/release/repro fleet --spread 60 --bench-json="$fresh" >/dev/null
-awk '
-    /"exhibit"/       { gsub(/[",]/, "", $2); name = $2 }
-    /"bytes_per_pair"/ {
-        gsub(/,/, "", $2)
-        if (NR == FNR) { if (name == "fleet") base = $2 }
-        else if (name == "fleet") streamed = $2
+# bytes_per_pair FILE: the fleet row's bytes per co-resident pair.
+bytes_per_pair() {
+    awk '/"exhibit"/ { fleet = /"fleet"/ }
+         /"bytes_per_pair"/ && fleet { gsub(/,/, "", $2); print $2 + 0 }' "$1"
+}
+
+./target/release/repro fleet --threads 1 --bench-json="$fresh" >/dev/null
+now=$(bytes_per_pair "$fresh")
+./target/release/repro fleet --threads 1 --spread 60 --bench-json="$fresh" >/dev/null
+spread=$(bytes_per_pair "$fresh")
+awk -v base="$(bytes_per_pair BENCH_repro.json)" -v now="$now" -v spread="$spread" 'BEGIN {
+    if (base == "" || now == "" || spread == "") {
+        print "bench-check: memory: a fleet bytes_per_pair row is missing"
+        exit 1
     }
-    END {
-        if (base == "" || streamed == "") {
-            print "bench-check: streamed fleet produced no bytes_per_pair row"
-            exit 1
-        }
-        printf "bench-check: spread-out fleet %12.0f bytes/pair vs baseline %12.0f\n",
-               streamed, base
-        if (streamed + 0 >= base + 0) {
-            print "bench-check: streaming no longer bounds the working set"
-            exit 1
-        }
+    printf "bench-check: memory fleet       %8d bytes/pair vs baseline %8d (%+.1f%%)\n",
+           now, base, (now / base - 1) * 100
+    printf "bench-check: memory --spread 60 %8d bytes/pair vs baseline %8d (%+.1f%%)\n",
+           spread, base, (spread / base - 1) * 100
+    bad = 0
+    if (now > base * 1.20) {
+        print "bench-check: fleet memory regressed more than 20%"
+        bad = 1
     }
-' BENCH_repro.json "$fresh"
+    if (spread >= base) {
+        print "bench-check: streaming no longer bounds the working set"
+        bad = 1
+    }
+    exit bad
+}' || status=1
 
-attempts=3
-for attempt in $(seq 1 "$attempts"); do
-    # fleet runs at the baseline's default population (1000) so its
-    # events/sec is comparable against the checked-in entry.
-    ./target/release/repro fig1 table2 defend dos fleet --trials 25 --bench-json="$fresh" >/dev/null
-    cat "$fresh" >>"$seen"
+baseline=pagebench/BASELINE.json
+want_cpus=$(sed -n 's/^ *"cpus": *\([0-9][0-9]*\).*/\1/p' "$baseline" | head -n 1)
+want_model=$(sed -n 's/^ *"model": *"\(.*\)",*$/\1/p' "$baseline" | head -n 1)
+cpus=$(nproc)
+model=$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo | head -n 1 |
+    sed 's/[[:space:]]*$//')
 
-    if awk '
-        /"exhibit"/ { gsub(/[",]/, "", $2); name = $2 }
-        # gsub leaves $2 a string, so every read adds 0: rates compare as
-        # numbers, not lexically ("797687.2" > "1648800.5" as strings).
-        /"events_per_sec"/ {
-            gsub(/,/, "", $2)
-            if (NR == FNR)                base[name] = $2 + 0
-            else if ($2 + 0 > cur[name])  cur[name]  = $2 + 0
-        }
-        /"ev_s_per_core"/ {
-            gsub(/,/, "", $2)
-            if (NR == FNR)                     base_core[name] = $2 + 0
-            else if ($2 + 0 > cur_core[name])  cur_core[name]  = $2 + 0
-        }
-        /"bytes_per_pair"/ {
-            gsub(/,/, "", $2)
-            if (NR == FNR)                                         base_mem[name] = $2 + 0
-            else if (!(name in cur_mem) || $2 + 0 < cur_mem[name]) cur_mem[name]  = $2 + 0
-        }
-        END {
-            status = 0
-            checked = 0
-            for (name in cur) {
-                if (!(name in base)) continue
-                checked++
-                ratio = cur[name] / base[name]
-                printf "bench-check: %-8s best %12.0f events/s vs baseline %12.0f (%+.1f%%)\n",
-                       name, cur[name], base[name], (ratio - 1) * 100
-                if (ratio < 0.80) {
-                    printf "bench-check: %s regressed more than 20%%\n", name
-                    status = 1
+if [ "$cpus" = "$want_cpus" ] && [ "$model" = "$want_model" ]; then
+    seconds=$(sed -n 's/.*"run_seconds": *\([0-9][0-9]*\).*/\1/p' BENCHMARK.json)
+    # Building pagebench may rewrite its Cargo.lock; the benchmark's
+    # directory must stay as it was, so the file is put back.
+    cp pagebench/Cargo.lock "$lock"
+    built=0
+    cargo build --release -q --manifest-path pagebench/Cargo.toml && built=1
+    cp "$lock" pagebench/Cargo.lock
+    [ "$built" = 1 ] || exit 1
+    for w in pageload attack defended fleet; do
+        if ! pagebench/target/release/benchmark --workload "$w" --seed 1 \
+            --seconds "$seconds" --trace 0 >"$fresh" 2>"$log"; then
+            cat "$log"
+            echo "bench-check: time $w: pagebench failed its checks"
+            status=1
+            continue
+        fi
+        awk -v w="$w" -v line="$(tail -n 1 "$fresh")" '
+            FILENAME == "BENCHMARK.json" && /"bound"/ {
+                name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name)
+                better = $0; sub(/.*"better": *"/, "", better); sub(/".*/, "", better)
+                bound = $0; sub(/.*"bound": */, "", bound); sub(/[^0-9.].*/, "", bound)
+                names[++n] = name; higher[name] = better == "higher"; limit[name] = bound + 0
+                next
+            }
+            FILENAME != "BENCHMARK.json" {
+                key = $1; gsub(/[":{]/, "", key)
+                if ($0 ~ /^    "/) workload = key
+                else if ($0 ~ /^        "/) metric = key
+                else if (workload == w && /"median"/) { gsub(/,/, "", $2); median[metric] = $2 + 0 }
+            }
+            END {
+                bad = 0
+                for (i = 1; i <= n; i++) {
+                    m = names[i]
+                    if (!match(line, "\"" m "\": *[{]\"value\": *[-0-9.eE+]+") || !(m in median)) {
+                        printf "bench-check: time %s: %s missing from the result or the baseline\n", w, m
+                        bad = 1
+                        continue
+                    }
+                    now = substr(line, RSTART, RLENGTH); sub(/.*: */, "", now); now += 0
+                    worse = (higher[m] ? median[m] - now : now - median[m]) / median[m]
+                    printf "bench-check: time %-8s %-12s %10.4g vs median %10.4g: %4.1f%% %s (bound %d%%)\n",
+                           w, m, now, median[m], (worse < 0 ? -worse : worse) * 100,
+                           (worse > 0 ? "worse" : "better"), limit[m] * 100
+                    if (worse > limit[m]) {
+                        printf "bench-check: time %s %s regressed beyond its bound\n", w, m
+                        bad = 1
+                    }
                 }
+                exit bad
             }
-            # Per-core throughput gate: same best-of scoring, catching the
-            # scale-out regressions aggregate events/sec hides — e.g. a
-            # run that silently fans out over more workers to keep its
-            # aggregate flat while each core does less useful work.
-            for (name in cur_core) {
-                if (!(name in base_core) || base_core[name] == 0) continue
-                checked++
-                ratio = cur_core[name] / base_core[name]
-                printf "bench-check: %-8s best %12.0f ev/s/core  vs baseline %12.0f (%+.1f%%)\n",
-                       name, cur_core[name], base_core[name], (ratio - 1) * 100
-                if (ratio < 0.80) {
-                    printf "bench-check: %s per-core throughput regressed more than 20%%\n", name
-                    status = 1
-                }
-            }
-            # Memory gate: bytes per co-resident pair, for exhibits that
-            # report it (fleet). Allocation is near-deterministic, but the
-            # same best-of-attempts tolerance shields allocator drift.
-            for (name in cur_mem) {
-                if (!(name in base_mem) || base_mem[name] == 0) continue
-                checked++
-                ratio = cur_mem[name] / base_mem[name]
-                printf "bench-check: %-8s best %12.0f bytes/pair vs baseline %12.0f (%+.1f%%)\n",
-                       name, cur_mem[name], base_mem[name], (ratio - 1) * 100
-                if (ratio > 1.20) {
-                    printf "bench-check: %s memory regressed more than 20%%\n", name
-                    status = 1
-                }
-            }
-            if (checked == 0) {
-                print "bench-check: no comparable exhibits found"
-                status = 1
-            }
-            exit status
-        }
-    ' BENCH_repro.json "$seen"; then
-        echo "bench-check: ok"
-        exit 0
-    fi
+        ' BENCHMARK.json "$baseline" || status=1
+    done
+else
+    echo "bench-check: this host:               $cpus x \"$model\""
+    echo "bench-check: pagebench/BASELINE.json: $want_cpus x \"$want_model\""
+    echo "bench-check: cannot judge time on this host; compare against the parent"
+    echo "bench-check: revision on one host with pagebench/ab.sh <parent>"
+fi
 
-    if [ "$attempt" -lt "$attempts" ]; then
-        echo "bench-check: attempt $attempt/$attempts below threshold; retrying"
-        sleep 20
-    fi
-done
-
-echo "bench-check: FAIL: best of $attempts attempts still >20% worse than baseline"
-echo "bench-check: (if this host is simply slower than the one that recorded"
-echo "bench-check: BENCH_repro.json, regenerate it: ./target/release/repro --bench-json)"
-exit 1
+if [ "$status" -ne 0 ]; then
+    echo "bench-check: FAIL"
+    exit 1
+fi
+echo "bench-check: ok"
