@@ -6,8 +6,14 @@
 //! numbers to stream offsets, and reassembles the byte stream — duplicates
 //! and retransmissions included — using the very same [`Reassembler`] the
 //! endpoints use. Reassembly is not an endpoint privilege.
+//!
+//! The follower keeps no copy of the stream. Each newly in-order range is
+//! handed to the caller as a borrowed view of the captured segment's
+//! bytes, and segments held behind a gap stay shared views of the capture.
 
-use h2priv_tcp::{Reassembler, Seq, TcpSegment};
+use h2priv_tcp::{Reassembler, Seq};
+
+use crate::observed::ObservedPacket;
 
 /// Follows one direction of one TCP connection from captured segments.
 #[derive(Debug, Clone, Default)]
@@ -26,26 +32,24 @@ impl StreamFollower {
         StreamFollower::default()
     }
 
-    /// Feeds one captured segment (must be from the followed direction).
-    /// Returns any newly contiguous stream bytes.
-    pub fn push(&mut self, segment: &TcpSegment) -> Vec<u8> {
-        if segment.flags.syn {
-            self.isn = Some(segment.seq);
-            return Vec::new();
+    /// Feeds one captured packet (must be from the followed direction) and
+    /// hands `deliver` each range of stream bytes it brings in order, in
+    /// stream order.
+    pub fn push(&mut self, packet: &ObservedPacket, deliver: impl FnMut(&[u8])) {
+        if packet.flags.syn {
+            self.isn = Some(packet.seq);
+            return;
         }
         let Some(isn) = self.isn else {
-            if !segment.payload.is_empty() {
+            if !packet.payload.is_empty() {
                 self.orphan_segments += 1;
             }
-            return Vec::new();
+            return;
         };
-        if segment.payload.is_empty() {
-            return Vec::new();
-        }
         // Data starts at isn + 1 (the SYN consumes one sequence number).
-        let offset = (segment.seq - (isn + 1)) as u64;
-        self.reassembler.insert(offset, &segment.payload);
-        self.reassembler.read()
+        let offset = (packet.seq - (isn + 1)) as u64;
+        self.reassembler
+            .insert_with(offset, &packet.payload, deliver);
     }
 
     /// Bytes buffered out of order (a gap is in front of them).
@@ -67,65 +71,72 @@ impl StreamFollower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2priv_tcp::TcpFlags;
+    use h2priv_netsim::{Dir, SimTime};
+    use h2priv_tcp::{TcpFlags, TcpSegment};
 
-    fn syn(seq: u32) -> TcpSegment {
-        TcpSegment {
+    fn packet(seq: u32, flags: TcpFlags, payload: &[u8]) -> ObservedPacket {
+        let segment = TcpSegment {
             seq: Seq(seq),
             ack: Seq(0),
-            flags: TcpFlags::SYN,
-            window: 1000,
-            payload: h2priv_bytes::SharedBytes::new(),
-        }
-    }
-
-    fn data(seq: u32, payload: &[u8]) -> TcpSegment {
-        TcpSegment {
-            seq: Seq(seq),
-            ack: Seq(0),
-            flags: TcpFlags::ACK,
+            flags,
             window: 1000,
             payload: payload.to_vec().into(),
-        }
+        };
+        ObservedPacket::capture(SimTime::ZERO, Dir::RightToLeft, &segment)
+    }
+
+    fn syn(seq: u32) -> ObservedPacket {
+        packet(seq, TcpFlags::SYN, b"")
+    }
+
+    fn data(seq: u32, payload: &[u8]) -> ObservedPacket {
+        packet(seq, TcpFlags::ACK, payload)
+    }
+
+    /// The bytes `packet` brings in order, concatenated.
+    fn follow(f: &mut StreamFollower, packet: &ObservedPacket) -> Vec<u8> {
+        let mut out = Vec::new();
+        f.push(packet, |bytes| out.extend_from_slice(bytes));
+        out
     }
 
     #[test]
     fn follows_in_order_stream() {
         let mut f = StreamFollower::new();
-        assert!(f.push(&syn(100)).is_empty());
-        assert_eq!(f.push(&data(101, b"hel")), b"hel");
-        assert_eq!(f.push(&data(104, b"lo")), b"lo");
+        assert!(follow(&mut f, &syn(100)).is_empty());
+        assert_eq!(follow(&mut f, &data(101, b"hel")), b"hel");
+        assert_eq!(follow(&mut f, &data(104, b"lo")), b"lo");
     }
 
     #[test]
     fn reorders_like_an_endpoint() {
         let mut f = StreamFollower::new();
-        f.push(&syn(100));
-        assert!(f.push(&data(104, b"lo")).is_empty());
+        follow(&mut f, &syn(100));
+        assert!(follow(&mut f, &data(104, b"lo")).is_empty());
         assert_eq!(f.gap_bytes(), 2);
-        assert_eq!(f.push(&data(101, b"hel")), b"hello");
+        assert_eq!(follow(&mut f, &data(101, b"hel")), b"hello");
     }
 
     #[test]
     fn retransmissions_are_deduplicated() {
         let mut f = StreamFollower::new();
-        f.push(&syn(100));
-        assert_eq!(f.push(&data(101, b"abc")), b"abc");
-        assert!(f.push(&data(101, b"abc")).is_empty());
+        follow(&mut f, &syn(100));
+        assert_eq!(follow(&mut f, &data(101, b"abc")), b"abc");
+        assert!(follow(&mut f, &data(101, b"abc")).is_empty());
         assert_eq!(f.duplicate_bytes(), 3);
     }
 
     #[test]
     fn data_before_syn_is_orphaned() {
         let mut f = StreamFollower::new();
-        assert!(f.push(&data(101, b"abc")).is_empty());
+        assert!(follow(&mut f, &data(101, b"abc")).is_empty());
         assert_eq!(f.orphan_segments(), 1);
     }
 
     #[test]
     fn pure_acks_produce_nothing() {
         let mut f = StreamFollower::new();
-        f.push(&syn(100));
-        assert!(f.push(&data(101, b"")).is_empty());
+        follow(&mut f, &syn(100));
+        assert!(follow(&mut f, &data(101, b"")).is_empty());
     }
 }

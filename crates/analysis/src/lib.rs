@@ -7,15 +7,21 @@
 //!
 //! * [`WireTrace`]/[`ObservedPacket`] — the capture: header fields, sizes,
 //!   timings, encrypted payload octets; never key material.
-//! * [`StreamFollower`] — passive TCP reassembly (what `tshark` does).
+//! * [`StreamFollower`] — passive TCP reassembly (what `tshark` does),
+//!   on the same `tcp::Reassembler` the endpoints use: each newly
+//!   in-order range is handed on as a borrowed view of the captured
+//!   segment, never copied into a stream buffer.
 //! * [`RecordExtractor`]/[`extract_records`] — keyless TLS record
-//!   recovery; [`app_data_records`] is the paper's
-//!   `ssl.record.content_type == 23` filter.
+//!   recovery that reads only record headers, skipping each encrypted
+//!   fragment by its length, with no per-packet allocation;
+//!   [`app_data_records`] is the paper's `ssl.record.content_type == 23`
+//!   filter.
 //! * [`segment_bursts`] — the Fig. 1 boundary heuristic lifted to record
 //!   level: serialized responses form bursts whose summed sizes identify
 //!   objects.
 //! * [`GroundTruth`] — the §II-A *degree of multiplexing* metric, computed
-//!   from seal-time annotations the simulation host records.
+//!   from seal-time annotations the simulation host records, one pass over
+//!   the ranges per scored instance.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

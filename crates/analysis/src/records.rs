@@ -5,6 +5,11 @@
 //! headers with arrival timestamps. The result is the paper's working
 //! dataset: its monitor counts GET requests with the filter
 //! `ssl.record.content_type == 23` over exactly this view (§IV-D, §V).
+//!
+//! Extraction reads record headers only, over borrowed views of the
+//! captured segments: the follower hands each newly in-order range
+//! straight to the scanner, which skips encrypted fragments by their
+//! length. Nothing is allocated per packet.
 
 use h2priv_netsim::{Dir, SimTime};
 use h2priv_tls::{ContentType, RecordScanner};
@@ -49,30 +54,21 @@ impl RecordExtractor {
         RecordExtractor::default()
     }
 
-    /// Feeds one captured packet; returns records completed by it.
-    pub fn push(&mut self, packet: &ObservedPacket) -> Vec<RecordEvent> {
-        let segment = h2priv_tcp::TcpSegment {
-            seq: packet.seq,
-            ack: packet.ack,
-            flags: packet.flags,
-            window: 0,
-            payload: packet.payload.clone(),
-        };
-        let bytes = self.follower.push(&segment);
-        if bytes.is_empty() {
-            return Vec::new();
-        }
-        self.scanner
-            .push(&bytes)
-            .into_iter()
-            .map(|r| RecordEvent {
-                time: packet.time,
-                dir: packet.dir,
-                content_type: r.content_type,
-                wire_len: r.wire_len,
-                stream_offset: r.stream_offset,
+    /// Feeds one captured packet and hands `emit` each record it
+    /// completes, in stream order.
+    pub fn push(&mut self, packet: &ObservedPacket, mut emit: impl FnMut(RecordEvent)) {
+        let scanner = &mut self.scanner;
+        self.follower.push(packet, |bytes| {
+            scanner.scan(bytes, |r| {
+                emit(RecordEvent {
+                    time: packet.time,
+                    dir: packet.dir,
+                    content_type: r.content_type,
+                    wire_len: r.wire_len,
+                    stream_offset: r.stream_offset,
+                })
             })
-            .collect()
+        });
     }
 }
 
@@ -87,7 +83,7 @@ pub fn extract_records(trace: &WireTrace) -> Vec<RecordEvent> {
             Dir::LeftToRight => &mut c2s,
             Dir::RightToLeft => &mut s2c,
         };
-        out.extend(extractor.push(packet));
+        extractor.push(packet, |record| out.push(record));
     }
     out
 }

@@ -100,13 +100,13 @@ fn directions_are_followed_independently() {
 fn hole_blocks_later_records_until_filled() {
     let mut flow = Flow::new(Dir::RightToLeft, 2);
     let mut extractor = RecordExtractor::new();
-    extractor.push(&flow.syn());
+    extractor.push(&flow.syn(), |_| {});
     let first = flow.message(2_000, 1);
     let second = flow.message(2_000, 2);
     // Deliver the second message's packets first: nothing completes.
     let mut got = 0;
     for p in &second {
-        got += extractor.push(p).len();
+        extractor.push(p, |_| got += 1);
     }
     assert_eq!(got, 0, "records behind a hole must not complete");
     // Fill the hole: both messages flood out, stamped with the filling
@@ -114,7 +114,7 @@ fn hole_blocks_later_records_until_filled() {
     // wait out after its drop window.
     let mut released = Vec::new();
     for p in &first {
-        released.extend(extractor.push(p));
+        extractor.push(p, |r| released.push(r));
     }
     assert_eq!(released.len(), 2);
     assert!(released
@@ -126,14 +126,11 @@ fn hole_blocks_later_records_until_filled() {
 fn duplicate_packets_do_not_duplicate_records() {
     let mut flow = Flow::new(Dir::RightToLeft, 2);
     let mut extractor = RecordExtractor::new();
-    extractor.push(&flow.syn());
+    extractor.push(&flow.syn(), |_| {});
     let packets = flow.message(3_000, 1);
     let mut count = 0;
-    for p in &packets {
-        count += extractor.push(p).len();
-    }
-    for p in &packets {
-        count += extractor.push(p).len();
+    for p in packets.iter().chain(&packets) {
+        extractor.push(p, |_| count += 1);
     }
     assert_eq!(count, 1);
 }

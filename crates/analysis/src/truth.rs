@@ -32,11 +32,26 @@ pub struct ObjectRange {
 }
 
 /// Ground-truth annotations for one connection's server→client stream.
+///
+/// The ranges are disjoint — each TCP byte is sealed once, for one
+/// instance — and kept in start order, so scoring an instance is one
+/// pass over them.
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
+    /// Every range, in start order.
     ranges: Vec<ObjectRange>,
+    /// Each instance's object and transmission span.
+    spans: FxHashMap<StreamId, Span>,
     complete: FxHashMap<StreamId, bool>,
-    object_of: FxHashMap<StreamId, ObjectId>,
+}
+
+/// One instance's entry in the span table: the object it serves and the
+/// TCP bytes from its first range's start to its last range's end.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    object: ObjectId,
+    start: u64,
+    end: u64,
 }
 
 impl GroundTruth {
@@ -46,18 +61,38 @@ impl GroundTruth {
     }
 
     /// Records that `[start, end)` carries DATA of `object` on `instance`.
+    /// Ranges may arrive in any order but must not overlap.
     pub fn add_range(&mut self, start: u64, end: u64, object: ObjectId, instance: StreamId) {
         debug_assert!(start <= end);
         if start == end {
             return;
         }
-        self.ranges.push(ObjectRange {
-            start,
-            end,
-            object,
-            instance,
-        });
-        self.object_of.insert(instance, object);
+        // Seal order is stream order, so this is almost always a push.
+        let at = self.ranges.partition_point(|r| r.start <= start);
+        debug_assert!(
+            at == 0 || self.ranges[at - 1].end <= start,
+            "range {start}..{end} overlaps its predecessor"
+        );
+        debug_assert!(
+            self.ranges.get(at).is_none_or(|next| end <= next.start),
+            "range {start}..{end} overlaps its successor"
+        );
+        self.ranges.insert(
+            at,
+            ObjectRange {
+                start,
+                end,
+                object,
+                instance,
+            },
+        );
+        let span = self
+            .spans
+            .entry(instance)
+            .or_insert(Span { object, start, end });
+        span.object = object;
+        span.start = span.start.min(start);
+        span.end = span.end.max(end);
         self.complete.entry(instance).or_insert(false);
     }
 
@@ -67,28 +102,26 @@ impl GroundTruth {
         self.complete.insert(instance, true);
     }
 
-    /// All recorded ranges.
+    /// All recorded ranges, in start order.
     pub fn ranges(&self) -> &[ObjectRange] {
         &self.ranges
     }
 
     /// The object an instance serves, if known.
     pub fn object_of(&self, instance: StreamId) -> Option<ObjectId> {
-        self.object_of.get(&instance).copied()
+        self.spans.get(&instance).map(|s| s.object)
     }
 
     /// Instances serving `object`, in first-byte order.
     pub fn instances_of(&self, object: ObjectId) -> Vec<StreamId> {
-        let mut firsts: FxHashMap<StreamId, u64> = FxHashMap::default();
-        for r in &self.ranges {
-            if r.object == object {
-                let e = firsts.entry(r.instance).or_insert(r.start);
-                *e = (*e).min(r.start);
-            }
-        }
-        let mut v: Vec<(u64, StreamId)> = firsts.into_iter().map(|(s, f)| (f, s)).collect();
-        v.sort_unstable_by_key(|&(f, s)| (f, s));
-        v.into_iter().map(|(_, s)| s).collect()
+        let mut firsts: Vec<(u64, StreamId)> = self
+            .spans
+            .iter()
+            .filter(|(_, span)| span.object == object)
+            .map(|(&instance, span)| (span.start, instance))
+            .collect();
+        firsts.sort_unstable();
+        firsts.into_iter().map(|(_, instance)| instance).collect()
     }
 
     /// True if the instance finished transmitting.
@@ -121,67 +154,53 @@ impl GroundTruth {
     ///
     /// Both reduce to 0 exactly when the instance was transmitted alone and
     /// unbroken — the condition the paper's attack engineers.
+    ///
+    /// One pass over the ranges in start order computes both: the other
+    /// instances' spans come merged from the span table, and a run breaks
+    /// where a foreign range that starts before an own range ends after
+    /// the previous own range — that is, where the largest foreign end
+    /// passed so far lies beyond it.
     pub fn degree_of_instance(&self, instance: StreamId) -> Option<f64> {
-        let mut mine: Vec<&ObjectRange> = self
-            .ranges
-            .iter()
-            .filter(|r| r.instance == instance)
-            .collect();
-        if mine.is_empty() {
-            return None;
-        }
-        mine.sort_unstable_by_key(|r| r.start);
-        let total: u64 = mine.iter().map(|r| r.end - r.start).sum();
-
-        // Span overlap.
-        let mut spans: FxHashMap<StreamId, (u64, u64)> = FxHashMap::default();
-        for r in &self.ranges {
-            if r.instance == instance {
-                continue;
-            }
-            let e = spans.entry(r.instance).or_insert((r.start, r.end));
-            e.0 = e.0.min(r.start);
-            e.1 = e.1.max(r.end);
-        }
-        let merged = merge_intervals(spans.values().copied().collect());
-        let in_spans: u64 = mine
-            .iter()
-            .map(|r| overlap_with(r.start, r.end, &merged))
-            .sum();
-        let span_degree = in_spans as f64 / total as f64;
-
-        // Run breakage: group consecutive own ranges not separated by
-        // foreign bytes; keep the largest group.
-        let foreign: Vec<(u64, u64)> = {
-            let mut v: Vec<(u64, u64)> = self
-                .ranges
+        self.spans.get(&instance)?;
+        let foreign_spans = merge_intervals(
+            self.spans
                 .iter()
-                .filter(|r| r.instance != instance)
-                .map(|r| (r.start, r.end))
-                .collect();
-            v.sort_unstable();
-            v
-        };
+                .filter(|&(&other, _)| other != instance)
+                .map(|(_, span)| (span.start, span.end))
+                .collect(),
+        );
+        // Foreign spans before this index end before the current own range.
+        let mut first_span = 0;
+        let mut total = 0u64;
+        let mut in_spans = 0u64;
         let mut largest_run = 0u64;
         let mut current_run = 0u64;
         let mut prev_end: Option<u64> = None;
-        for r in &mine {
-            let broken = match prev_end {
-                None => false,
-                Some(pe) => foreign
-                    .iter()
-                    .any(|&(fs, fe)| fe > pe && fs < r.start && fe > fs),
-            };
-            if broken {
+        let mut foreign_end = 0u64;
+        for r in &self.ranges {
+            if r.instance != instance {
+                foreign_end = foreign_end.max(r.end);
+                continue;
+            }
+            let len = r.end - r.start;
+            total += len;
+            while foreign_spans
+                .get(first_span)
+                .is_some_and(|&(_, end)| end <= r.start)
+            {
+                first_span += 1;
+            }
+            in_spans += overlap_with(r.start, r.end, &foreign_spans[first_span..]);
+            if prev_end.is_some_and(|pe| foreign_end > pe) {
                 largest_run = largest_run.max(current_run);
                 current_run = 0;
             }
-            current_run += r.end - r.start;
+            current_run += len;
             prev_end = Some(r.end);
         }
         largest_run = largest_run.max(current_run);
+        let span_degree = in_spans as f64 / total as f64;
         let run_degree = 1.0 - largest_run as f64 / total as f64;
-
         Some(span_degree.max(run_degree))
     }
 
@@ -205,16 +224,17 @@ impl GroundTruth {
     }
 }
 
+/// Sorts `intervals` and merges the overlapping ones, in place.
 fn merge_intervals(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     intervals.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
-    for (s, e) in intervals {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
+    intervals.dedup_by(|next, kept| {
+        let joins = next.0 <= kept.1;
+        if joins {
+            kept.1 = kept.1.max(next.1);
         }
-    }
-    out
+        joins
+    });
+    intervals
 }
 
 fn overlap_with(start: u64, end: u64, merged: &[(u64, u64)]) -> u64 {

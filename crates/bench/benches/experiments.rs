@@ -9,7 +9,7 @@ use h2priv_bench::harness::{black_box, Harness};
 use h2priv_core::experiment::{
     analyze_trial, calibrate_size_map, objects_of_interest, paper_scenario, run_paper_trial,
 };
-use h2priv_core::AttackConfig;
+use h2priv_core::{AttackConfig, MonitorConfig, TrafficMonitor};
 use h2priv_netsim::{mbps, SimDuration};
 
 fn bench_fig1(h: &mut Harness) {
@@ -67,6 +67,17 @@ fn bench_analysis(h: &mut Harness) {
         let trace = trial.result.trace.clone();
         h.bench("analysis_pipeline/extract_records_full_trace", move || {
             black_box(h2priv_analysis::extract_records(&trace));
+        });
+    }
+    {
+        let attacked = run_paper_trial(1, Some(&AttackConfig::paper_attack()), |_| {});
+        let trace = attacked.result.trace;
+        h.bench("analysis_pipeline/monitor_observe_full_trace", move || {
+            let mut monitor = TrafficMonitor::new(MonitorConfig::default());
+            for packet in &trace.packets {
+                black_box(monitor.observe(packet));
+            }
+            black_box(monitor.gets_seen());
         });
     }
     let records = h2priv_analysis::extract_records(&trial.result.trace);

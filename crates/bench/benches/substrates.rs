@@ -2,6 +2,7 @@
 //! exercises millions of times.
 
 use h2priv_bench::harness::{black_box, Harness};
+use h2priv_bytes::SharedBytes;
 use h2priv_http2::hpack::{Decoder, Encoder, HeaderField};
 use h2priv_http2::{encode_frame, Frame, FrameDecoder, StreamId};
 use h2priv_tcp::{Reassembler, Seq, TcpConfig, TcpConnection};
@@ -79,18 +80,19 @@ fn bench_tls(h: &mut Harness) {
     let mut w = RecordWriter::new(RecordCipher::new(1, 1));
     let wire = w.seal_message(ContentType::ApplicationData, &payload);
     h.bench_throughput("tls_records/scanner_headers_only_2k", 2048, move || {
-        let mut s = RecordScanner::new();
-        black_box(s.push(&wire));
+        RecordScanner::new().scan(&wire, |record| {
+            black_box(record);
+        });
     });
 }
 
 fn bench_reassembly(h: &mut Harness) {
     // 100 KB delivered as 1460-byte segments, 10 % delivered out of order.
     let data: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
-    let mut chunks: Vec<(u64, Vec<u8>)> = data
+    let mut chunks: Vec<(u64, SharedBytes)> = data
         .chunks(1460)
         .enumerate()
-        .map(|(i, c)| ((i * 1460) as u64, c.to_vec()))
+        .map(|(i, c)| ((i * 1460) as u64, SharedBytes::copy_from_slice(c)))
         .collect();
     let n = chunks.len();
     for i in (0..n.saturating_sub(1)).step_by(10) {

@@ -216,7 +216,7 @@ impl Middlebox<TcpSegment> for Adversary {
             self.controller.set_jitter(self.config.initial_spacing);
             self.phase_log.push((now, AttackPhase::Observing));
         }
-        // Observe (both directions feed the monitor).
+        // Observe (the monitor follows the client→server direction).
         let observed = ObservedPacket::capture(now, ctx.dir, &packet.payload);
         let insight = self.monitor.observe(&observed);
 
@@ -224,7 +224,7 @@ impl Middlebox<TcpSegment> for Adversary {
         let mut entered_disrupting_now = false;
         if self.phase == AttackPhase::Observing {
             if let Some(trigger) = self.config.trigger_get {
-                if insight.new_gets.iter().any(|&g| g >= trigger) {
+                if insight.new_gets.clone().any(|g| g >= trigger) {
                     self.controller.set_bandwidth(self.config.throttle);
                     if self.config.drop_rate_per_mille > 0 && !self.config.drop_duration.is_zero() {
                         let until = now + self.config.drop_duration;
@@ -278,7 +278,7 @@ impl Middlebox<TcpSegment> for Adversary {
                 let s2c_quiet = drained || deadline_passed;
                 match self.controller.decide_c2s(
                     now,
-                    insight.new_gets.len(),
+                    insight.new_gets.clone().count(),
                     seg.seq,
                     seg.seq_end(),
                     s2c_quiet,

@@ -250,9 +250,6 @@ impl NetworkController {
         let mut release = now;
         if let Some(d) = self.jitter {
             release = release.max(self.jitter_anchor.max(now) + d * self.jitter_k);
-            if std::env::var_os("H2PRIV_CTRL_DEBUG").is_some() {
-                eprintln!("HOLD k={} at {now} -> release {release}", self.jitter_k);
-            }
             self.jitter_k += gets as u64;
             if release > now {
                 self.stats.gets_spaced += 1;

@@ -2,14 +2,22 @@
 //! monitor, which was implemented using tshark").
 //!
 //! Runs *online* inside the adversary middlebox: it passively reassembles
-//! both TCP directions, parses TLS record headers without keys, and counts
-//! client→server GET requests using the paper's filter
+//! the client→server TCP direction, parses TLS record headers without
+//! keys, and counts GET requests using the paper's filter
 //! (`ssl.record.content_type == 23`) plus a size heuristic that separates
 //! request header blocks from small control frames (WINDOW_UPDATE /
 //! SETTINGS-ack records are ≤ ~50 wire bytes; HPACK-compressed GETs are
-//! larger).
+//! larger). The server→client direction carries no GETs, so the monitor
+//! does not follow it.
+//!
+//! It reads headers only, over shared views of the packets it sees: the
+//! same [`RecordExtractor`] the offline analysis uses hands it each
+//! record as its last byte arrives, and observing a packet allocates
+//! nothing.
 
-use h2priv_analysis::{ObservedPacket, RecordEvent, RecordExtractor};
+use std::ops::Range;
+
+use h2priv_analysis::{ObservedPacket, RecordExtractor};
 use h2priv_netsim::{Dir, SimTime};
 use h2priv_tls::ContentType;
 
@@ -42,10 +50,9 @@ impl Default for MonitorConfig {
 /// What the monitor concluded about one packet.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PacketInsight {
-    /// Completed records the packet revealed.
-    pub records: Vec<RecordEvent>,
-    /// GET requests among them (1-based indices assigned in order).
-    pub new_gets: Vec<u64>,
+    /// GET requests the packet revealed, as 1-based indices in the order
+    /// they were counted (empty for most packets).
+    pub new_gets: Range<u64>,
 }
 
 /// The online passive monitor.
@@ -53,7 +60,6 @@ pub struct PacketInsight {
 pub struct TrafficMonitor {
     config: MonitorConfig,
     c2s: RecordExtractor,
-    s2c: RecordExtractor,
     gets_seen: u64,
     skipped: usize,
     get_times: Vec<SimTime>,
@@ -80,33 +86,25 @@ impl TrafficMonitor {
 
     /// Feeds one packet; returns what it revealed.
     pub fn observe(&mut self, packet: &ObservedPacket) -> PacketInsight {
-        let extractor = match packet.dir {
-            Dir::LeftToRight => &mut self.c2s,
-            Dir::RightToLeft => &mut self.s2c,
-        };
-        let records = extractor.push(packet);
-        let mut new_gets = Vec::new();
-        for record in &records {
-            if record.dir == Dir::LeftToRight
-                && record.content_type == ContentType::ApplicationData
-                && record.wire_len >= self.config.get_min_wire_len
-            {
+        let first = self.gets_seen + 1;
+        if packet.dir == Dir::LeftToRight {
+            self.c2s.push(packet, |record| {
+                if record.content_type != ContentType::ApplicationData
+                    || record.wire_len < self.config.get_min_wire_len
+                {
+                    return;
+                }
                 if self.skipped < self.config.skip_initial {
                     self.skipped += 1;
-                    continue;
+                    return;
                 }
                 self.gets_seen += 1;
                 self.get_times.push(packet.time);
-                if std::env::var_os("H2PRIV_MON_DEBUG").is_some() {
-                    eprintln!(
-                        "GET#{} at {} wire={} offset={}",
-                        self.gets_seen, packet.time, record.wire_len, record.stream_offset
-                    );
-                }
-                new_gets.push(self.gets_seen);
-            }
+            });
         }
-        PacketInsight { records, new_gets }
+        PacketInsight {
+            new_gets: first..self.gets_seen + 1,
+        }
     }
 }
 
@@ -237,7 +235,6 @@ mod tests {
             },
         );
         let insight = monitor.observe(&data);
-        assert_eq!(insight.records.len(), 1);
         assert!(insight.new_gets.is_empty());
         assert_eq!(monitor.gets_seen(), 0);
     }

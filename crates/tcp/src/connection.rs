@@ -728,18 +728,6 @@ impl TcpConnection {
                 if self.flight() == 0 && !self.fin_needs_rexmit() {
                     return; // spurious
                 }
-                if std::env::var_os("H2PRIV_TCP_DEBUG").is_some() {
-                    eprintln!(
-                        "RTO at {now}: rto={} srtt={:?} flight={} una={} nxt={} max={} backoff={}",
-                        self.rtt.rto(),
-                        self.rtt.srtt(),
-                        self.flight(),
-                        self.snd_una,
-                        self.snd_nxt,
-                        self.snd_max,
-                        self.rtt.backoff_exp(),
-                    );
-                }
                 self.stats.timeouts += 1;
                 self.consecutive_timeouts += 1;
                 if self.consecutive_timeouts > self.config.max_consecutive_timeouts {

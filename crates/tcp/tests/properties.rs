@@ -2,6 +2,7 @@
 //! reordering, duplication — an established connection delivers the exact
 //! byte stream, in order, or aborts cleanly.
 
+use h2priv_bytes::SharedBytes;
 use h2priv_netsim::prop;
 use h2priv_netsim::{SimDuration, SimTime};
 use h2priv_tcp::{Reassembler, Seq, TcpConfig, TcpConnection, TcpSegment};
@@ -51,17 +52,17 @@ fn reassembly_is_order_and_duplication_invariant() {
         let len = g.range(1usize..5_000);
         let chunk = g.range(1usize..700);
         let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        let chunks: Vec<(u64, &[u8])> = (0u64..)
+        let chunks: Vec<(u64, SharedBytes)> = (0u64..)
             .zip(data.chunks(chunk))
-            .map(|(i, c)| (i * chunk as u64, c))
+            .map(|(i, c)| (i * chunk as u64, SharedBytes::copy_from_slice(c)))
             .collect();
         // A shuffled pass with duplicates, then every chunk once in a
         // random order to guarantee completeness.
         let dups = g.vec(0..64, |g| g.range(0..chunks.len()));
         let mut r = Reassembler::new();
         for i in dups.into_iter().chain(g.permutation(chunks.len())) {
-            let (off, c) = chunks[i];
-            r.insert(off, c);
+            let (off, c) = &chunks[i];
+            r.insert(*off, c);
         }
         assert_eq!(r.read(), data);
         assert_eq!(r.pending_bytes(), 0);
@@ -74,14 +75,62 @@ fn reassembly_overlaps_never_corrupt() {
     prop::check("reassembly_overlaps_never_corrupt", 64, |g| {
         let len = g.range(2usize..2_000);
         let cut = g.range(1..len);
-        let data: Vec<u8> = (0..len).map(|i| (i * 7 % 256) as u8).collect();
+        let data = SharedBytes::from_vec((0..len).map(|i| (i * 7 % 256) as u8).collect());
         let mut r = Reassembler::new();
-        r.insert(0, &data[..cut]);
+        r.insert(0, &data.slice(..cut));
         assert_eq!(r.read(), &data[..cut]);
         // Retransmit everything from zero.
         r.insert(0, &data);
         assert_eq!(r.read(), &data[cut..]);
     });
+}
+
+/// Windows of a stream cut anywhere — overlapping, re-segmented and
+/// duplicated, inserted in any order — release exactly the stream, hold
+/// nothing back, and count every byte inserted beyond the stream once as
+/// a duplicate: a held predecessor keeps shared bytes, and a new chunk
+/// trims the held successors it covers, without losing or double-counting
+/// a byte.
+#[test]
+fn reassembly_of_overlapping_windows_accounts_every_byte() {
+    prop::check(
+        "reassembly_of_overlapping_windows_accounts_every_byte",
+        256,
+        |g| {
+            let len = g.range(1usize..6_000);
+            let data = SharedBytes::from_vec(g.bytes(len..=len));
+            // One segmentation at random cut points covers the stream...
+            let mut windows: Vec<(usize, usize)> = Vec::new();
+            let mut at = 0;
+            while at < len {
+                let end = (at + g.range(1usize..1_500)).min(len);
+                windows.push((at, end));
+                at = end;
+            }
+            // ...then windows anywhere, overlapping it and each other, plus
+            // exact duplicates of some of them.
+            for _ in 0..g.range(0usize..40) {
+                let start = g.range(0..len);
+                let end = g.range(start + 1..=len.min(start + 3_000));
+                windows.push((start, end));
+            }
+            for _ in 0..g.range(0usize..10) {
+                let again = g.pick(&windows);
+                windows.push(again);
+            }
+            let mut r = Reassembler::new();
+            let mut inserted = 0u64;
+            for i in g.permutation(windows.len()) {
+                let (start, end) = windows[i];
+                r.insert(start as u64, &data.slice(start..end));
+                inserted += (end - start) as u64;
+            }
+            assert_eq!(r.read(), &data[..]);
+            assert_eq!(r.pending_bytes(), 0);
+            assert!(!r.has_gap());
+            assert_eq!(r.duplicate_bytes(), inserted - len as u64);
+        },
+    );
 }
 
 // ---------- full connections over adversarial "networks" ------------------

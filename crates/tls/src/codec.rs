@@ -8,7 +8,10 @@
 //!
 //! [`RecordScanner`] is the *eavesdropper's* parser: it walks the same byte
 //! stream using only the plaintext headers, yielding content types and
-//! lengths without any key material. The analysis crate builds the paper's
+//! lengths without any key material. It reads each 5-byte header and skips
+//! the encrypted fragment by its length, so it holds no stream bytes beyond
+//! a header split across two segments, and can walk borrowed views of the
+//! captured segments as they come. The analysis crate builds the paper's
 //! `content_type == 23` filter on top of it.
 
 use crate::cipher::RecordCipher;
@@ -373,12 +376,22 @@ pub struct ScannedRecord {
 
 /// Parses record *headers* from a byte stream without any key material —
 /// the passive observer's view.
+///
+/// The scanner never buffers the stream: it reads each 5-byte header and
+/// skips the encrypted fragment by its length. The only bytes it keeps
+/// are the part of a header that straddles two calls to
+/// [`scan`](Self::scan).
 #[derive(Debug, Clone, Default)]
 pub struct RecordScanner {
-    buf: Vec<u8>,
-    /// Start of unconsumed bytes in `buf` (consumed records advance this
-    /// cursor; the prefix is reclaimed once per `push`, not per record).
-    pos: usize,
+    /// The part of the next header seen so far: `header[..header_len]`.
+    header: [u8; HEADER_LEN],
+    header_len: usize,
+    /// The record whose header has been read, while its fragment is
+    /// being skipped.
+    current: Option<ScannedRecord>,
+    /// Fragment bytes of `current` still to skip.
+    fragment_left: usize,
+    /// Stream offset of the next header's first byte.
     offset: u64,
     desynced: bool,
 }
@@ -395,39 +408,50 @@ impl RecordScanner {
         self.desynced
     }
 
-    /// Appends observed stream bytes and returns any complete record
-    /// headers they reveal.
-    pub fn push(&mut self, bytes: &[u8]) -> Vec<ScannedRecord> {
-        if self.desynced {
-            return Vec::new();
-        }
-        self.buf.extend_from_slice(bytes);
-        let mut out = Vec::new();
-        loop {
-            let avail = &self.buf[self.pos..];
-            if avail.len() < HEADER_LEN {
-                break;
+    /// Walks the next observed stream bytes, handing `emit` each record
+    /// they complete, in stream order. A record counts as complete once
+    /// its last fragment byte has been seen. An undecodable header stops
+    /// the walk for good.
+    pub fn scan(&mut self, mut bytes: &[u8], mut emit: impl FnMut(ScannedRecord)) {
+        while !self.desynced {
+            if let Some(record) = self.current {
+                let skip = self.fragment_left.min(bytes.len());
+                self.fragment_left -= skip;
+                bytes = &bytes[skip..];
+                if self.fragment_left > 0 {
+                    return;
+                }
+                self.current = None;
+                self.offset += record.wire_len as u64;
+                emit(record);
             }
-            let Some(header) = RecordHeader::decode(avail) else {
-                self.desynced = true;
-                break;
+            let header = if self.header_len == 0 && bytes.len() >= HEADER_LEN {
+                let (header, rest) = bytes.split_at(HEADER_LEN);
+                bytes = rest;
+                header
+            } else {
+                let take = (HEADER_LEN - self.header_len).min(bytes.len());
+                self.header[self.header_len..self.header_len + take]
+                    .copy_from_slice(&bytes[..take]);
+                self.header_len += take;
+                bytes = &bytes[take..];
+                if self.header_len < HEADER_LEN {
+                    return;
+                }
+                self.header_len = 0;
+                &self.header[..]
             };
-            if avail.len() < header.wire_len() {
-                break;
-            }
-            out.push(ScannedRecord {
+            let Some(header) = RecordHeader::decode(header) else {
+                self.desynced = true;
+                return;
+            };
+            self.current = Some(ScannedRecord {
                 content_type: header.content_type,
                 wire_len: header.wire_len(),
                 stream_offset: self.offset,
             });
-            self.offset += header.wire_len() as u64;
-            self.pos += header.wire_len();
+            self.fragment_left = header.fragment_len as usize;
         }
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        out
     }
 }
 
@@ -556,13 +580,19 @@ mod tests {
         assert_eq!(r.next_message(), Err(ReadRecordError::BadHeader));
     }
 
+    fn scan(scanner: &mut RecordScanner, bytes: &[u8]) -> Vec<ScannedRecord> {
+        let mut out = Vec::new();
+        scanner.scan(bytes, |record| out.push(record));
+        out
+    }
+
     #[test]
     fn scanner_sees_types_and_lengths_only() {
         let mut w = RecordWriter::new(RecordCipher::new(123, 2));
         let mut scanner = RecordScanner::new();
         let mut wire = w.seal_message(ContentType::Handshake, &[0u8; 300]);
         wire.extend(w.seal_message(ContentType::ApplicationData, &[1u8; 1000]));
-        let records = scanner.push(&wire);
+        let records = scan(&mut scanner, &wire);
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].content_type, ContentType::Handshake);
         assert_eq!(records[0].wire_len, HEADER_LEN + 300 + AEAD_OVERHEAD);
@@ -578,15 +608,15 @@ mod tests {
         let wire = w.seal_message(ContentType::ApplicationData, &[1u8; 500]);
         let mut scanner = RecordScanner::new();
         let mid = wire.len() / 2;
-        assert!(scanner.push(&wire[..mid]).is_empty());
-        let records = scanner.push(&wire[mid..]);
+        assert!(scan(&mut scanner, &wire[..mid]).is_empty());
+        let records = scan(&mut scanner, &wire[mid..]);
         assert_eq!(records.len(), 1);
     }
 
     #[test]
     fn scanner_desyncs_on_garbage() {
         let mut scanner = RecordScanner::new();
-        assert!(scanner.push(&[0u8; 32]).is_empty());
+        assert!(scan(&mut scanner, &[0u8; 32]).is_empty());
         assert!(scanner.is_desynced());
     }
 }

@@ -14,7 +14,9 @@
 //!   reordering, and adds the exact TLS 1.2 AES-GCM length expansion.
 //! * [`RecordWriter`]/[`RecordReader`] — endpoint-side serialization over a
 //!   byte stream, with fragmentation at 16 KiB.
-//! * [`RecordScanner`] — the eavesdropper's keyless header parser.
+//! * [`RecordScanner`] — the eavesdropper's keyless header parser: it
+//!   reads each header and skips the fragment by its length, keeping no
+//!   stream bytes but a header split across segments.
 //! * [`TlsSession`] — role-aware session with a realistically-sized
 //!   handshake transcript preceding application data.
 

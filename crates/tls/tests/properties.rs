@@ -118,7 +118,8 @@ fn scanner_agrees_with_reader() {
         let key = g.any();
         let msgs = messages(g, 1..6, 1_500);
         let mut writer = RecordWriter::new(RecordCipher::new(key, 1));
-        let scanned = RecordScanner::new().push(&seal_all(&mut writer, &msgs));
+        let mut scanned = Vec::new();
+        RecordScanner::new().scan(&seal_all(&mut writer, &msgs), |r| scanned.push(r));
         assert_eq!(scanned.len(), msgs.len());
         for (rec, (ct, m)) in scanned.iter().zip(&msgs) {
             assert_eq!(rec.content_type, *ct);
@@ -146,7 +147,7 @@ fn scanner_and_reader_total() {
             }
             wire
         };
-        let _ = RecordScanner::new().push(&bytes);
+        RecordScanner::new().scan(&bytes, |_| {});
         let mut reader = RecordReader::new(RecordCipher::new(key, 2));
         reader.push(&bytes);
         while let Ok(Some(_)) = reader.next_message() {}
