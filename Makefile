@@ -1,6 +1,6 @@
 # Convenience targets; each is a thin wrapper over cargo.
 
-.PHONY: build test lint doc bench bench-check bench-sched bench-defense bench-dos bench-fleet bench-fleet-mem bench-fleet-1m bench-scaleout check-conformance check-golden repro repro-quick
+.PHONY: build test lint doc bench-check bench-defense bench-dos bench-fleet bench-fleet-mem bench-fleet-1m bench-scaleout check-conformance check-golden repro repro-quick
 
 build:
 	cargo build --release --workspace
@@ -16,16 +16,10 @@ lint:
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-bench:
-	cargo bench -p h2priv-bench
-
 # Perf gate: fleet bytes/pair at one thread against BENCH_repro.json, and
 # the pagebench workloads against pagebench/BASELINE.json on that host.
 bench-check:
 	sh scripts/bench_check.sh
-
-bench-sched:
-	cargo bench -p h2priv-bench --bench sched
 
 # The countermeasure arena: every defense vs. the adversary grid, with
 # the conformance oracle attached (exit 2 on any violation). Use
@@ -64,9 +58,9 @@ bench-fleet-1m:
 	cargo run --release -p h2priv-bench --bin repro -- fleet --population 1000000 --shards 64 --spread 14400 --progress --bench-json=BENCH_fleet_1m.json
 
 # Parallel-efficiency curve: re-runs the baseline fleet population at
-# --threads 1/2/4/8 and reports aggregate ev/s, ev/s per core, and
-# efficiency vs. the 1-thread point. Outcome rows are asserted identical
-# across thread counts before any rate is reported.
+# --threads 1/2/4/8 and reports wall-clock per point and efficiency
+# (the 1-thread wall-clock over threads × this point's). Outcome rows are
+# asserted identical across thread counts before any point is reported.
 bench-scaleout:
 	cargo run --release -p h2priv-bench --bin repro -- scaleout --population 2000 --shards 8
 

@@ -26,14 +26,14 @@
 //! memory follows the pairs in flight, not the population. Million-pair
 //! runs use `--spread SECS` (widen the start-stagger window so fewer loads
 //! overlap; the shard deadline grows by the same amount) and `--progress`
-//! (a stderr heartbeat with pairs done, events/sec and ETA; stdout is
+//! (a stderr heartbeat with pairs done, events and ETA; stdout is
 //! untouched).
 //!
 //! The `scaleout` exhibit (explicit request only — it is a measurement
 //! harness, not a paper artifact, and re-runs the baseline population once
 //! per thread count) executes the same fleet at `--threads` 1/2/4/8 and
-//! reports aggregate events/sec, events/sec **per core** and parallel
-//! efficiency.
+//! reports each point's wall-clock and its parallel efficiency: the
+//! 1-thread wall-clock over threads × this point's.
 //!
 //! The `defend` exhibit runs the countermeasure arena: every defense in
 //! `DefenseSpec::arena` against the escalating adversary grid, reporting

@@ -118,7 +118,7 @@ pub struct FleetTuning {
     /// the full per-pair time budget. A 1M-pair run needs this: the
     /// default 5 s window would put ~300k loads in flight at once.
     pub spread_secs: Option<u64>,
-    /// Emit a stderr heartbeat (pairs done, events/sec, ETA) while the
+    /// Emit a stderr heartbeat (pairs done, events, ETA) while the
     /// populations run (`--progress`). stdout is untouched.
     pub progress: bool,
 }
@@ -178,7 +178,6 @@ impl Heartbeat {
                 let events = progress.events.load(Ordering::Relaxed);
                 let shards = progress.shards_done.load(Ordering::Relaxed);
                 let elapsed = t0.elapsed().as_secs_f64();
-                let rate = events as f64 / elapsed.max(1e-9);
                 let eta = if done > 0 && done < total_pairs {
                     let per_pair = elapsed / done as f64;
                     format!(", ~{:.0}s left", per_pair * (total_pairs - done) as f64)
@@ -187,8 +186,7 @@ impl Heartbeat {
                 };
                 eprintln!(
                     "[fleet] {done}/{total_pairs} pairs, {shards} shard(s) done, \
-                     {events} events, {:.2}M ev/s{eta}",
-                    rate / 1e6
+                     {events} events{eta}"
                 );
             })
             .expect("spawn heartbeat thread");
@@ -314,13 +312,10 @@ pub struct ScaleoutPoint {
     pub threads: usize,
     /// Wall-clock for the baseline population, milliseconds.
     pub wall_ms: f64,
-    /// Simulator events across all shards.
+    /// Simulator events across all shards (the same at every point).
     pub events: u64,
-    /// Aggregate throughput, events/second.
-    pub events_per_sec: f64,
-    /// Throughput per worker thread — flat means perfect scaling.
-    pub ev_s_per_core: f64,
-    /// Parallel efficiency vs. the 1-thread point (1.0 = linear speedup).
+    /// Parallel efficiency vs. the 1-thread point: `wall_1 / (threads ×
+    /// wall_ms)`, 1.0 for a linear speedup.
     pub efficiency: f64,
     /// Completed pairs (must not vary with the thread count).
     pub completed: u32,
@@ -332,8 +327,6 @@ impl ToJson for ScaleoutPoint {
             ("threads", (self.threads as u64).to_json()),
             ("wall_ms", self.wall_ms.to_json()),
             ("events", self.events.to_json()),
-            ("events_per_sec", self.events_per_sec.to_json()),
-            ("ev_s_per_core", self.ev_s_per_core.to_json()),
             ("efficiency", self.efficiency.to_json()),
             ("completed", (self.completed as u64).to_json()),
         ])
@@ -341,8 +334,8 @@ impl ToJson for ScaleoutPoint {
 }
 
 /// The scale-out exhibit: the same baseline fleet population executed at
-/// each worker count in `thread_counts`, measuring aggregate events/sec
-/// and parallel efficiency. Every point runs the *identical* shard set —
+/// each worker count in `thread_counts`, measuring wall-clock and
+/// parallel efficiency. Every point runs the *identical* shard set —
 /// the partition is fixed by `shards`, not the thread count — so the
 /// completed/broken rows must match across the whole curve (asserted
 /// here), and only wall-clock moves.
@@ -369,23 +362,19 @@ pub fn scaleout(
         let t0 = Instant::now();
         let run = run_population("baseline", &config, None, &map);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let events_per_sec = run.merged.events as f64 / (wall_ms / 1e3).max(1e-9);
         if let Some(first) = points.first() {
             assert_eq!(
                 run.merged.completed, first.completed,
                 "thread count must not change outcomes"
             );
         }
-        let efficiency = points
-            .first()
-            .map(|p| (events_per_sec / p.events_per_sec) / threads.max(1) as f64 * p.threads as f64)
-            .unwrap_or(1.0);
+        let efficiency = points.first().map_or(1.0, |p| {
+            p.wall_ms * p.threads as f64 / (threads.max(1) as f64 * wall_ms.max(1e-9))
+        });
         points.push(ScaleoutPoint {
             threads,
             wall_ms,
             events: run.merged.events,
-            events_per_sec,
-            ev_s_per_core: events_per_sec / threads.max(1) as f64,
             efficiency,
             completed: run.merged.completed,
         });
@@ -400,17 +389,17 @@ pub fn render_scaleout(population: u32, shards: u32, points: &[ScaleoutPoint]) -
     out.push_str(&format!(
         "FLEET SCALE-OUT: {population} pairs over {shards} shards, baseline population per thread count\n",
     ));
-    out.push_str("| threads | wall ms | events | ev/s | ev/s per core | efficiency |\n");
-    out.push_str("|--------:|--------:|-------:|-----:|--------------:|-----------:|\n");
+    out.push_str("| threads | wall ms |     events | efficiency |\n");
+    out.push_str("|--------:|--------:|-----------:|-----------:|\n");
     for p in points {
         out.push_str(&format!(
-            "| {:>7} | {:>7.0} | {:>6} | {:>4.0} | {:>13.0} | {:>10.2} |\n",
-            p.threads, p.wall_ms, p.events, p.events_per_sec, p.ev_s_per_core, p.efficiency
+            "| {:>7} | {:>7.0} | {:>10} | {:>10.2} |\n",
+            p.threads, p.wall_ms, p.events, p.efficiency
         ));
     }
     out.push_str(
         "(same shard partition at every thread count — outcome rows are identical, only\n \
-         wall-clock moves; efficiency is speedup over the 1-thread point divided by threads)\n",
+         wall-clock moves; efficiency is the 1-thread wall-clock over threads × this point's)\n",
     );
     out
 }

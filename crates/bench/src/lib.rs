@@ -19,11 +19,11 @@
 //!   million-pair sittings (`--spread`/`--progress`) and the `scaleout`
 //!   parallel-efficiency exhibit
 //!   ([`fleet::scaleout`]: the same population at `--threads` 1/2/4/8,
-//!   identical outcome rows asserted, ev/s-per-core curve recorded).
+//!   identical outcome rows asserted, wall-clock and efficiency recorded).
 //!
 //! The `repro` binary prints them in the paper's layout; `EXPERIMENTS.md`
-//! records paper-vs-measured values. Microbenches of the substrates live
-//! under `benches/`, timed by the std `Instant` loop in [`harness`].
+//! records paper-vs-measured values. Timing lives in `pagebench/`, which
+//! measures wall-clock per simulated page load.
 
 #![warn(missing_docs)]
 
@@ -34,7 +34,6 @@ pub mod dos;
 pub mod fig1;
 pub mod fig5;
 pub mod fleet;
-pub mod harness;
 pub mod ivd;
 pub mod json;
 pub mod runner;

@@ -41,3 +41,21 @@ fn both_value_forms_are_accepted() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("FIGURE 1"));
 }
+
+/// `scaleout` reports wall-clock per thread count and the efficiency
+/// derived from it, and no event rate.
+#[test]
+fn scaleout_reports_one_row_per_thread_count() {
+    let out = repro(&["scaleout", "--population", "12", "--shards", "2"]);
+    assert!(out.status.success(), "repro scaleout failed");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("ev/s"), "{stdout}");
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .filter(|l| l.starts_with("| ") && !l.contains("threads"))
+        .map(|l| l.split_whitespace().filter(|&c| c != "|").collect())
+        .collect();
+    let threads: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+    assert_eq!(threads, ["1", "2", "4", "8"], "{stdout}");
+    assert_eq!(rows[0].last(), Some(&"1.00"), "{stdout}");
+}

@@ -59,12 +59,12 @@ enum Policy {
 #[derive(Debug, Clone)]
 pub struct TlsShaper {
     policy: Policy,
-    /// Next scheduled dummy, if armed.
+    /// Next scheduled dummy, if armed. Once armed the schedule runs for
+    /// as long as its host is pumped: nothing stops it when the page load
+    /// is over. `HostCore::is_quiet` folds this wakeup in, so a shaped
+    /// fleet victim's server never reads quiet, and its pair stays
+    /// resident until its shard halts.
     due: Option<SimTime>,
-    /// Shaping stops once the page load is over (the browser went idle);
-    /// an unbounded shaper would pad forever and the trial would only end
-    /// at its deadline.
-    active: bool,
     /// Dummy records emitted so far (the overhead numerator).
     pub dummies_sent: u64,
 }
@@ -82,7 +82,6 @@ impl TlsShaper {
                 interval: interval.max(SimDuration::from_micros(100)),
             },
             due: None,
-            active: true,
             dummies_sent: 0,
         }
     }
@@ -93,36 +92,19 @@ impl TlsShaper {
         TlsShaper {
             policy: Policy::Adaptive { min_gap, spread },
             due: None,
-            active: true,
             dummies_sent: 0,
         }
-    }
-
-    /// Stops the schedule (page load finished); no further dummies.
-    pub fn deactivate(&mut self) {
-        self.active = false;
-        self.due = None;
-    }
-
-    /// True while the shaper still wants wakeups.
-    pub fn is_active(&self) -> bool {
-        self.active
     }
 
     /// Notes that real traffic was sealed at `now`: the wire is busy, so
     /// the gap timer re-arms from here.
     pub fn on_real_send(&mut self, now: SimTime, rng: &mut SimRng) {
-        if self.active {
-            self.arm(now, rng);
-        }
+        self.arm(now, rng);
     }
 
     /// How many dummy records to seal at `now`. Advances the schedule;
     /// bounded by the shaper's `MAX_DUMMIES_PER_POLL` per call.
     pub fn dummies_due(&mut self, now: SimTime, rng: &mut SimRng) -> u32 {
-        if !self.active {
-            return 0;
-        }
         // First poll: start the clock without emitting.
         if self.due.is_none() {
             self.arm(now, rng);
@@ -152,11 +134,7 @@ impl TlsShaper {
 
     /// When the host should next wake to pad, if the schedule is armed.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        if self.active {
-            self.due
-        } else {
-            None
-        }
+        self.due
     }
 
     fn arm(&mut self, now: SimTime, rng: &mut SimRng) {
@@ -240,16 +218,5 @@ mod tests {
         }
         // Then the stream goes quiet past the armed gap: one dummy.
         assert_eq!(shaper.dummies_due(SimTime::from_millis(20), &mut rng), 1);
-    }
-
-    #[test]
-    fn deactivated_shaper_is_silent() {
-        let mut rng = SimRng::seed_from(9);
-        let mut shaper = TlsShaper::constant_rate(SimDuration::from_millis(1));
-        shaper.dummies_due(SimTime::ZERO, &mut rng);
-        shaper.deactivate();
-        assert!(!shaper.is_active());
-        assert_eq!(shaper.next_wakeup(), None);
-        assert_eq!(shaper.dummies_due(SimTime::from_millis(10), &mut rng), 0);
     }
 }

@@ -17,9 +17,9 @@
 
 /// A d=4 min-heap: `pop` yields the smallest element by `T`'s `Ord`.
 ///
-/// Exposed (via the hidden `internals` module) only so the scheduler
-/// differential tests and microbenchmarks can drive the old queue and the
-/// calendar queue side by side.
+/// Exposed (via the hidden `internals` module) so the scheduler
+/// differential tests can drive it beside the calendar queue, and so the
+/// fleet arena can queue its per-core deadlines.
 #[derive(Debug)]
 pub struct MinHeap4<T> {
     items: Vec<T>,

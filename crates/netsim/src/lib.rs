@@ -79,7 +79,7 @@ pub use time::{SimDuration, SimTime};
 pub use wheel::{SchedStats, BUCKET_COUNT, BUCKET_NANOS_SHIFT};
 
 /// Scheduler internals re-exported for the crate's differential tests and
-/// the scheduler microbenchmark. Not a stable API.
+/// the fleet arena's deadline queue. Not a stable API.
 #[doc(hidden)]
 pub mod internals {
     pub use crate::heap::MinHeap4;

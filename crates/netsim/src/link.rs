@@ -156,12 +156,6 @@ impl Link {
         &self.config
     }
 
-    /// Replaces the configuration (e.g. an experiment changing bandwidth
-    /// mid-run). In-flight packets keep their already-computed arrival times.
-    pub fn set_config(&mut self, config: LinkConfig) {
-        self.config = config;
-    }
-
     /// Accumulated counters.
     pub fn stats(&self) -> LinkStats {
         self.stats
@@ -333,19 +327,6 @@ mod tests {
             assert!(t >= last, "reordered: {t} < {last}");
             last = t;
         }
-    }
-
-    #[test]
-    fn set_config_changes_future_behaviour() {
-        let mut link = Link::new(LinkConfig::default().bandwidth(mbps(1000)));
-        let mut r = rng();
-        let a = link.transmit(SimTime::ZERO, 1500, &mut r).unwrap();
-        assert_eq!(a, SimTime::from_micros(12));
-        link.set_config(LinkConfig::default().bandwidth(mbps(1)));
-        let b = link
-            .transmit(SimTime::from_millis(1), 1500, &mut r)
-            .unwrap();
-        assert_eq!(b, SimTime::from_millis(13));
     }
 
     #[test]

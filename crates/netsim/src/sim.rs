@@ -258,19 +258,6 @@ impl<P: 'static> Simulator<P> {
         self.route_cache.clear();
     }
 
-    /// Replaces the configuration of the `from` → `to` link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link does not exist.
-    pub fn set_link_config(&mut self, from: NodeId, to: NodeId, config: LinkConfig) {
-        let idx = *self
-            .links
-            .get(&(from.0, to.0))
-            .unwrap_or_else(|| panic!("set_link_config: no link {from}→{to}"));
-        self.link_states[idx as usize].link.set_config(config);
-    }
-
     /// Stats of the `from` → `to` link, if it exists.
     pub fn link_stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
         self.links

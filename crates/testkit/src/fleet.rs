@@ -1170,8 +1170,9 @@ pub fn run_fleet_shard(
     sim.install_node(server_arena_id, Box::new(ArenaNode(servers.clone())));
     sim.add_link(client_arena_id, gateway_id, access);
     sim.add_link(gateway_id, server_arena_id, wan);
-    // Scale the livelock safety valve with the population: one page load
-    // is ~60k events, so this only trips on a genuinely stuck protocol.
+    // Scale the livelock safety valve with the population: one fleet
+    // pair's page load is ~10.6k events, so this only trips on a genuinely
+    // stuck protocol.
     sim.set_event_budget((pairs.len() as u64) * 2_000_000 + 10_000_000);
 
     let deadline_at = SimTime::ZERO + config.deadline;

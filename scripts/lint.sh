@@ -15,12 +15,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 sh scripts/bench_check.sh
 
-# Scheduler microbench smoke run (`make bench-sched` in full): proves the
-# calendar queue and its reference-heap twin still build and run at the
-# fig5-like event mix. It sets no threshold: time is gated by
-# bench-check above, through pagebench's page loads.
-cargo bench -q -p h2priv-bench --bench sched -- fig5_mix
-
 # Cross-layer conformance oracle over a quick full-exhibit run
 # (equivalent to `make check-conformance`): exits nonzero on any TCP/TLS/
 # HTTP/2 invariant violation.
