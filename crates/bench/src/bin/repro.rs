@@ -19,7 +19,7 @@
 //!
 //! The `fleet` exhibit simulates `--population N` client–server pairs
 //! (default 1000, `--quick` 128) split over `--shards N` independent
-//! engines (default 8). Shards fan out over the same worker pool; the
+//! engines (default 8). Shards fan out over the same workers; the
 //! shard count — not the thread count — fixes the partition, so fleet
 //! output is also byte-identical at any `--threads`. Pairs are built at
 //! their start time and freed when their page load is over, so peak
@@ -83,7 +83,7 @@ struct ExhibitTiming {
     peak_alloc_bytes: u64,
     /// Fleet exhibit only: `peak_alloc_bytes` divided by the number of
     /// pairs co-resident at once (population scaled by how many shards the
-    /// worker pool keeps in flight together) — the per-pair working set
+    /// workers keep in flight together) — the per-pair working set
     /// the memory-regression gate pins. Zero for non-fleet exhibits.
     bytes_per_pair: u64,
 }

@@ -31,9 +31,9 @@ pub fn calibrated_map() -> SizeMap {
 /// Runs `trials` seeded trials under `attack` (None = baseline), analyzing
 /// each against `map`.
 ///
-/// Trials fan out across the [`crate::runner`] worker pool; results are
-/// collected in seed order, so every summary is bit-identical to a serial
-/// run.
+/// Trials fan out across [`crate::runner::run_seeded`]'s workers; results
+/// are collected in seed order, so every summary is bit-identical to a
+/// serial run.
 pub fn run_batch(
     trials: u64,
     attack: Option<&AttackConfig>,

@@ -222,7 +222,7 @@ fn run_population(
 ) -> FleetRun {
     let vs = victim_shard(config);
     let t0 = Instant::now();
-    // Shards fan out over the worker pool exactly like seeded trials: the
+    // Shards fan out over `run_seeded`'s workers exactly like trials: the
     // shard id is the "seed", results come back in shard order, and each
     // worker builds the victim's adversary locally (`Rc` is not Send; only
     // the plain-data snapshot leaves the worker).

@@ -7,16 +7,12 @@
 //! summary bit-identical to a serial run regardless of worker count or
 //! scheduling.
 //!
-//! [`run_seeded`] fans seeds out over a **persistent** worker pool
-//! pulling from a shared atomic work index; each worker writes its result
-//! into the seed's dedicated slot. The pool spawns its OS threads once and
-//! reuses them for every subsequent batch — a `repro` invocation runs
-//! hundreds of `run_seeded` calls, and per-call `thread::scope` spawning
-//! was measurable setup noise at small trial counts ([`threads_spawned`]
-//! is the regression assertion for this). The worker count per batch comes
-//! from [`threads`] — settable once per process via [`set_threads`] (the
-//! `repro` binary's `--threads` flag), defaulting to the machine's
-//! available parallelism.
+//! [`run_seeded`] fans each batch out over `min(threads(), n)` scoped
+//! worker threads pulling from a shared atomic work index; each worker
+//! writes its result into the seed's dedicated slot, and the batch returns
+//! once every worker has joined. The worker count comes from [`threads`] —
+//! settable once per process via [`set_threads`] (the `repro` binary's
+//! `--threads` flag), defaulting to the machine's available parallelism.
 //!
 //! The module also owns the run's [`Tally`]: every bench run hands its
 //! simulator events, scheduler counters and conformance violations to
@@ -24,11 +20,9 @@
 //! exhibit for its `[timing]` line, `--bench-json` and the `--check`
 //! verdict.
 
-use std::collections::VecDeque;
 use std::fmt::Display;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::Mutex;
 
 use h2priv_netsim::SchedStats;
 
@@ -96,12 +90,12 @@ pub fn conformance_enabled() -> bool {
     CONFORMANCE.load(Ordering::SeqCst)
 }
 
-/// Sets the worker-pool size for all subsequent batches (0 = auto).
+/// Sets the worker count for all subsequent batches (0 = auto).
 pub fn set_threads(n: usize) {
     THREADS.store(n, Ordering::SeqCst);
 }
 
-/// The effective worker-pool size: the configured value, or the machine's
+/// The effective worker count: the configured value, or the machine's
 /// available parallelism when unset.
 pub fn threads() -> usize {
     match THREADS.load(Ordering::SeqCst) {
@@ -112,165 +106,40 @@ pub fn threads() -> usize {
     }
 }
 
-/// A batch job handed to the persistent pool. Jobs are lifetime-erased to
-/// `'static`; [`run_seeded`]'s completion latch is what makes that sound.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The process-wide worker pool: a plain mutex-guarded job queue and
-/// parked OS threads. Workers are spawned on demand up to the largest
-/// batch width ever requested and then live for the process — batches
-/// enqueue jobs instead of spawning.
-struct Pool {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    /// OS threads spawned over the process lifetime (the pool-reuse
-    /// regression metric).
-    spawned: AtomicUsize,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        spawned: AtomicUsize::new(0),
-    })
-}
-
-impl Pool {
-    fn ensure_workers(&'static self, want: usize) {
-        let have = self.spawned.load(Ordering::Relaxed);
-        for _ in have..want {
-            self.spawned.fetch_add(1, Ordering::Relaxed);
-            std::thread::Builder::new()
-                .name("repro-worker".into())
-                .spawn(move || self.worker_loop())
-                .expect("spawn pool worker");
-        }
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            let job = {
-                let mut queue = self.queue.lock().expect("pool queue poisoned");
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break job;
-                    }
-                    queue = self.available.wait(queue).expect("pool queue poisoned");
-                }
-            };
-            // A panicking job must not kill the worker: the batch's latch
-            // guard reports the panic to its submitter, and this thread
-            // goes back to the queue for the next batch.
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
-        }
-    }
-
-    fn submit(&self, job: Job) {
-        self.queue
-            .lock()
-            .expect("pool queue poisoned")
-            .push_back(job);
-        self.available.notify_one();
-    }
-}
-
-/// OS worker threads spawned by [`run_seeded`] over the process lifetime.
-/// Stays flat across repeated batches — the pool-reuse regression
-/// assertion.
-pub fn threads_spawned() -> usize {
-    pool().spawned.load(Ordering::Relaxed)
-}
-
-/// Completion latch for one batch: counts finished jobs and remembers
-/// whether any of them panicked.
-struct Latch {
-    state: Mutex<(usize, bool)>,
-    done: Condvar,
-}
-
-/// Counts a job as finished on drop — including drops during unwinding,
-/// which is what keeps [`run_seeded`]'s wait loop (and the soundness
-/// argument below) intact when a trial panics.
-struct LatchGuard<'a>(&'a Latch);
-
-impl Drop for LatchGuard<'_> {
-    fn drop(&mut self) {
-        let mut state = self
-            .0
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        state.0 += 1;
-        if std::thread::panicking() {
-            state.1 = true;
-        }
-        self.0.done.notify_all();
-    }
-}
-
-/// Runs `f(seed)` for every seed in `0..n`, fanning out across the
-/// persistent worker pool, and returns the results **ordered by seed** —
-/// bit-identical to `(0..n).map(f).collect()` because every trial derives
-/// all randomness from its own seed.
+/// Runs `f(seed)` for every seed in `0..n`, fanning out across up to
+/// [`threads`] scoped workers, and returns the results **ordered by seed**
+/// — bit-identical to `(0..n).map(f).collect()` because every trial
+/// derives all randomness from its own seed.
 ///
-/// Panics if any trial panicked (after every in-flight job of the batch
-/// has finished).
+/// Panics if any trial panicked (after every worker of the batch has
+/// finished).
 pub fn run_seeded<T, F>(n: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    let workers = threads()
-        .min(usize::try_from(n).unwrap_or(usize::MAX))
-        .max(1);
-    if workers <= 1 || n <= 1 {
+    let workers = threads().min(usize::try_from(n).unwrap_or(usize::MAX));
+    if workers <= 1 {
         return (0..n).map(f).collect();
     }
     // One slot per seed; workers race only on the shared work index, never
     // on each other's slots.
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicU64::new(0);
-    let latch = Latch {
-        state: Mutex::new((0, false)),
-        done: Condvar::new(),
-    };
-    let pool = pool();
-    pool.ensure_workers(workers);
-    for _ in 0..workers {
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(|| {
-            // The guard counts this job finished even if `f` panics.
-            let _guard = LatchGuard(&latch);
-            loop {
+    // `scope` joins every worker before it returns, and re-raises a
+    // worker's panic only after that.
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
                 let seed = next.fetch_add(1, Ordering::Relaxed);
                 if seed >= n {
                     break;
                 }
                 let out = f(seed);
                 *slots[seed as usize].lock().expect("slot lock poisoned") = Some(out);
-            }
-        });
-        // SAFETY: the job borrows only locals of this call (`f`, `slots`,
-        // `next`, `latch`). Erasing its lifetime is sound because this
-        // function does not return — normally or by panic — until the
-        // latch below has counted every submitted job, and a job's guard
-        // only fires after its last use of those borrows (the captured
-        // references themselves are dropped without being dereferenced).
-        // This is the standard scoped-pool pattern, with the latch playing
-        // the role of `thread::scope`'s join.
-        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-        pool.submit(job);
-    }
-    let mut state = latch.state.lock().expect("latch poisoned");
-    while state.0 < workers {
-        state = latch.done.wait(state).expect("latch poisoned");
-    }
-    let panicked = state.1;
-    drop(state);
-    if panicked {
-        panic!("a run_seeded trial panicked (see worker output above)");
-    }
+            });
+        }
+    });
     slots
         .into_iter()
         .map(|slot| {
@@ -284,6 +153,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn results_are_seed_ordered() {
@@ -314,21 +184,25 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_is_reused_across_batches() {
-        // Warm the pool to the machine's full width (the most any
-        // concurrently-running test can demand), then verify that repeated
-        // batches run on the same OS threads instead of spawning new ones.
-        let _ = run_seeded(2 * threads() as u64, |s| s);
-        let before = threads_spawned();
-        for _ in 0..5 {
-            let out = run_seeded(64, |s| s * 2);
-            assert_eq!(out[63], 126);
+    fn trials_run_concurrently() {
+        if threads() < 2 {
+            return;
         }
-        assert_eq!(
-            threads_spawned(),
-            before,
-            "run_seeded must reuse the persistent pool, not respawn workers"
-        );
+        // Trial 0 waits for a message only trial 1 sends: run serially,
+        // trial 0 gives up before trial 1 starts.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = Mutex::new(rx);
+        let heard = run_seeded(2, |seed| {
+            if seed == 1 {
+                tx.send(()).expect("the receiver outlives the batch");
+                return true;
+            }
+            rx.lock()
+                .expect("receiver lock poisoned")
+                .recv_timeout(Duration::from_secs(5))
+                .is_ok()
+        });
+        assert!(heard[0], "trial 0 never had trial 1 in flight beside it");
     }
 
     #[test]
@@ -342,7 +216,7 @@ mod tests {
             })
         });
         assert!(result.is_err(), "a panicking trial must fail the batch");
-        // The pool survives the panic and keeps serving batches.
+        // The next batch runs normally.
         assert_eq!(run_seeded(4, |s| s + 1), vec![1, 2, 3, 4]);
     }
 }

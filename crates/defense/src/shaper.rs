@@ -60,10 +60,9 @@ enum Policy {
 pub struct TlsShaper {
     policy: Policy,
     /// Next scheduled dummy, if armed. Once armed the schedule runs for
-    /// as long as its host is pumped: nothing stops it when the page load
-    /// is over. `HostCore::is_quiet` folds this wakeup in, so a shaped
-    /// fleet victim's server never reads quiet, and its pair stays
-    /// resident until its shard halts.
+    /// as long as its host keeps it: a single-pair run halts when its
+    /// browser is done, and a fleet server drops its shaper when its
+    /// client's page load is over, so it can go quiet and free its pair.
     due: Option<SimTime>,
     /// Dummy records emitted so far (the overhead numerator).
     pub dummies_sent: u64,

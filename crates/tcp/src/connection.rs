@@ -80,12 +80,6 @@ pub struct TcpConfig {
     pub dup_ack_threshold: u32,
     /// Consecutive RTOs after which the connection is declared broken.
     pub max_consecutive_timeouts: u32,
-    /// Delayed-ACK timeout (RFC 1122 §4.2.3.2): a lone in-order segment's
-    /// ACK is deferred up to this long or until a second segment arrives.
-    /// `None` (the default, and the calibration's choice) acknowledges
-    /// every segment immediately — dup-ACK generation under loss is what
-    /// the reproduction's attack dynamics lean on.
-    pub delayed_ack: Option<SimDuration>,
     /// Initial send sequence number.
     pub iss: Seq,
 }
@@ -101,7 +95,6 @@ impl Default for TcpConfig {
             max_rto: SimDuration::from_secs(60),
             dup_ack_threshold: 3,
             max_consecutive_timeouts: 6,
-            delayed_ack: None,
             iss: Seq(1_000),
         }
     }
@@ -192,9 +185,6 @@ pub struct TcpConnection {
     /// segment-processing time (one immediate ACK per received data
     /// segment, even if the driver batches deliveries).
     pending_acks: std::collections::VecDeque<Seq>,
-    /// Deferred-ACK deadline when delayed ACKs are enabled and exactly one
-    /// unacknowledged in-order segment has arrived.
-    delayed_ack_deadline: Option<SimTime>,
 
     /// A RST should be emitted.
     rst_pending: bool,
@@ -255,7 +245,6 @@ impl TcpConnection {
             peer_iss: None,
             peer_fin_offset: None,
             pending_acks: std::collections::VecDeque::new(),
-            delayed_ack_deadline: None,
             rst_pending: false,
             output_pending: true,
             syn_in_flight: false,
@@ -689,21 +678,15 @@ impl TcpConnection {
 
     // ---- timers ----------------------------------------------------------
 
-    /// The absolute time of the next timer deadline (retransmission or
-    /// delayed ACK), if any.
+    /// The absolute time of the retransmission deadline, if armed.
     pub fn poll_timeout(&self) -> Option<SimTime> {
-        match (self.rto_deadline, self.delayed_ack_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.rto_deadline
     }
 
     /// Advances the clock: if the retransmission deadline has passed, the
-    /// timeout reaction runs (go-back-N, window collapse, backoff); a due
-    /// delayed ACK is flushed.
+    /// timeout reaction runs (go-back-N, window collapse, backoff).
     pub fn on_tick(&mut self, now: SimTime) {
         self.output_pending = true;
-        self.flush_delayed_ack(now);
         let Some(deadline) = self.rto_deadline else {
             return;
         };
@@ -834,13 +817,11 @@ impl TcpConnection {
             let after = self.reassembler.ack_point();
             self.stats.bytes_received += (after - before).min(seg.payload.len() as u64);
             if self.reassembler.has_gap() || after == before {
-                // Out-of-order or duplicate data: RFC 5681 mandates an
-                // immediate (duplicate) ACK regardless of delayed ACKs.
+                // Out-of-order or duplicate data: this ACK is a duplicate
+                // (RFC 5681).
                 self.stats.dup_acks_sent += 1;
-                self.queue_ack();
-            } else {
-                self.queue_data_ack(now);
             }
+            self.queue_ack();
         }
         if seg.flags.fin {
             let fin_offset = (seg.seq_end() - (peer_iss + 1)) as u64 - 1;
@@ -871,33 +852,6 @@ impl TcpConnection {
     fn queue_ack(&mut self) {
         let ack = self.rcv_ack_field();
         self.pending_acks.push_back(ack);
-        self.delayed_ack_deadline = None;
-    }
-
-    /// Queues an ACK for an in-order data segment, possibly deferring it
-    /// (RFC 1122 delayed ACK: at most one segment unacknowledged, and a
-    /// second arrival or the timer flushes immediately).
-    fn queue_data_ack(&mut self, now: SimTime) {
-        match self.config.delayed_ack {
-            None => self.queue_ack(),
-            Some(delay) => {
-                if self.delayed_ack_deadline.take().is_some() {
-                    // Second segment: acknowledge both at once.
-                    self.queue_ack();
-                } else {
-                    self.delayed_ack_deadline = Some(now + delay);
-                }
-            }
-        }
-    }
-
-    /// Flushes a due delayed ACK.
-    fn flush_delayed_ack(&mut self, now: SimTime) {
-        if let Some(deadline) = self.delayed_ack_deadline {
-            if now >= deadline {
-                self.queue_ack();
-            }
-        }
     }
 
     fn process_ack(&mut self, seg: &TcpSegment, now: SimTime) {
@@ -1393,93 +1347,6 @@ mod edge_tests {
         c.write(b"after idle");
         let _ = c.poll_transmit(now);
         assert_eq!(c.cwnd(), 10 * 1460, "idle restart should reset cwnd");
-    }
-}
-
-#[cfg(test)]
-mod delayed_ack_tests {
-    use super::*;
-
-    fn pair_with_delack() -> (TcpConnection, TcpConnection) {
-        let cfg = TcpConfig {
-            delayed_ack: Some(SimDuration::from_millis(40)),
-            ..Default::default()
-        };
-        let mut c = TcpConnection::client(TcpConfig::default());
-        let mut s = TcpConnection::server(cfg);
-        let now = SimTime::ZERO;
-        for _ in 0..8 {
-            let mut moved = false;
-            while let Some(seg) = c.poll_transmit(now) {
-                s.on_segment(seg, now);
-                moved = true;
-            }
-            while let Some(seg) = s.poll_transmit(now) {
-                c.on_segment(seg, now);
-                moved = true;
-            }
-            if !moved {
-                break;
-            }
-        }
-        (c, s)
-    }
-
-    #[test]
-    fn single_segment_ack_is_deferred_until_timer() {
-        let (mut c, mut s) = pair_with_delack();
-        c.write(b"lonely segment");
-        let t = SimTime::from_millis(10);
-        while let Some(seg) = c.poll_transmit(t) {
-            s.on_segment(seg, t);
-        }
-        // No immediate ACK.
-        assert!(s.poll_transmit(t).is_none());
-        let deadline = s.poll_timeout().expect("delayed-ack timer armed");
-        assert_eq!(deadline, t + SimDuration::from_millis(40));
-        s.on_tick(deadline);
-        let ack = s.poll_transmit(deadline).expect("flushed ack");
-        assert!(ack.is_pure_ack());
-    }
-
-    #[test]
-    fn second_segment_flushes_immediately() {
-        let (mut c, mut s) = pair_with_delack();
-        c.write(&vec![1u8; 1460]);
-        let t = SimTime::from_millis(10);
-        let seg1 = c.poll_transmit(t).unwrap();
-        s.on_segment(seg1, t);
-        assert!(s.poll_transmit(t).is_none());
-        c.write(&vec![2u8; 1460]);
-        let seg2 = c.poll_transmit(t).unwrap();
-        s.on_segment(seg2, t);
-        let ack = s.poll_transmit(t).expect("ack for two segments");
-        assert!(ack.is_pure_ack());
-        // One cumulative ACK covers both segments.
-        assert!(s.poll_transmit(t).is_none());
-    }
-
-    #[test]
-    fn out_of_order_data_acks_immediately_despite_delack() {
-        let (mut c, mut s) = pair_with_delack();
-        c.write(&vec![3u8; 4 * 1460]);
-        let t = SimTime::from_millis(10);
-        let mut segs = Vec::new();
-        while let Some(seg) = c.poll_transmit(t) {
-            segs.push(seg);
-        }
-        // Drop the first segment; deliver the rest: every delivery is a
-        // dup ACK, sent immediately.
-        let delivered = segs.len() - 1;
-        for seg in segs.into_iter().skip(1) {
-            s.on_segment(seg, t);
-        }
-        let mut acks = 0;
-        while let Some(seg) = s.poll_transmit(t) {
-            assert!(seg.is_pure_ack());
-            acks += 1;
-        }
-        assert_eq!(acks, delivered);
     }
 }
 

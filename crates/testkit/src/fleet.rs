@@ -557,15 +557,18 @@ impl HostArena {
         freed
     }
 
-    /// Server arena: the pair's client finished. Frees the server and
-    /// returns true when it is already quiet; otherwise flags it, and its
-    /// own pump frees the pair once it goes quiet.
+    /// Server arena: the pair's client finished, so its server stops
+    /// shaping, just as a single-pair run halts once its browser is done.
+    /// Frees the server and returns true when it is already quiet;
+    /// otherwise flags it, and its own pump frees the pair once it goes
+    /// quiet.
     fn client_finished(&mut self, pair: u32) -> bool {
         let idx = self.slot_of_pair[pair as usize];
-        let quiet = self.cores[idx as usize]
-            .as_ref()
-            .expect("a finishing pair's server is live")
-            .is_quiet();
+        let server = self.cores[idx as usize]
+            .as_mut()
+            .expect("a finishing pair's server is live");
+        server.stop_shaping();
+        let quiet = server.is_quiet();
         if quiet {
             self.free_slot(idx);
         } else {
@@ -1501,6 +1504,43 @@ mod tests {
             "the shard runs on while the victim's server retransmits"
         );
         assert_eq!(r.stray_segments, 0, "data reached a freed slot");
+    }
+
+    #[test]
+    fn shaping_stops_when_the_victim_load_is_over() {
+        // An undefended slow-headers attacker keeps the shard running to
+        // its deadline. Once the victim's load is over its server must
+        // go quiet, so a later deadline adds the same events whatever
+        // the victim's defense.
+        let growth = |defense: DefenseSpec| {
+            let events = |deadline_s: u64| {
+                let config = FleetConfig {
+                    seed: 3,
+                    population: 2,
+                    shards: 1,
+                    start_spread: SimDuration::from_millis(10),
+                    deadline: SimDuration::from_secs(deadline_s),
+                    defense,
+                    dos: Some(FleetDosConfig {
+                        attack: DosAttack::SlowHeaders,
+                        attackers: 1,
+                        guard: None,
+                        detector: None,
+                        pool: None,
+                    }),
+                    ..FleetConfig::default()
+                };
+                run_fleet_shard(&config, 0, None).events
+            };
+            events(40) - events(30)
+        };
+        let unshaped = growth(DefenseSpec::None);
+        for defense in DefenseSpec::arena()
+            .into_iter()
+            .filter(DefenseSpec::is_shaping)
+        {
+            assert_eq!(growth(defense), unshaped, "{}", defense.name());
+        }
     }
 
     #[test]

@@ -302,6 +302,12 @@ impl HostCore {
         }));
     }
 
+    /// Detaches the shaping schedule: the page load it padded is over, so
+    /// the host seals no more dummy records and can go quiet.
+    pub(crate) fn stop_shaping(&mut self) {
+        self.shaper = None;
+    }
+
     /// Dummy records this host's shaper has sealed so far (0 without one).
     pub fn shaper_dummies(&self) -> u64 {
         self.shaper.as_ref().map_or(0, |s| s.shaper.dummies_sent)

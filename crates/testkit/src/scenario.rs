@@ -94,7 +94,6 @@ impl Default for ScenarioConfig {
                 stall_timeout: calib::STALL_TIMEOUT,
                 reissue_on_stall: true,
                 max_attempts: 3,
-                request_noise: h2priv_netsim::DurationDist::None,
                 gap_noise_frac: calib::GAP_NOISE_FRAC,
                 progress_quantum: 512 * 1024,
             },

@@ -11,7 +11,7 @@
 use h2priv_bytes::FxHashMap;
 
 use h2priv_http2::StreamId;
-use h2priv_netsim::{DurationDist, SimDuration, SimRng, SimTime};
+use h2priv_netsim::{SimDuration, SimRng, SimTime};
 
 use crate::object::ObjectId;
 use crate::plan::{BrowsePlan, Trigger};
@@ -30,9 +30,6 @@ pub struct BrowserConfig {
     pub reissue_on_stall: bool,
     /// Total attempts per object (first issue + re-issues).
     pub max_attempts: u32,
-    /// Random noise added to every scheduled request gap (natural client
-    /// timing variation; one source of the paper's baseline spread).
-    pub request_noise: DurationDist,
     /// Multiplicative noise on gaps: each gap is scaled by a uniform draw
     /// from `[1 - frac, 1 + frac]`. Proportional, so the micro-gaps between
     /// scripted image requests stay microscopic while think-time gaps vary
@@ -54,7 +51,6 @@ impl Default for BrowserConfig {
             stall_timeout: SimDuration::from_secs(3),
             reissue_on_stall: true,
             max_attempts: 3,
-            request_noise: DurationDist::None,
             gap_noise_frac: 0.0,
             progress_quantum: 512 * 1024,
         }
@@ -298,10 +294,9 @@ impl Browser {
             let mut due = fire + self.plan.phases[i].delay;
             let steps = self.plan.phases[i].steps.clone();
             for step in steps {
-                let noise = self.rng.sample_duration(&self.config.request_noise);
                 let frac = self.config.gap_noise_frac.clamp(0.0, 1.0);
                 let scale = 1.0 - frac + 2.0 * frac * self.rng.gen_unit_f64();
-                due = due + step.gap.mul_f64(scale) + noise;
+                due += step.gap.mul_f64(scale);
                 let path = self.paths[step.object.0 as usize].clone();
                 let reissue = self.plan.phases[i].reissue;
                 self.requests.push(ReqState {
@@ -648,39 +643,5 @@ mod tests {
             b.next_wakeup(),
             Some(SimTime::ZERO + SimDuration::from_secs(3))
         );
-    }
-
-    #[test]
-    fn request_noise_perturbs_schedule() {
-        let mut plan = BrowsePlan::new();
-        plan.phases.push(Phase {
-            trigger: Trigger::Start,
-            delay: SimDuration::ZERO,
-            steps: vec![
-                PlanStep {
-                    object: ObjectId(0),
-                    gap: SimDuration::from_millis(5),
-                },
-                PlanStep {
-                    object: ObjectId(1),
-                    gap: SimDuration::from_millis(5),
-                },
-            ],
-            reissue: true,
-        });
-        let cfg = BrowserConfig {
-            request_noise: DurationDist::Uniform {
-                lo: SimDuration::from_millis(1),
-                hi: SimDuration::from_millis(20),
-            },
-            ..BrowserConfig::default()
-        };
-        let mut b = Browser::new(&site2(), plan, cfg, SimRng::seed_from(3));
-        b.start(SimTime::ZERO);
-        // At t = 5 ms nothing fires (noise pushed both requests later).
-        let early = b.poll_cmds(SimTime::from_millis(5));
-        let late = b.poll_cmds(SimTime::from_millis(100));
-        assert!(early.len() < 2);
-        assert_eq!(early.len() + late.len(), 2);
     }
 }

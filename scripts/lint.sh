@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Lint gate: the workspace must be clippy-clean (warnings are errors),
 # rustfmt-clean, rustdoc-clean, and protocol-conformant (the oracle must
-# stay silent across a quick repro run). CI and `make lint` both run this.
+# stay silent across a quick repro run), and the benchmark must build and
+# pass its tests against it. CI and `make lint` both run this.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -12,6 +13,18 @@ cargo fmt --all -- --check
 # Rustdoc with warnings as errors (equivalent to `make doc`): an intra-doc
 # link to a renamed, private or deleted item fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+# The benchmark is a workspace of its own: build it against the crates and
+# run its tests, so a crate change that breaks it fails here on any host.
+# Building it may rewrite its Cargo.lock; the benchmark's directory must
+# stay as it was, so the file is put back.
+lock=$(mktemp)
+trap 'rm -f "$lock"' EXIT INT TERM
+cp pagebench/Cargo.lock "$lock"
+tested=0
+cargo test -q --manifest-path pagebench/Cargo.toml && tested=1
+cp "$lock" pagebench/Cargo.lock
+[ "$tested" = 1 ]
 
 sh scripts/bench_check.sh
 
