@@ -30,8 +30,8 @@ pub(crate) struct SendRope {
     total: u64,
     /// One fully-acknowledged chunk's backing buffer, recovered for reuse.
     /// Senders that queue one coalesced buffer per pump pass (the batched
-    /// host path) get their previous buffer back once it is acked, so the
-    /// steady-state write path recycles instead of allocating.
+    /// host path) get an earlier buffer back once it is acked, unless a
+    /// wire tap or an in-flight segment still holds a view of it.
     spare: Option<Vec<u8>>,
 }
 

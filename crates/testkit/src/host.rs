@@ -825,9 +825,14 @@ impl HostCore {
     /// one buffer), then handed to TCP as a single shared chunk. TCP
     /// segmentation slices by absolute stream offset, so coalescing is
     /// invisible on the wire; what changes is the cost model — one
-    /// buffer + one `Arc` per pump pass instead of one per record, with
-    /// the run buffer recycled from the rope's fully-acked chunks and the
-    /// frame buffers returned to the HTTP/2 encoder pool.
+    /// buffer + one `Arc` per pump pass instead of one per record, and the
+    /// frame buffers returned to the HTTP/2 encoder pool. The run buffer
+    /// is reused only when one is free: a buffer parked by a pass that
+    /// sealed nothing, or the rope's spare, the backing buffer of a
+    /// fully-acked chunk that nothing else still holds. A tapped pair's
+    /// capture keeps a view of every sealed run, so the spare is rarely
+    /// there: on a paper page load about one sealing pass in ten reuses a
+    /// buffer, and the rest allocate their run.
     fn pump_outbound(&mut self, now: SimTime, scratch: &mut PumpScratch) -> bool {
         if self.dead || !self.tls_established {
             return false;
@@ -857,8 +862,9 @@ impl HostCore {
         // window, capped by the configured maximum. Backpressure onto the
         // HTTP/2 mux is what makes concurrent responses interleave.
         let limit = self.socket_buffer.min(2 * self.tcp.cwnd());
-        // Prefer a recycled buffer: last pass's run once fully acked, or
-        // the one parked in scratch by a pass that sealed nothing.
+        // Reuse a free buffer if there is one: the one parked in scratch
+        // by a pass that sealed nothing, else the rope's spare (rare while
+        // a capture tap holds views of the sealed runs).
         let mut run = std::mem::take(&mut scratch.run);
         if run.capacity() == 0 {
             run = self.tcp.take_send_spare().unwrap_or(run);

@@ -4,18 +4,30 @@
 //! but the simulation must still guarantee that nothing downstream can cheat
 //! by peeking into "ciphertext". We therefore scramble each fragment with a
 //! keystream derived from a session key and the record sequence number
-//! (four splitmix64-hashed generator words per record, each advanced by a
-//! Weyl increment and whitened per block — **not** cryptographically
-//! secure, purely an anti-cheating seal), and append [`AEAD_OVERHEAD`]
-//! filler bytes so that ciphertext lengths match what a TLS 1.2 AES-GCM
-//! eavesdropper would see.
+//! (**not** cryptographically secure, purely an anti-cheating seal), and
+//! wrap it in [`AEAD_OVERHEAD`] bytes so that ciphertext lengths match what
+//! a TLS 1.2 AES-GCM eavesdropper would see: an 8-byte explicit nonce in
+//! front, and behind, a 16-byte tag field holding a 16-bit tag and
+//! fourteen filler bytes.
 //!
-//! Seal and open sit on the simulator's per-record hot path, so both the
-//! keystream and the tag consume input in 8-byte blocks, and neither has a
-//! serial dependency from one block to the next: the expensive hash runs
-//! once per record lane (the per-block step is an add and a shift-xor),
-//! and the tag folds into four independent lanes, so the CPU can keep
-//! several blocks in flight.
+//! **The schedule.** A fragment is read as 8-byte blocks. Block `i` takes
+//! its keystream from lane `i % 4`: one of four generator words,
+//! splitmix64-hashed once per record, advanced by `i / 4` Weyl steps and
+//! whitened with one shift-xor. The last partial block takes the low bytes
+//! of its keystream word. The tag folds each plaintext block, zero-extended,
+//! into the same lane's multiply-add accumulator, and mixes the four lanes
+//! once at the end. No lane depends on another, so the CPU keeps four
+//! blocks in flight.
+//!
+//! **One kernel.** Seal, gather seal and open run the schedule through the
+//! same code. The caller sizes the output once; a gather driver then walks
+//! the input parts (a frame header and a shared body chunk, or one
+//! contiguous slice), realigns a part that starts mid-quad with at most
+//! three single blocks, and hands every run of whole 32-byte quads to a
+//! loop that keeps the generator words and tag lanes in locals and XORs
+//! straight into the output. The driver is compiled once for sealing and
+//! once for opening (`const SEAL: bool`), which differ only in which side
+//! of the XOR the tag reads.
 //!
 //! Tampered or reordered records fail to open, which models AEAD integrity:
 //! the simulated endpoints abort on corruption just as real TLS stacks do.
@@ -46,6 +58,16 @@ pub struct RecordCipher {
 }
 
 const PHI: u64 = 0x9E3779B97F4A7C15;
+
+/// Length of the explicit nonce that opens every sealed fragment.
+const NONCE_LEN: usize = 8;
+
+/// Length of the meaningful tag at the front of the 16-byte tag field.
+const TAG_LEN: usize = 2;
+
+/// The byte that fills the rest of the tag field. Opening checks it, so
+/// a flipped filler bit fails like any other corruption.
+const FILLER: u8 = 0xA5;
 
 /// Running tag accumulator standing in for the AEAD tag: wrong key, wrong
 /// sequence number or flipped bits make verification fail. Folds plaintext
@@ -96,9 +118,8 @@ impl Tag16 {
 /// Hashes one of the record's four keystream *generator words* from the
 /// per-record seed — splitmix64, run exactly four times per record. The
 /// expensive hash happens once per lane; within the record each lane then
-/// advances by a cheap Weyl increment per 32-byte quad (see
-/// [`transform_from`]), so the per-byte keystream cost is an add and a
-/// shift-xor instead of three multiplies.
+/// advances by a cheap Weyl increment per 32-byte quad, so the per-byte
+/// keystream cost is an add and a shift-xor instead of three multiplies.
 #[inline]
 fn generator_word(seed: u64, lane: u64) -> u64 {
     let mut z = seed.wrapping_add(lane.wrapping_mul(PHI));
@@ -119,167 +140,127 @@ fn whiten(word: u64) -> u64 {
     word ^ (word >> 31)
 }
 
-/// One fused pass from `src` to `out`: XORs the keystream (8 bytes per
-/// block), appends the result, and folds the **plaintext** side of the
-/// transform into `tag`. `src` holds plaintext when sealing and ciphertext
-/// when opening, so the plaintext block is the input block when `sealing`
-/// and the post-XOR block otherwise. Each byte is read once from the
-/// source and written once to the destination, and neither the keystream
-/// nor the tag lanes carry a serial dependency from block to block.
-fn transform_from(seed: u64, tag: &mut Tag16, src: &[u8], out: &mut Vec<u8>, sealing: bool) {
-    out.reserve(src.len());
-    // Four generator words, splitmix-hashed once per record. Block `i`
-    // draws its keystream from lane `i % 4`, whose word has advanced by
-    // `WEYL * (i / 4)`.
-    let mut w = [
-        generator_word(seed, 0),
-        generator_word(seed, 1),
-        generator_word(seed, 2),
-        generator_word(seed, 3),
-    ];
-    // Main loop: four blocks per iteration land on tag lanes `0..4` in
-    // order, so the four whitenings and lane multiplies are independent
-    // and pipeline. A quad is staged in one 32-byte stack row and appended
-    // in a single extend, so `out` grows one cache line at a time.
-    let mut quads = src.chunks_exact(32);
-    for quad in &mut quads {
-        let mut row = [0u8; 32];
-        for (j, word) in quad.chunks_exact(8).enumerate() {
-            let block = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-            let xored = block ^ whiten(w[j]);
-            w[j] = w[j].wrapping_add(WEYL);
-            tag.fold(j, if sealing { block } else { xored });
-            row[j * 8..j * 8 + 8].copy_from_slice(&xored.to_le_bytes());
+/// One record's keystream and tag state while its fragment is transformed:
+/// the four generator words, the four tag lanes, and the lane of the next
+/// block. `SEAL` says which side of the XOR is plaintext for the tag: the
+/// input block when sealing, the output block when opening.
+struct Kernel<const SEAL: bool> {
+    words: [u64; 4],
+    tag: Tag16,
+    lane: usize,
+}
+
+impl<const SEAL: bool> Kernel<SEAL> {
+    /// The state at the start of record `seq` of the direction keyed
+    /// `key`, whose fragment is `len` bytes.
+    fn new(key: u64, seq: u64, len: usize) -> Self {
+        let seed = key ^ seq.wrapping_mul(PHI) | 1;
+        Kernel {
+            words: [0, 1, 2, 3].map(|lane| generator_word(seed, lane)),
+            tag: Tag16::new(key, seq, len),
+            lane: 0,
         }
-        out.extend_from_slice(&row);
     }
-    // Tail: fewer than four blocks remain, continuing on lanes `0..` of
-    // the final (partial) quad row.
-    let mut lane = 0usize;
-    let mut chunks = quads.remainder().chunks_exact(8);
-    for chunk in &mut chunks {
-        let block = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let xored = block ^ whiten(w[lane]);
-        tag.fold(lane, if sealing { block } else { xored });
-        out.extend_from_slice(&xored.to_le_bytes());
-        lane += 1;
+
+    /// Transforms one whole block on the current lane and moves to the next.
+    #[inline(always)]
+    fn block(&mut self, input: [u8; 8]) -> [u8; 8] {
+        let lane = self.lane;
+        let input = u64::from_le_bytes(input);
+        let output = input ^ whiten(self.words[lane]);
+        self.words[lane] = self.words[lane].wrapping_add(WEYL);
+        self.tag.fold(lane, if SEAL { input } else { output });
+        self.lane = (lane + 1) & 3;
+        output.to_le_bytes()
     }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let ks = whiten(w[lane]);
+
+    /// Transforms the fragment's final partial block (under 8 bytes) with
+    /// the low bytes of its keystream word.
+    fn last(&mut self, src: &[u8], dst: &mut [u8]) {
         let mut block = [0u8; 8];
-        block[..rest.len()].copy_from_slice(rest);
-        let plain = u64::from_le_bytes(block);
-        let xored = plain ^ (ks & !(u64::MAX << (8 * rest.len())));
-        tag.fold(lane, if sealing { plain } else { xored });
-        out.extend_from_slice(&xored.to_le_bytes()[..rest.len()]);
+        block[..src.len()].copy_from_slice(src);
+        let input = u64::from_le_bytes(block);
+        let mask = !(u64::MAX << (8 * src.len()));
+        let output = input ^ (whiten(self.words[self.lane]) & mask);
+        self.tag.fold(self.lane, if SEAL { input } else { output });
+        dst.copy_from_slice(&output.to_le_bytes()[..src.len()]);
+    }
+
+    /// Transforms whole 32-byte quads of `src` into `dst` (the same length),
+    /// starting on lane 0: four blocks per iteration land on lanes `0..4`
+    /// in order, so their whitenings and tag multiplies are independent
+    /// and pipeline. The words and tag lanes live in locals for the loop.
+    fn quads(&mut self, src: &[u8], dst: &mut [u8]) {
+        debug_assert!(src.is_empty() || self.lane == 0, "quads start on lane 0");
+        let mut words = self.words;
+        let mut tag = self.tag;
+        for (s, d) in src.chunks_exact(32).zip(dst.chunks_exact_mut(32)) {
+            for (lane, word) in words.iter_mut().enumerate() {
+                let block = lane * 8..lane * 8 + 8;
+                let input = u64::from_le_bytes(s[block.clone()].try_into().expect("8 bytes"));
+                let output = input ^ whiten(*word);
+                *word = word.wrapping_add(WEYL);
+                tag.fold(lane, if SEAL { input } else { output });
+                d[block].copy_from_slice(&output.to_le_bytes());
+            }
+        }
+        self.words = words;
+        self.tag = tag;
     }
 }
 
-/// The *scatter-gather* variant of [`transform_from`]: the plaintext is
-/// the logical concatenation of `parts`, read in order. Output bytes, tag,
-/// and keystream schedule are byte-identical to [`transform_from`] over a
-/// pre-concatenated buffer — which is the point: the caller skips building
-/// that buffer (the HTTP/2 mux hands the record writer a frame header and
-/// a shared body chunk as separate parts).
-///
-/// The keystream rule generalizes from the quad loop: block `i` draws from
-/// lane `i % 4`, whose generator word has advanced by one Weyl step per
-/// prior use. Within one part, blocks are read at whatever byte phase the
-/// preceding parts left (unaligned `u64` reads are fine); only a block
-/// that *straddles* a part boundary goes through an 8-byte staging buffer.
-fn transform_parts(seed: u64, tag: &mut Tag16, parts: &[&[u8]], out: &mut Vec<u8>, sealing: bool) {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    out.reserve(total);
-    let mut w = [
-        generator_word(seed, 0),
-        generator_word(seed, 1),
-        generator_word(seed, 2),
-        generator_word(seed, 3),
-    ];
-    let mut lane = 0usize;
+/// The one keystream path: transforms the concatenation of `parts` into
+/// `dst`, which is exactly as long, as record `seq` of the direction keyed
+/// `key`, and returns the record's tag. A part is read at whatever byte
+/// phase the parts before it left (unaligned `u64` reads are fine): a
+/// block that straddles a part boundary is gathered in an 8-byte stage, a
+/// part that starts mid-quad is realigned with at most three single
+/// blocks, and the rest runs through [`Kernel::quads`].
+fn transform<const SEAL: bool>(key: u64, seq: u64, parts: &[&[u8]], dst: &mut [u8]) -> u16 {
+    let mut kernel = Kernel::<SEAL>::new(key, seq, dst.len());
+    let mut pos = 0;
     let mut stage = [0u8; 8];
-    let mut staged = 0usize;
-    let mut remaining = total;
-    for part in parts {
-        let mut part = *part;
-        // Top up a block left straddling the previous part boundary.
+    let mut staged = 0;
+    for &part in parts {
+        let mut src = part;
         if staged > 0 {
-            let take = (8 - staged).min(part.len());
-            stage[staged..staged + take].copy_from_slice(&part[..take]);
+            let take = (8 - staged).min(src.len());
+            stage[staged..staged + take].copy_from_slice(&src[..take]);
             staged += take;
-            part = &part[take..];
+            src = &src[take..];
             if staged < 8 {
                 continue; // part exhausted mid-block
             }
-            let block = u64::from_le_bytes(stage);
-            let xored = block ^ whiten(w[lane]);
-            w[lane] = w[lane].wrapping_add(WEYL);
-            tag.fold(lane, if sealing { block } else { xored });
-            out.extend_from_slice(&xored.to_le_bytes());
-            lane = (lane + 1) & 3;
-            staged = 0;
-            remaining -= 8;
+            dst[pos..pos + 8].copy_from_slice(&kernel.block(stage));
+            pos += 8;
         }
-        // Whole blocks within this part, four to a row as in
-        // [`transform_from`] so `out` grows one cache line at a time.
-        let mut quads = part.chunks_exact(32);
-        for quad in &mut quads {
-            let mut row = [0u8; 32];
-            for (j, word) in quad.chunks_exact(8).enumerate() {
-                let block = u64::from_le_bytes(word.try_into().expect("8-byte word"));
-                let l = (lane + j) & 3;
-                let xored = block ^ whiten(w[l]);
-                w[l] = w[l].wrapping_add(WEYL);
-                tag.fold(l, if sealing { block } else { xored });
-                row[j * 8..j * 8 + 8].copy_from_slice(&xored.to_le_bytes());
-            }
-            out.extend_from_slice(&row);
-            remaining -= 32;
+        while kernel.lane != 0 {
+            let Some((block, rest)) = src.split_first_chunk() else {
+                break;
+            };
+            dst[pos..pos + 8].copy_from_slice(&kernel.block(*block));
+            pos += 8;
+            src = rest;
         }
-        let mut chunks = quads.remainder().chunks_exact(8);
-        for chunk in &mut chunks {
-            let block = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            let xored = block ^ whiten(w[lane]);
-            w[lane] = w[lane].wrapping_add(WEYL);
-            tag.fold(lane, if sealing { block } else { xored });
-            out.extend_from_slice(&xored.to_le_bytes());
-            lane = (lane + 1) & 3;
-            remaining -= 8;
+        let quads = src.len() & !31;
+        kernel.quads(&src[..quads], &mut dst[pos..pos + quads]);
+        pos += quads;
+        src = &src[quads..];
+        while let Some((block, rest)) = src.split_first_chunk() {
+            dst[pos..pos + 8].copy_from_slice(&kernel.block(*block));
+            pos += 8;
+            src = rest;
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            if rest.len() == remaining {
-                // Final partial block of the whole message: masked
-                // keystream, zero-extended plaintext fold, exactly as in
-                // [`transform_from`].
-                let ks = whiten(w[lane]);
-                let mut block = [0u8; 8];
-                block[..rest.len()].copy_from_slice(rest);
-                let plain = u64::from_le_bytes(block);
-                let xored = plain ^ (ks & !(u64::MAX << (8 * rest.len())));
-                tag.fold(lane, if sealing { plain } else { xored });
-                out.extend_from_slice(&xored.to_le_bytes()[..rest.len()]);
-                remaining -= rest.len();
-            } else {
-                // More parts follow: stage for the boundary-straddling
-                // block.
-                stage[..rest.len()].copy_from_slice(rest);
-                staged = rest.len();
-            }
-        }
+        // Under a block left: the start of a straddling block, or the
+        // fragment's last bytes if no later part has any.
+        stage[..src.len()].copy_from_slice(src);
+        staged = src.len();
     }
-    debug_assert_eq!(staged.min(remaining), remaining, "all bytes consumed");
     if staged > 0 {
-        // Trailing parts were all empty: flush the staged partial block.
-        let ks = whiten(w[lane]);
-        let mut block = [0u8; 8];
-        block[..staged].copy_from_slice(&stage[..staged]);
-        let plain = u64::from_le_bytes(block);
-        let xored = plain ^ (ks & !(u64::MAX << (8 * staged)));
-        tag.fold(lane, if sealing { plain } else { xored });
-        out.extend_from_slice(&xored.to_le_bytes()[..staged]);
+        kernel.last(&stage[..staged], &mut dst[pos..]);
     }
+    debug_assert_eq!(pos + staged, dst.len(), "every byte transformed");
+    kernel.tag.finish()
 }
 
 impl RecordCipher {
@@ -311,20 +292,7 @@ impl RecordCipher {
     /// allocation-free variant writers use to seal straight into a wire
     /// buffer instead of materializing each fragment separately.
     pub fn seal_into(&mut self, plaintext: &[u8], out: &mut Vec<u8>) {
-        let seq = self.seq;
-        self.seq += 1;
-        out.reserve(plaintext.len() + AEAD_OVERHEAD);
-        let start = out.len();
-        // Explicit nonce (8 bytes): the sequence number, as in TLS 1.2 GCM.
-        out.extend_from_slice(&seq.to_be_bytes());
-        let seed = self.key ^ seq.wrapping_mul(PHI) | 1;
-        let mut tag = Tag16::new(self.key, seq, plaintext.len());
-        // Fused copy + keystream: the plaintext is read once and the sealed
-        // bytes written once, instead of copy-then-scramble-in-place.
-        transform_from(seed, &mut tag, plaintext, out, true);
-        // Tag: 16 meaningful bits + 14 filler bytes to reach AEAD_OVERHEAD.
-        out.extend_from_slice(&tag.finish().to_be_bytes());
-        out.resize(start + plaintext.len() + AEAD_OVERHEAD, 0xA5);
+        self.seal_parts_into(&[plaintext], out);
     }
 
     /// Seals one fragment whose plaintext is the concatenation of `parts`,
@@ -335,24 +303,26 @@ impl RecordCipher {
     /// response body is read exactly once (by the keystream pass) on its
     /// way to the wire.
     pub fn seal_parts_into(&mut self, parts: &[&[u8]], out: &mut Vec<u8>) {
-        let plaintext_len: usize = parts.iter().map(|p| p.len()).sum();
+        let len: usize = parts.iter().map(|p| p.len()).sum();
         let seq = self.seq;
         self.seq += 1;
-        out.reserve(plaintext_len + AEAD_OVERHEAD);
+        // Sized once, filler included; the nonce, fragment and tag are
+        // then written in place.
         let start = out.len();
-        out.extend_from_slice(&seq.to_be_bytes());
-        let seed = self.key ^ seq.wrapping_mul(PHI) | 1;
-        let mut tag = Tag16::new(self.key, seq, plaintext_len);
-        transform_parts(seed, &mut tag, parts, out, true);
-        out.extend_from_slice(&tag.finish().to_be_bytes());
-        out.resize(start + plaintext_len + AEAD_OVERHEAD, 0xA5);
+        out.resize(start + len + AEAD_OVERHEAD, FILLER);
+        let (nonce, rest) = out[start..].split_at_mut(NONCE_LEN);
+        let (body, tag_field) = rest.split_at_mut(len);
+        // Explicit nonce: the sequence number, as in TLS 1.2 GCM.
+        nonce.copy_from_slice(&seq.to_be_bytes());
+        let tag = transform::<true>(self.key, seq, parts, body);
+        tag_field[..TAG_LEN].copy_from_slice(&tag.to_be_bytes());
     }
 
     /// Opens one fragment, consuming the next sequence number.
     ///
     /// Returns `None` if the fragment is too short, the explicit nonce does
     /// not match the expected sequence number (replay/reorder), or the tag
-    /// check fails (corruption).
+    /// or its filler does not check (corruption).
     pub fn open(&mut self, ciphertext: &[u8]) -> Option<Vec<u8>> {
         let mut out = Vec::new();
         self.open_into(ciphertext, &mut out).then_some(out)
@@ -360,30 +330,24 @@ impl RecordCipher {
 
     /// Opens one fragment, appending the plaintext to `out` — the sink
     /// variant readers use to decrypt straight into a stream buffer instead
-    /// of materializing each fragment separately. On failure `out` is left
-    /// exactly as it was and the sequence number is not consumed.
+    /// of materializing each fragment separately. A wrong nonce, tag or
+    /// filler byte fails the open; on failure `out` is left exactly as it
+    /// was and the sequence number is not consumed.
     pub fn open_into(&mut self, ciphertext: &[u8], out: &mut Vec<u8>) -> bool {
-        if ciphertext.len() < AEAD_OVERHEAD {
+        let Some(body_len) = ciphertext.len().checked_sub(AEAD_OVERHEAD) else {
+            return false;
+        };
+        let (nonce, rest) = ciphertext.split_at(NONCE_LEN);
+        let (body, tag_field) = rest.split_at(body_len);
+        let (wire_tag, filler) = tag_field.split_at(TAG_LEN);
+        let seq = u64::from_be_bytes(nonce.try_into().expect("8 bytes"));
+        if seq != self.seq || filler != [FILLER; AEAD_OVERHEAD - NONCE_LEN - TAG_LEN] {
             return false;
         }
-        let seq = u64::from_be_bytes(ciphertext[..8].try_into().expect("8 bytes"));
-        if seq != self.seq {
-            return false;
-        }
-        let body_len = ciphertext.len() - AEAD_OVERHEAD;
-        let body = &ciphertext[8..8 + body_len];
-        let seed = self.key ^ seq.wrapping_mul(PHI) | 1;
         let start = out.len();
-        let mut tag = Tag16::new(self.key, seq, body_len);
-        // Fused copy + keystream, as in `seal_into`: ciphertext is read
-        // once and plaintext written once.
-        transform_from(seed, &mut tag, body, out, false);
-        let wire_tag = u16::from_be_bytes(
-            ciphertext[8 + body_len..8 + body_len + 2]
-                .try_into()
-                .expect("2 bytes"),
-        );
-        if wire_tag != tag.finish() {
+        out.resize(start + body_len, 0);
+        let tag = transform::<false>(self.key, seq, &[body], &mut out[start..]);
+        if wire_tag != tag.to_be_bytes() {
             out.truncate(start);
             return false;
         }
@@ -395,6 +359,7 @@ impl RecordCipher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2priv_netsim::prop;
 
     #[test]
     fn roundtrip_many_records() {
@@ -522,5 +487,147 @@ mod tests {
     fn short_ciphertext_rejected() {
         let mut open = RecordCipher::new(42, 1);
         assert_eq!(open.open(&[0u8; 10]), None);
+    }
+
+    #[test]
+    fn filler_corruption_fails() {
+        // Every byte of the tag field counts: a flipped filler bit fails
+        // the open like a flipped tag bit, and leaves `out` and the
+        // sequence number as they were.
+        let ct = RecordCipher::new(42, 1).seal(&[7u8; 15]);
+        for idx in NONCE_LEN + 15 + TAG_LEN..ct.len() {
+            let mut tampered = ct.clone();
+            tampered[idx] ^= 0x10;
+            let mut open = RecordCipher::new(42, 1);
+            let mut out = vec![1, 2, 3];
+            assert!(!open.open_into(&tampered, &mut out), "filler byte {idx}");
+            assert_eq!((out.as_slice(), open.seq()), (&[1, 2, 3][..], 0));
+            assert!(open.open_into(&ct, &mut out));
+            assert_eq!(out[3..], [7u8; 15]);
+        }
+    }
+
+    /// FNV-1a-64 of `bytes`.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn sealed_bytes_match_known_answers() {
+        // Digests of whole sealed fragments: they pin every ciphertext
+        // byte, which the goldens (sizes and counts only) never see. One
+        // cipher seals the contiguous lengths in turn (sequence numbers
+        // 0..10): every tail shape, a 2 KiB fragment and a full 16 KiB
+        // one. The gather seal's 3-part splits start the body at lane
+        // phases 1, 2 and 3 and, after an HTTP/2 frame header, mid-block.
+        let msg: Vec<u8> = (0..16_384)
+            .map(|i: usize| (i.wrapping_mul(37) % 241) as u8)
+            .collect();
+        let mut cipher = RecordCipher::new(0x5EA1, 2);
+        for (len, digest) in [
+            (0, 0x0bdf_8cea_b0e1_89e3),
+            (1, 0x98dc_7620_736a_e322),
+            (7, 0x8eda_ebfa_ef81_3646),
+            (8, 0x0427_ae16_278a_3e16),
+            (9, 0xdfda_01e3_a2b2_ca28),
+            (31, 0xdb6c_ca50_723d_40d8),
+            (32, 0x067c_f930_7302_b9c9),
+            (33, 0x2dd8_fe32_b906_0add),
+            (2_048, 0xa025_baee_20c1_8525),
+            (16_384, 0x6761_0a68_bd5a_4059),
+        ] {
+            let mut sealed = Vec::new();
+            cipher.seal_into(&msg[..len], &mut sealed);
+            assert_eq!(fnv1a64(&sealed), digest, "seal_into, length {len}");
+        }
+        let mut cipher = RecordCipher::new(0x5EA1, 1);
+        for (head, digest) in [
+            (8, 0x3648_bbeb_1220_11e0),
+            (16, 0x86f0_ed4c_87f3_99b1),
+            (24, 0xae41_4c17_b584_b217),
+            (9, 0x6958_30a0_a7c7_2a85),
+        ] {
+            let body = head + 2_000;
+            let parts = [&msg[..head], &msg[head..body], &msg[body..body + 7]];
+            let mut sealed = Vec::new();
+            cipher.seal_parts_into(&parts, &mut sealed);
+            assert_eq!(fnv1a64(&sealed), digest, "seal_parts_into, head {head}");
+        }
+    }
+
+    /// Record `seq` of the direction keyed `key`, sealed by walking the
+    /// schedule one block at a time: block `i` on lane `i % 4`, with that
+    /// lane's word advanced `i / 4` Weyl steps, and the last partial block
+    /// taking only the low bytes of its keystream.
+    fn reference_seal(key: u64, seq: u64, plaintext: &[u8]) -> Vec<u8> {
+        let seed = key ^ seq.wrapping_mul(PHI) | 1;
+        let mut tag = Tag16::new(key, seq, plaintext.len());
+        let mut sealed = seq.to_be_bytes().to_vec();
+        for (i, block) in plaintext.chunks(8).enumerate() {
+            let lane = i % 4;
+            let steps = WEYL.wrapping_mul((i / 4) as u64);
+            let keystream = whiten(generator_word(seed, lane as u64).wrapping_add(steps));
+            let mut plain = [0u8; 8];
+            plain[..block.len()].copy_from_slice(block);
+            tag.fold(lane, u64::from_le_bytes(plain));
+            sealed.extend(
+                block
+                    .iter()
+                    .zip(keystream.to_le_bytes())
+                    .map(|(p, k)| p ^ k),
+            );
+        }
+        sealed.extend_from_slice(&tag.finish().to_be_bytes());
+        sealed.resize(plaintext.len() + AEAD_OVERHEAD, FILLER);
+        sealed
+    }
+
+    #[test]
+    fn kernel_matches_block_at_a_time_reference() {
+        prop::check("kernel_matches_block_at_a_time_reference", 512, |g| {
+            let cipher = RecordCipher {
+                key: g.any(),
+                seq: g.range(0u64..1_000),
+            };
+            let plaintext = g.bytes(0..700);
+            let expected = reference_seal(cipher.key, cipher.seq, &plaintext);
+            // Every entry point appends after whatever `out` already holds.
+            let prefix = g.bytes(0..40);
+            let appended = |out: &[u8]| out[..prefix.len()] == prefix[..];
+
+            let mut sealer = cipher.clone();
+            let mut out = prefix.clone();
+            sealer.seal_into(&plaintext, &mut out);
+            assert!(appended(&out) && out[prefix.len()..] == expected[..]);
+            assert_eq!(sealer.seq, cipher.seq + 1);
+
+            // One to four parts at any phases, empty parts included.
+            let mut rest = &plaintext[..];
+            let mut parts = Vec::new();
+            for _ in 1..g.range(1usize..=4) {
+                let n = match g.range(0u8..3) {
+                    0 => 0,
+                    1 => g.range(0..=rest.len().min(16)),
+                    _ => g.range(0..=rest.len()),
+                };
+                let (part, tail) = rest.split_at(n);
+                parts.push(part);
+                rest = tail;
+            }
+            parts.push(rest);
+            let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
+            let mut out = prefix.clone();
+            cipher.clone().seal_parts_into(&parts, &mut out);
+            let sealed = appended(&out) && out[prefix.len()..] == expected[..];
+            assert!(sealed, "parts of lengths {lens:?}");
+
+            let mut opener = cipher.clone();
+            let mut out = prefix.clone();
+            assert!(opener.open_into(&expected, &mut out));
+            assert!(appended(&out) && out[prefix.len()..] == plaintext[..]);
+            assert_eq!(opener.seq, cipher.seq + 1);
+        });
     }
 }

@@ -303,9 +303,9 @@ impl TlsSession {
     /// Seals application bytes, appending the wire record(s) to `out` —
     /// the sink variant of [`seal_app_data`](Self::seal_app_data),
     /// producing byte-identical wire output. The batched host pump seals a
-    /// whole run of queued messages into one reused buffer with this, so
-    /// sealing N records costs a single keystream pass over the coalesced
-    /// run and zero steady-state allocations.
+    /// whole run of queued messages into one run buffer with this, so
+    /// sealing N records costs one keystream pass per record and no
+    /// per-record allocation.
     ///
     /// # Errors
     ///

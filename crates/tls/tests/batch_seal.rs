@@ -1,7 +1,7 @@
 //! Batched record-sealing regression tests.
 //!
 //! The batched host pump seals a whole run of queued HTTP/2 frames into
-//! one reused buffer: each split DATA frame through the gather seal
+//! one run buffer: each split DATA frame through the gather seal
 //! [`TlsSession::seal_app_data_parts_into`] (`[frame header, shared body,
 //! tail padding]`), and the attacker's and shaper's contiguous bytes
 //! through [`TlsSession::seal_app_data_into`]. This binary installs the
@@ -65,9 +65,10 @@ fn sink_sealing_is_byte_identical_to_allocating_sealing() {
 fn sealing_a_run_into_a_warm_buffer_is_allocation_free() {
     let mut session = established_client();
 
-    // Steady state of the batched pump: the run buffer is recycled from
-    // the previous flush, so its capacity already covers a full socket
-    // buffer of sealed records.
+    // A warm run buffer, as the batched pump has when it reuses one (a
+    // buffer parked by an idle pass, or the rope's spare once no capture
+    // holds it): its capacity already covers a full socket buffer of
+    // sealed records.
     let payload = vec![0x5A_u8; 2_048];
     let mut run: Vec<u8> = Vec::with_capacity(64 * 1024);
     for _ in 0..16 {

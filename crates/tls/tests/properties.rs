@@ -101,9 +101,9 @@ fn any_bitflip_is_detected() {
         let mut writer = RecordWriter::new(RecordCipher::new(key, 1));
         let mut reader = RecordReader::new(RecordCipher::new(key, 1));
         let mut wire = writer.seal_message(ContentType::ApplicationData, &payload);
-        // Flip a bit in the encrypted fragment body (after the header and
-        // nonce, into the tag) so the tag check must catch it.
-        let idx = g.range(HEADER_LEN + 8..HEADER_LEN + 8 + payload.len() + 2);
+        // Flip a bit anywhere in the fragment: the nonce (a sequence
+        // mismatch), the body, the tag, or the filler behind it.
+        let idx = g.range(HEADER_LEN..HEADER_LEN + payload.len() + AEAD_OVERHEAD);
         wire[idx] ^= 1 << g.range(0u32..8);
         reader.push(&wire);
         assert!(reader.next_message().is_err());

@@ -14,6 +14,11 @@ cargo fmt --all -- --check
 # link to a renamed, private or deleted item fails the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# Tier-1 tests build at opt-level 1, but `repro` and pagebench time the
+# release record cipher: its known-answer digests and reference property
+# must hold in that build too.
+cargo test --release -q -p h2priv-tls
+
 # The benchmark is a workspace of its own: build it against the crates and
 # run its tests, so a crate change that breaks it fails here on any host.
 # Building it may rewrite its Cargo.lock; the benchmark's directory must
