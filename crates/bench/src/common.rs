@@ -98,12 +98,6 @@ impl Batch {
             .sum()
     }
 
-    /// Per-object (index into `objects_of_interest` order: 0 = HTML,
-    /// 1..=8 = images by party) success percentage.
-    pub fn object_success_pct(&self, index: usize) -> f64 {
-        self.pct(|(_, a)| a.objects[index].success)
-    }
-
     /// Percentage of trials where the image at display rank `rank` was
     /// predicted correctly.
     pub fn rank_correct_pct(&self, rank: usize) -> f64 {

@@ -23,8 +23,15 @@ fn batch_fingerprint(batch: &Batch) -> Vec<u64> {
         batch.broken_pct().to_bits(),
         batch.total_retransmissions(),
     ];
+    // Per object of interest (0 = HTML, 1..=8 = images by party): trials
+    // that identified it, and its mean degree of multiplexing.
     for index in 0..9 {
-        fp.push(batch.object_success_pct(index).to_bits());
+        let successes = batch
+            .trials
+            .iter()
+            .filter(|(_, a)| a.objects[index].success)
+            .count();
+        fp.push(successes as u64);
         fp.push(batch.mean_degree(index).to_bits());
     }
     for rank in 0..8 {

@@ -162,11 +162,6 @@ impl DosDetector {
         &self.alerts
     }
 
-    /// True once any signature has fired.
-    pub fn alerted(&self) -> bool {
-        !self.alerts.is_empty()
-    }
-
     fn fire(&mut self, kind: AlertKind, stream: Option<StreamId>, at: SimTime, detail: String) {
         let slot = match kind {
             AlertKind::SlowHeaders => 0,

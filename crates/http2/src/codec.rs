@@ -288,10 +288,8 @@ pub struct FrameDecoder {
     /// legal (RFC 7540 §6.10).
     header_sequence: Option<(StreamId, bool, Vec<u8>)>,
     /// When set, decoded DATA payloads are length-only zero-page views
-    /// (see [`H2Config::opaque_data_payloads`]); padding is still
+    /// (see [`set_opaque_data`](Self::set_opaque_data)); padding is still
     /// validated against the real bytes.
-    ///
-    /// [`H2Config::opaque_data_payloads`]: crate::settings::H2Config::opaque_data_payloads
     opaque_data: bool,
 }
 
@@ -318,7 +316,11 @@ impl FrameDecoder {
         self.max_frame_size = size;
     }
 
-    /// Switches DATA payload delivery to opaque length-only views.
+    /// Switches DATA payload delivery to opaque length-only views, backed
+    /// by a shared zero page instead of a copy of the received bytes.
+    /// [`H2Connection`](crate::H2Connection) always decodes this way, since
+    /// it reports only each DATA frame's length; other readers keep the
+    /// default and get copies of the bytes.
     pub fn set_opaque_data(&mut self, opaque: bool) {
         self.opaque_data = opaque;
     }

@@ -57,9 +57,7 @@ fn data_sequence(events: &[H2Event]) -> Vec<(StreamId, usize)> {
     events
         .iter()
         .filter_map(|ev| match ev {
-            H2Event::Data {
-                stream_id, data, ..
-            } => Some((*stream_id, data.len())),
+            H2Event::Data { stream_id, len, .. } => Some((*stream_id, *len)),
             _ => None,
         })
         .collect()
@@ -352,8 +350,12 @@ fn reset_stream_conn_accounting_is_exactly_once() {
 #[test]
 fn ping_pong() {
     let (mut c, mut s) = ready_pair(H2Config::default(), H2Config::default());
-    c.send_ping([3; 8]);
-    shuttle(&mut c, &mut s);
+    let data = [3, 1, 4, 1, 5, 9, 2, 6];
+    s.recv(&encode_frame(&Frame::Ping { ack: false, data }))
+        .unwrap();
+    let answer = drain_frames(&mut s);
+    assert_eq!(answer, vec![Frame::Ping { ack: true, data }]);
+    c.recv(&encode_frame(&answer[0])).unwrap();
     assert!(drain_events(&mut c)
         .iter()
         .any(|ev| matches!(ev, H2Event::PingAcked)));
@@ -590,6 +592,59 @@ fn goaway_cancels_streams_above_last_stream_id() {
     assert_eq!(c.stream_state(b), Some(StreamState::Closed));
     assert_eq!(c.stream_state(d), Some(StreamState::Closed));
     assert_eq!(c.pending_data(b), 0, "cancelled output is dropped");
+}
+
+/// Feeds a fresh server a client preface, SETTINGS and one HEADERS frame
+/// on stream 1 carrying `header_block`, and checks that the server fails
+/// the connection with COMPRESSION_ERROR and sends only that GOAWAY.
+fn assert_compression_error(header_block: Vec<u8>) {
+    let mut s = H2Connection::new_server(H2Config::default());
+    let mut wire = CLIENT_PREFACE.to_vec();
+    wire.extend_from_slice(&encode_frame(&Frame::Settings {
+        ack: false,
+        settings: vec![],
+    }));
+    wire.extend_from_slice(&encode_frame(&Frame::Headers {
+        stream_id: StreamId(1),
+        end_stream: true,
+        header_block,
+        pad: None,
+    }));
+    assert_eq!(s.recv(&wire).unwrap_err().code, ErrorCode::CompressionError);
+    assert!(s.is_closed());
+    assert_eq!(
+        drain_frames(&mut s),
+        vec![Frame::GoAway {
+            last_stream_id: StreamId(0),
+            error_code: ErrorCode::CompressionError,
+        }]
+    );
+    assert!(drain_events(&mut s)
+        .iter()
+        .all(|ev| !matches!(ev, H2Event::Headers { .. })));
+}
+
+#[test]
+fn huffman_literal_is_a_compression_error() {
+    // GET https://example.org/images/party_3.png with the `:path` value
+    // Huffman-coded (`0x44 0x8f`: literal with indexing, name index 4,
+    // H bit set, 15 octets), as an encoder with Huffman coding on wrote it.
+    let block = vec![
+        0x82, 0x87, 0x41, 0x0b, b'e', b'x', b'a', b'm', b'p', b'l', b'e', b'.', b'o', b'r', b'g',
+        0x44, 0x8f, 0x19, 0xe8, 0x96, 0x71, 0xaa, 0x06, 0x95, 0x69, 0xe9, 0xb9, 0x52, 0x85, 0x96,
+        0x37, 0x3f,
+    ];
+    assert_compression_error(block);
+}
+
+#[test]
+fn size_update_above_settings_is_a_compression_error() {
+    // A table-size update to 100 000 000 ahead of the request, against
+    // the server's advertised SETTINGS_HEADER_TABLE_SIZE of 4 096.
+    let mut block = Vec::new();
+    hpack::encode_integer(&mut block, 0x20, 5, 100_000_000);
+    block.extend_from_slice(&hpack::Encoder::new().encode(&get("/")));
+    assert_compression_error(block);
 }
 
 #[test]

@@ -63,12 +63,15 @@ pub enum H2Event {
         /// Peer will send no more frames on this stream.
         end_stream: bool,
     },
-    /// Body bytes arrived.
+    /// Body bytes arrived. Only their count is delivered: the frame
+    /// decoder never copies DATA payloads out of the receive buffer (see
+    /// [`FrameDecoder::set_opaque_data`]), because every application in
+    /// the model records body sizes and timing, never contents.
     Data {
         /// Stream the data arrived on.
         stream_id: StreamId,
-        /// The bytes (shared with the decoded frame, not copied).
-        data: SharedBytes,
+        /// Body bytes in the frame (padding excluded).
+        len: usize,
         /// Peer will send no more frames on this stream.
         end_stream: bool,
     },
@@ -398,7 +401,7 @@ impl H2Connection {
             ),
             frame_decoder: {
                 let mut d = FrameDecoder::new(peer == Peer::Server);
-                d.set_opaque_data(config.opaque_data_payloads);
+                d.set_opaque_data(true);
                 d
             },
             next_stream_id: match peer {
@@ -720,13 +723,6 @@ impl H2Connection {
         });
     }
 
-    /// Queues a PING.
-    pub fn send_ping(&mut self, data: [u8; 8]) {
-        self.output_idle = false;
-        self.control_queue
-            .push_back(Frame::Ping { ack: false, data });
-    }
-
     /// Queues a GOAWAY.
     pub fn send_goaway(&mut self, error_code: ErrorCode) {
         self.output_idle = false;
@@ -744,9 +740,14 @@ impl H2Connection {
 
     // ---- output ------------------------------------------------------------
 
-    /// Produces the next chunk of wire output, or `None` when idle.
+    /// Produces the next chunk of wire output, or `None` when idle. After
+    /// a connection error only the GOAWAY it queued is sent.
     pub fn poll_send(&mut self) -> Option<Outgoing> {
-        if self.dead || self.output_idle {
+        if self.dead {
+            let goaway = self.control_queue.pop_front()?;
+            return Some(self.emit(goaway));
+        }
+        if self.output_idle {
             return None;
         }
         if !self.preface_sent {
@@ -1020,7 +1021,11 @@ impl H2Connection {
         }
     }
 
+    /// Connection error (RFC 7540 §5.4.1): drops the queued control
+    /// frames, so that the GOAWAY queued here is the only frame left to
+    /// send.
     fn fail(&mut self, code: ErrorCode) {
+        self.control_queue.clear();
         self.send_goaway(code);
         self.dead = true;
     }
@@ -1210,7 +1215,7 @@ impl H2Connection {
                 if deliver {
                     self.events.push_back(H2Event::Data {
                         stream_id,
-                        data,
+                        len: data.len(),
                         end_stream,
                     });
                 }

@@ -1,10 +1,11 @@
 //! HPACK header compression (RFC 7541).
 //!
-//! Implements prefix-coded integers, literal strings with optional
-//! [`huffman`] coding (off by default — see that module for the codebook
-//! note and why the monitor calibration prefers plain literals), indexed
-//! fields against the combined static+dynamic table, and literals
-//! with/without incremental indexing.
+//! Implements prefix-coded integers, plain string literals, indexed fields
+//! against the combined static+dynamic table, and literals with/without
+//! incremental indexing. String literals are never Huffman-coded: the
+//! encoder writes every literal with the H bit clear, and the decoder
+//! answers an H-bit literal with [`HpackError::HuffmanUnsupported`]. The
+//! monitor's GET threshold is calibrated to plain-literal block sizes.
 //!
 //! HPACK matters to the reproduction for a subtle reason: because request
 //! header blocks compress to a few dozen bytes, every GET request fits in
@@ -12,7 +13,6 @@
 //! watching single `application_data` records in the client→server
 //! direction (§V "Adversary Setup").
 
-pub mod huffman;
 mod table;
 
 pub use table::{DynamicTable, HeaderField, IndexTable, STATIC_TABLE};
@@ -29,8 +29,13 @@ pub enum HpackError {
     /// A string literal was not valid UTF-8 (the model keeps headers as
     /// strings; real HPACK allows arbitrary octets).
     InvalidString,
-    /// A Huffman-coded literal failed to decode (bad padding).
+    /// A string literal had the H bit set. This stack sends and accepts
+    /// plain literals only, so a Huffman-coded literal is a decoding
+    /// error.
     HuffmanUnsupported,
+    /// A dynamic-table size update exceeded the decoder's capacity, the
+    /// `SETTINGS_HEADER_TABLE_SIZE` it advertised (RFC 7541 §6.3).
+    TableSizeOverLimit,
 }
 
 impl std::fmt::Display for HpackError {
@@ -40,7 +45,8 @@ impl std::fmt::Display for HpackError {
             HpackError::InvalidIndex => "invalid table index",
             HpackError::IntegerOverflow => "integer too large",
             HpackError::InvalidString => "string literal not valid utf-8",
-            HpackError::HuffmanUnsupported => "huffman-coded literal failed to decode",
+            HpackError::HuffmanUnsupported => "huffman-coded literal not supported",
+            HpackError::TableSizeOverLimit => "table size update above the advertised limit",
         };
         f.write_str(msg)
     }
@@ -99,17 +105,7 @@ pub fn decode_integer(buf: &[u8], prefix_bits: u8) -> Result<(usize, usize), Hpa
     Err(HpackError::Truncated)
 }
 
-fn encode_string(out: &mut Vec<u8>, s: &str, use_huffman: bool) {
-    if use_huffman {
-        let coded = huffman::encode(s.as_bytes());
-        if coded.len() < s.len() {
-            // H bit = 1, 7-bit length prefix over the coded length.
-            encode_integer(out, 0x80, 7, coded.len());
-            out.extend_from_slice(&coded);
-            return;
-        }
-        // Huffman would expand this string: fall through to plain.
-    }
+fn encode_string(out: &mut Vec<u8>, s: &str) {
     // H bit = 0 (no Huffman), 7-bit length prefix.
     encode_integer(out, 0x00, 7, s.len());
     out.extend_from_slice(s.as_bytes());
@@ -117,19 +113,12 @@ fn encode_string(out: &mut Vec<u8>, s: &str, use_huffman: bool) {
 
 fn decode_string(buf: &[u8]) -> Result<(String, usize), HpackError> {
     let first = *buf.first().ok_or(HpackError::Truncated)?;
-    let coded = first & 0x80 != 0;
+    if first & 0x80 != 0 {
+        return Err(HpackError::HuffmanUnsupported);
+    }
     let (len, consumed) = decode_integer(buf, 7)?;
     let end = consumed + len;
-    if buf.len() < end {
-        return Err(HpackError::Truncated);
-    }
-    let raw;
-    let bytes: &[u8] = if coded {
-        raw = huffman::decode(&buf[consumed..end]).map_err(|_| HpackError::HuffmanUnsupported)?;
-        &raw
-    } else {
-        &buf[consumed..end]
-    };
+    let bytes = buf.get(consumed..end).ok_or(HpackError::Truncated)?;
     let s = std::str::from_utf8(bytes)
         .map_err(|_| HpackError::InvalidString)?
         .to_owned();
@@ -144,8 +133,6 @@ pub struct Encoder {
     /// Fields whose values should never enter the dynamic table (e.g.
     /// `authorization`); encoded as never-indexed literals.
     sensitive: Vec<String>,
-    /// Huffman-code string literals (off by default; see [`huffman`]).
-    use_huffman: bool,
 }
 
 impl Encoder {
@@ -159,13 +146,7 @@ impl Encoder {
         Encoder {
             table: IndexTable::new(max),
             sensitive: vec!["authorization".to_owned(), "set-cookie".to_owned()],
-            use_huffman: false,
         }
-    }
-
-    /// Enables or disables Huffman coding of string literals.
-    pub fn set_huffman(&mut self, on: bool) {
-        self.use_huffman = on;
     }
 
     /// Encodes a header list into a block fragment.
@@ -184,10 +165,10 @@ impl Encoder {
                 Some(idx) => encode_integer(out, 0x10, 4, idx),
                 None => {
                     encode_integer(out, 0x10, 4, 0);
-                    encode_string(out, &field.name, self.use_huffman);
+                    encode_string(out, &field.name);
                 }
             }
-            encode_string(out, &field.value, self.use_huffman);
+            encode_string(out, &field.value);
             return;
         }
         if let Some(idx) = self.table.find(field) {
@@ -200,10 +181,10 @@ impl Encoder {
             Some(idx) => encode_integer(out, 0x40, 6, idx),
             None => {
                 encode_integer(out, 0x40, 6, 0);
-                encode_string(out, &field.name, self.use_huffman);
+                encode_string(out, &field.name);
             }
         }
-        encode_string(out, &field.value, self.use_huffman);
+        encode_string(out, &field.value);
         self.table.insert(field.clone());
     }
 
@@ -223,6 +204,10 @@ impl Default for Encoder {
 #[derive(Debug, Clone)]
 pub struct Decoder {
     table: IndexTable,
+    /// The capacity this decoder was built with, the
+    /// `SETTINGS_HEADER_TABLE_SIZE` its endpoint advertises: no size
+    /// update may raise the table above it.
+    limit: usize,
     /// Largest dynamic-table-size update declared by any decoded block
     /// (`None` until a size-update instruction is seen). The conformance
     /// oracle uses this to verify the encoder never declares a table
@@ -236,10 +221,12 @@ impl Decoder {
         Decoder::with_table_size(4096)
     }
 
-    /// Creates a decoder with a specific dynamic-table capacity.
+    /// Creates a decoder with a specific dynamic-table capacity, which is
+    /// also the largest size update it accepts.
     pub fn with_table_size(max: usize) -> Self {
         Decoder {
             table: IndexTable::new(max),
+            limit: max,
             max_size_update: None,
         }
     }
@@ -279,6 +266,9 @@ impl Decoder {
             } else if first & 0xE0 == 0x20 {
                 // Dynamic table size update.
                 let (size, used) = decode_integer(buf, 5)?;
+                if size > self.limit {
+                    return Err(HpackError::TableSizeOverLimit);
+                }
                 buf = &buf[used..];
                 self.max_size_update = Some(self.max_size_update.map_or(size, |m| m.max(size)));
                 self.table.set_max_dynamic_size(size);
@@ -443,36 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn huffman_blocks_roundtrip_and_shrink() {
-        let mut enc = Encoder::new();
-        enc.set_huffman(true);
-        let mut dec = Decoder::new();
-        let fields = vec![
-            HeaderField::new(":path", "/img/parties/constitution.png"),
-            HeaderField::new("user-agent", "Mozilla/5.0 Firefox/74.0"),
-        ];
-        let coded = enc.encode(&fields);
-        assert_eq!(dec.decode(&coded).unwrap(), fields);
-        let mut plain_enc = Encoder::new();
-        let plain = plain_enc.encode(&fields);
-        assert!(
-            coded.len() < plain.len(),
-            "huffman should shrink: {} vs {}",
-            coded.len(),
-            plain.len()
-        );
-    }
-
-    #[test]
-    fn decoder_rejects_bad_huffman_padding() {
-        let mut dec = Decoder::new();
-        // Literal with incremental indexing, new name, H bit set, one
-        // all-zero byte: 8 bits of non-EOS padding.
-        let block = vec![0x40, 0x81, 0x00];
-        assert_eq!(dec.decode(&block), Err(HpackError::HuffmanUnsupported));
-    }
-
-    #[test]
     fn table_size_update_applies() {
         let mut enc = Encoder::new();
         let mut dec = Decoder::new();
@@ -486,6 +446,22 @@ mod tests {
         let mut idx_ref = Vec::new();
         encode_integer(&mut idx_ref, 0x80, 7, 62);
         assert_eq!(dec.decode(&idx_ref), Err(HpackError::InvalidIndex));
+    }
+
+    #[test]
+    fn size_update_is_bounded_by_the_table_capacity() {
+        let update = |size| {
+            let mut block = Vec::new();
+            encode_integer(&mut block, 0x20, 5, size);
+            block
+        };
+        let mut dec = Decoder::new();
+        assert_eq!(dec.decode(&update(4_096)), Ok(vec![]));
+        assert_eq!(
+            dec.decode(&update(4_097)),
+            Err(HpackError::TableSizeOverLimit)
+        );
+        assert_eq!(dec.max_size_update(), Some(4_096));
     }
 
     #[test]

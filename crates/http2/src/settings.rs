@@ -109,17 +109,6 @@ pub struct H2Config {
     /// pad octets). Header blocks large enough to split into CONTINUATION
     /// sequences are never padded. 0 disables padding.
     pub headers_pad_quantum: usize,
-    /// Deliver received DATA payloads as opaque length-only views (backed
-    /// by a shared zero page) instead of copying the bytes out of the
-    /// receive buffer. Padding is still validated against the real wire
-    /// bytes and flow control is unchanged — only the payload *contents*
-    /// of [`H2Event::Data`] are replaced by zeros. For harness hosts whose
-    /// applications consume lengths, never bodies (the simulated browser
-    /// records sizes and timing), this removes a per-frame allocation and
-    /// copy of every received body byte.
-    ///
-    /// [`H2Event::Data`]: crate::connection::H2Event::Data
-    pub opaque_data_payloads: bool,
 }
 
 impl Default for H2Config {
@@ -131,7 +120,6 @@ impl Default for H2Config {
             connection_window_bonus: 0,
             data_pad_quantum: 0,
             headers_pad_quantum: 0,
-            opaque_data_payloads: false,
         }
     }
 }

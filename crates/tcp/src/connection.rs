@@ -38,7 +38,15 @@ pub enum AbortReason {
     ProtocolError,
 }
 
-/// Connection lifecycle states (condensed RFC 793 diagram).
+/// Connection lifecycle states: the opening half of the RFC 9293
+/// diagram.
+///
+/// There is no FIN teardown: no run closes a page load's connection. A
+/// connection ends only by abort, [`Aborted`](Self::Aborted) with its
+/// [`AbortReason`]: a RST from the peer, a local abort (the host gives up
+/// when TLS or HTTP/2 fails), or too many consecutive retransmission
+/// timeouts. Otherwise it is still [`Established`](Self::Established) when
+/// the run ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
     /// No connection yet.
@@ -49,14 +57,6 @@ pub enum TcpState {
     SynRcvd,
     /// Data may flow.
     Established,
-    /// We sent FIN, awaiting its ACK (and possibly the peer's FIN).
-    FinWait,
-    /// Peer sent FIN; we may still send.
-    CloseWait,
-    /// Both FINs exchanged, ours not yet acknowledged.
-    LastAck,
-    /// Fully closed.
-    Done,
     /// Aborted; see [`TcpConnection::abort_reason`].
     Aborted,
 }
@@ -148,10 +148,6 @@ pub struct TcpConnection {
     snd_nxt: u64,
     /// Highest offset ever transmitted (for retransmission detection).
     snd_max: u64,
-    /// Offset of our FIN, once `close()` is called.
-    fin_offset: Option<u64>,
-    fin_sent: bool,
-    fin_acked: bool,
     /// Peer's advertised receive window.
     peer_window: u32,
     /// Fast-retransmit request: retransmit one segment at `snd_una` now.
@@ -179,8 +175,6 @@ pub struct TcpConnection {
     reassembler: Reassembler,
     /// Peer's initial sequence number, learned from its SYN.
     peer_iss: Option<Seq>,
-    /// Stream offset of the peer's FIN, if received.
-    peer_fin_offset: Option<u64>,
     /// Pure ACKs queued for emission, with their ack values captured at
     /// segment-processing time (one immediate ACK per received data
     /// segment, even if the driver batches deliveries).
@@ -191,9 +185,9 @@ pub struct TcpConnection {
     /// Cleared when a full [`poll_transmit`](Self::poll_transmit) pass
     /// returned `None` and no state has changed since: the next poll can
     /// answer `None` without re-walking the send machinery. Every mutator
-    /// that could make a segment sendable (`write`, `close`, `abort`,
-    /// `on_segment`, `on_tick`) sets it again. Purely an idle-path
-    /// short-circuit — segment content and ordering are unchanged.
+    /// that could make a segment sendable (`write`, `abort`, `on_segment`,
+    /// `on_tick`) sets it again. Purely an idle-path short-circuit —
+    /// segment content and ordering are unchanged.
     output_pending: bool,
     /// SYN (or SYN-ACK) is in flight, awaiting its ACK or timeout.
     syn_in_flight: bool,
@@ -227,9 +221,6 @@ impl TcpConnection {
             snd_una: 0,
             snd_nxt: 0,
             snd_max: 0,
-            fin_offset: None,
-            fin_sent: false,
-            fin_acked: false,
             peer_window: config.receive_window,
             fast_rexmit: false,
             recovery: None,
@@ -243,7 +234,6 @@ impl TcpConnection {
             last_data_sent: None,
             reassembler: Reassembler::new(),
             peer_iss: None,
-            peer_fin_offset: None,
             pending_acks: std::collections::VecDeque::new(),
             rst_pending: false,
             output_pending: true,
@@ -262,10 +252,7 @@ impl TcpConnection {
 
     /// True once the handshake has completed.
     pub fn is_established(&self) -> bool {
-        matches!(
-            self.state,
-            TcpState::Established | TcpState::FinWait | TcpState::CloseWait | TcpState::LastAck
-        )
+        self.state == TcpState::Established
     }
 
     /// True if the connection died; see [`abort_reason`](Self::abort_reason).
@@ -363,21 +350,20 @@ impl TcpConnection {
         self.send_buf.resident()
     }
 
-    /// True when all written data (and FIN if closed) has been acknowledged.
+    /// True when all written data has been acknowledged.
     pub fn send_drained(&self) -> bool {
-        self.snd_una == self.send_buf.total() && (self.fin_offset.is_none() || self.fin_acked)
+        self.snd_una == self.send_buf.total()
     }
 
     // ---- application surface --------------------------------------------
 
     /// Queues application bytes for transmission, copying them once into
-    /// a fresh shared chunk. Returns the number of bytes accepted (0
-    /// after `close()` or on a dead connection). Callers that already
-    /// hold a [`SharedBytes`] should use
-    /// [`write_shared`](Self::write_shared) and skip the copy.
+    /// a fresh shared chunk. Returns the number of bytes accepted (0 on a
+    /// dead connection). Callers that already hold a [`SharedBytes`]
+    /// should use [`write_shared`](Self::write_shared) and skip the copy.
     pub fn write(&mut self, data: &[u8]) -> usize {
         self.output_pending = true;
-        if self.fin_offset.is_some() || self.state == TcpState::Aborted {
+        if self.state == TcpState::Aborted {
             return 0;
         }
         self.send_buf.push(SharedBytes::copy_from_slice(data));
@@ -390,7 +376,7 @@ impl TcpConnection {
     /// of this very buffer. Returns the number of bytes accepted.
     pub fn write_shared(&mut self, data: SharedBytes) -> usize {
         self.output_pending = true;
-        if self.fin_offset.is_some() || self.state == TcpState::Aborted {
+        if self.state == TcpState::Aborted {
             return 0;
         }
         let len = data.len();
@@ -451,15 +437,6 @@ impl TcpConnection {
         self.reassembler.ready_len()
     }
 
-    /// Begins a graceful close: a FIN is sent once all queued data has been
-    /// transmitted. Further writes are rejected.
-    pub fn close(&mut self) {
-        self.output_pending = true;
-        if self.fin_offset.is_none() {
-            self.fin_offset = Some(self.send_buf.total());
-        }
-    }
-
     /// Aborts immediately; the next [`poll_transmit`](Self::poll_transmit)
     /// emits a RST.
     pub fn abort(&mut self) {
@@ -490,16 +467,7 @@ impl TcpConnection {
     fn rcv_ack_field(&self) -> Seq {
         match self.peer_iss {
             None => Seq(0),
-            Some(peer_iss) => {
-                let mut n = self.reassembler.ack_point();
-                // Consume the peer's FIN once all its data has arrived.
-                if let Some(fin) = self.peer_fin_offset {
-                    if self.reassembler.ack_point() >= fin {
-                        n = fin + 1;
-                    }
-                }
-                peer_iss + 1 + (n as u32)
-            }
+            Some(peer_iss) => peer_iss + 1 + (self.reassembler.ack_point() as u32),
         }
     }
 
@@ -539,7 +507,6 @@ impl TcpConnection {
         }
         let seg = match self.state {
             TcpState::Closed | TcpState::Aborted => None,
-            TcpState::Done => self.poll_pure_ack(),
             TcpState::SynSent => self.poll_syn(now),
             TcpState::SynRcvd => self.poll_syn_ack(now),
             _ => self.poll_established(now),
@@ -598,9 +565,6 @@ impl TcpConnection {
             if self.snd_una < self.send_buf.total() {
                 return Some(self.make_data_segment(self.snd_una, now, true));
             }
-            if self.fin_needs_rexmit() {
-                return Some(self.make_fin_segment(now, true));
-            }
         }
         // 2. New (or go-back-N re-sent) data within both windows.
         let window = self.cc.cwnd().min(self.peer_window as usize);
@@ -611,25 +575,8 @@ impl TcpConnection {
             self.snd_nxt = offset + seg.payload.len() as u64;
             return Some(seg);
         }
-        // 3. FIN once all data is out.
-        if let Some(fin_offset) = self.fin_offset {
-            if !self.fin_sent && self.snd_nxt >= fin_offset && self.snd_nxt >= self.send_buf.total()
-            {
-                self.fin_sent = true;
-                if self.state == TcpState::Established {
-                    self.state = TcpState::FinWait;
-                } else if self.state == TcpState::CloseWait {
-                    self.state = TcpState::LastAck;
-                }
-                return Some(self.make_fin_segment(now, false));
-            }
-        }
-        // 4. Pure ACK.
+        // 3. Pure ACK.
         self.poll_pure_ack()
-    }
-
-    fn fin_needs_rexmit(&self) -> bool {
-        self.fin_sent && !self.fin_acked
     }
 
     fn make_data_segment(&mut self, offset: u64, now: SimTime, is_rexmit: bool) -> TcpSegment {
@@ -659,21 +606,6 @@ impl TcpConnection {
         // The cumulative ack on this data segment subsumes queued pure ACKs.
         self.pending_acks.clear();
         self.base_segment(TcpFlags::ACK, self.wire_seq(offset), payload)
-    }
-
-    fn make_fin_segment(&mut self, now: SimTime, is_rexmit: bool) -> TcpSegment {
-        if is_rexmit {
-            self.stats.retransmissions += 1;
-        }
-        self.arm_rto(now);
-        self.stats.segments_sent += 1;
-        self.pending_acks.clear();
-        let fin_offset = self.fin_offset.expect("fin requested");
-        self.base_segment(
-            TcpFlags::FIN_ACK,
-            self.wire_seq(fin_offset),
-            SharedBytes::new(),
-        )
     }
 
     // ---- timers ----------------------------------------------------------
@@ -707,8 +639,8 @@ impl TcpConnection {
                 self.backoff_point = Some(self.backoff_point.unwrap_or(0).max(self.snd_max));
                 self.syn_in_flight = false; // re-emit SYN / SYN-ACK
             }
-            TcpState::Established | TcpState::FinWait | TcpState::CloseWait | TcpState::LastAck => {
-                if self.flight() == 0 && !self.fin_needs_rexmit() {
+            TcpState::Established => {
+                if self.flight() == 0 {
                     return; // spurious
                 }
                 self.stats.timeouts += 1;
@@ -726,9 +658,6 @@ impl TcpConnection {
                 self.recovery = None;
                 self.dup_acks = 0;
                 self.fast_rexmit = false;
-                if self.fin_needs_rexmit() && self.snd_una >= self.send_buf.total() {
-                    self.fast_rexmit = true; // re-send the FIN
-                }
                 self.arm_rto(now);
             }
             _ => {}
@@ -750,7 +679,7 @@ impl TcpConnection {
     /// Processes one received segment.
     pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime) {
         self.output_pending = true;
-        if self.state == TcpState::Aborted || self.state == TcpState::Done {
+        if self.state == TcpState::Aborted {
             return;
         }
         self.stats.segments_received += 1;
@@ -823,29 +752,6 @@ impl TcpConnection {
             }
             self.queue_ack();
         }
-        if seg.flags.fin {
-            let fin_offset = (seg.seq_end() - (peer_iss + 1)) as u64 - 1;
-            self.peer_fin_offset = Some(fin_offset);
-            self.queue_ack();
-            match self.state {
-                TcpState::Established => self.state = TcpState::CloseWait,
-                TcpState::FinWait if self.fin_acked => self.state = TcpState::Done,
-                _ => {}
-            }
-        }
-        self.maybe_finish_close();
-    }
-
-    fn maybe_finish_close(&mut self) {
-        match self.state {
-            TcpState::FinWait if self.fin_acked && self.peer_fin_offset.is_some() => {
-                self.state = TcpState::Done;
-            }
-            TcpState::LastAck if self.fin_acked => {
-                self.state = TcpState::Done;
-            }
-            _ => {}
-        }
     }
 
     /// Queues one immediate pure ACK carrying the current ack point.
@@ -855,19 +761,10 @@ impl TcpConnection {
     }
 
     fn process_ack(&mut self, seg: &TcpSegment, now: SimTime) {
-        let Some(mut ack_offset) = self.offset_of_ack(seg.ack) else {
+        let Some(ack_offset) = self.offset_of_ack(seg.ack) else {
             return;
         };
         self.peer_window = seg.window;
-        // The ACK may cover our FIN.
-        if let Some(fin_offset) = self.fin_offset {
-            if self.fin_sent && ack_offset > fin_offset {
-                self.fin_acked = true;
-                ack_offset = fin_offset;
-                self.rto_deadline = None;
-                self.maybe_finish_close();
-            }
-        }
         let data_len = self.send_buf.total();
         let ack_offset = ack_offset.min(data_len);
         if ack_offset > self.snd_una {
@@ -904,7 +801,7 @@ impl TcpConnection {
                 }
             }
             self.cc.on_ack(newly, ack_offset, self.flight());
-            if self.flight() == 0 && !self.fin_needs_rexmit() {
+            if self.flight() == 0 {
                 self.rto_deadline = None;
             } else {
                 self.arm_rto(now);
@@ -988,27 +885,6 @@ mod tests {
         assert_eq!(got.len(), data.len());
         assert_eq!(got, data);
         assert_eq!(c.stats().retransmissions, 0);
-    }
-
-    #[test]
-    fn graceful_close_both_sides() {
-        let (mut c, mut s) = established_pair();
-        c.write(b"bye");
-        c.close();
-        pump(&mut c, &mut s, SimTime::from_millis(1));
-        assert_eq!(s.read(), b"bye");
-        assert_eq!(s.state(), TcpState::CloseWait);
-        s.close();
-        pump(&mut c, &mut s, SimTime::from_millis(2));
-        assert_eq!(c.state(), TcpState::Done);
-        assert_eq!(s.state(), TcpState::Done);
-    }
-
-    #[test]
-    fn write_after_close_rejected() {
-        let (mut c, _s) = established_pair();
-        c.close();
-        assert_eq!(c.write(b"more"), 0);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct TcpFlags {
     pub syn: bool,
     /// Acknowledgment field is valid.
     pub ack: bool,
-    /// No more data from sender (graceful close).
-    pub fin: bool,
     /// Reset the connection.
     pub rst: bool,
 }
@@ -29,35 +27,24 @@ impl TcpFlags {
     pub const ACK: TcpFlags = TcpFlags {
         syn: false,
         ack: true,
-        fin: false,
         rst: false,
     };
     /// Flags for an initial SYN.
     pub const SYN: TcpFlags = TcpFlags {
         syn: true,
         ack: false,
-        fin: false,
         rst: false,
     };
     /// Flags for a SYN-ACK.
     pub const SYN_ACK: TcpFlags = TcpFlags {
         syn: true,
         ack: true,
-        fin: false,
-        rst: false,
-    };
-    /// Flags for a FIN-ACK.
-    pub const FIN_ACK: TcpFlags = TcpFlags {
-        syn: false,
-        ack: true,
-        fin: true,
         rst: false,
     };
     /// Flags for a RST.
     pub const RST: TcpFlags = TcpFlags {
         syn: false,
         ack: false,
-        fin: false,
         rst: true,
     };
 }
@@ -70,9 +57,6 @@ impl fmt::Display for TcpFlags {
         }
         if self.ack {
             parts.push("ACK");
-        }
-        if self.fin {
-            parts.push("FIN");
         }
         if self.rst {
             parts.push("RST");
@@ -88,7 +72,7 @@ impl fmt::Display for TcpFlags {
 /// `h2priv_netsim::Packet` throughout the workspace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpSegment {
-    /// Sequence number of the first payload byte (or of the SYN/FIN).
+    /// Sequence number of the first payload byte (or of the SYN).
     pub seq: Seq,
     /// Acknowledgment number (next expected byte), valid iff `flags.ack`.
     pub ack: Seq,
@@ -110,16 +94,9 @@ impl TcpSegment {
     }
 
     /// Sequence space this segment occupies (payload bytes, plus one for
-    /// SYN and one for FIN).
+    /// SYN).
     pub fn seq_len(&self) -> u32 {
-        let mut len = self.payload.len() as u32;
-        if self.flags.syn {
-            len += 1;
-        }
-        if self.flags.fin {
-            len += 1;
-        }
-        len
+        self.payload.len() as u32 + u32::from(self.flags.syn)
     }
 
     /// The sequence number just past this segment.
@@ -127,13 +104,9 @@ impl TcpSegment {
         self.seq + self.seq_len()
     }
 
-    /// True if this is a pure acknowledgment (no payload, no SYN/FIN/RST).
+    /// True if this is a pure acknowledgment (no payload, no SYN/RST).
     pub fn is_pure_ack(&self) -> bool {
-        self.flags.ack
-            && !self.flags.syn
-            && !self.flags.fin
-            && !self.flags.rst
-            && self.payload.is_empty()
+        self.flags.ack && !self.flags.syn && !self.flags.rst && self.payload.is_empty()
     }
 }
 
@@ -177,9 +150,7 @@ mod tests {
         assert_eq!(s.seq_len(), 10);
         s.flags.syn = true;
         assert_eq!(s.seq_len(), 11);
-        s.flags.fin = true;
-        assert_eq!(s.seq_len(), 12);
-        assert_eq!(s.seq_end(), Seq(112));
+        assert_eq!(s.seq_end(), Seq(111));
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct TcpStats {
     pub bytes_sent: u64,
     /// New in-order payload bytes received.
     pub bytes_received: u64,
-    /// Data/FIN segments retransmitted, by any mechanism.
+    /// Data segments retransmitted, by any mechanism.
     pub retransmissions: u64,
     /// Payload bytes retransmitted.
     pub retransmitted_bytes: u64,

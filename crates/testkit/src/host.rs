@@ -651,11 +651,11 @@ impl HostCore {
                     App::Client(b),
                     H2Event::Data {
                         stream_id,
-                        data,
+                        len,
                         end_stream,
                     },
                 ) => {
-                    b.on_data(stream_id, data.len(), end_stream, now);
+                    b.on_data(stream_id, len, end_stream, now);
                 }
                 (App::Client(b), H2Event::Reset { stream_id, .. }) => {
                     b.on_reset(stream_id, now);

@@ -111,11 +111,6 @@ impl Default for ScenarioConfig {
                 connection_window_bonus: calib::CLIENT_CONN_WINDOW_BONUS,
                 data_pad_quantum: 0,
                 headers_pad_quantum: 0,
-                // Harness apps consume body *lengths*, never contents (the
-                // browser records sizes and timing; the conformance oracle
-                // taps TLS plaintext upstream of the h2 decoder), so DATA
-                // payloads skip the per-frame copy on receive.
-                opaque_data_payloads: true,
             },
             server_h2: H2Config {
                 settings: Settings::default(),
@@ -124,7 +119,6 @@ impl Default for ScenarioConfig {
                 connection_window_bonus: 0,
                 data_pad_quantum: 0,
                 headers_pad_quantum: 0,
-                opaque_data_payloads: true,
             },
             tcp: TcpConfig::default(),
             // Links preserve order: real path jitter is shared queueing

@@ -19,12 +19,26 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # must hold in that build too.
 cargo test --release -q -p h2priv-tls
 
+lock=$(mktemp)
+quickstart=$(mktemp)
+trap 'rm -f "$lock" "$quickstart"' EXIT INT TERM
+
+# The examples run, not just compile: `quickstart` must print exactly the
+# block under its command in README.md, and the other five must exit 0.
+cargo build --release -q --examples
+sed -n '/^\$ cargo run --release --example quickstart$/,/^```$/p' README.md |
+    sed '1d;$d' > "$quickstart"
+printed=$(./target/release/examples/quickstart)
+printf '%s\n' "$printed" | diff -u "$quickstart" -
+for example in parameter_sweep defense_reordering generality streaming_leak; do
+    ./target/release/examples/$example > /dev/null
+done
+./target/release/examples/survey_fingerprint 5 > /dev/null
+
 # The benchmark is a workspace of its own: build it against the crates and
 # run its tests, so a crate change that breaks it fails here on any host.
 # Building it may rewrite its Cargo.lock; the benchmark's directory must
 # stay as it was, so the file is put back.
-lock=$(mktemp)
-trap 'rm -f "$lock"' EXIT INT TERM
 cp pagebench/Cargo.lock "$lock"
 tested=0
 cargo test -q --manifest-path pagebench/Cargo.toml && tested=1
