@@ -1,21 +1,19 @@
 //! Regenerates the paper's tables and figures.
 //!
-//! ```text
-//! repro [--quick] [--json] [--check] [--threads N] [--trials N]
-//!       [--population N] [--shards N] [--defense NAME] [--bench-json=PATH]
-//!       [--spread SECS] [--progress]
-//!       [table1] [fig5] [ivd] [table2] [fig1] [ablations] [defend] [dos]
-//!       [fleet] [scaleout]
-//! ```
-//!
-//! With no exhibit names, everything runs. An unknown exhibit name or
-//! flag prints the usage line to stderr and exits 1. `--quick` uses 25
-//! trials per point instead of the paper's 100; `--trials N` overrides
-//! both. Trials fan out over `--threads N` workers (default: available
-//! parallelism); any thread count produces byte-identical stdout, because
-//! results are collected in seed order. Per-exhibit wall-clock, event
-//! count and peak heap lines go to stderr, and `--bench-json=PATH`
-//! additionally writes them, with the scheduler counters, to PATH.
+//! The exhibits are the entries of `EXHIBITS`, in run order; with no
+//! exhibit names, every exhibit but `scaleout` runs. An unknown exhibit
+//! name or flag prints the usage line, built from that list and the flags
+//! below, to stderr and exits 1.
+//! `--quick` uses 25 trials per point instead of the paper's 100;
+//! `--trials N` overrides both. Each exhibit prints its tables as it
+//! finishes; `--json` instead prints one JSON document at the end, an
+//! array with one object per exhibit (its name, head lines, tables and
+//! notes), from the same cells. Trials fan out over `--threads N` workers
+//! (default: available parallelism); any thread count produces
+//! byte-identical stdout, because results are collected in seed order.
+//! Per-exhibit wall-clock, event count and peak heap lines go to stderr,
+//! and `--bench-json=PATH` additionally writes them, with the scheduler
+//! counters, to PATH.
 //!
 //! The `fleet` exhibit simulates `--population N` client–server pairs
 //! (default 1000, `--quick` 128) split over `--shards N` independent
@@ -49,7 +47,8 @@
 
 use std::time::Instant;
 
-use h2priv_bench::json::{object, Json, ToJson};
+use h2priv_bench::json::{object, to_string_pretty, Json, ToJson};
+use h2priv_bench::table::Report;
 use h2priv_bench::{
     ablations, common, defend, dos, fig1, fig5, fleet, ivd, runner, table1, table2,
 };
@@ -86,6 +85,11 @@ struct ExhibitTiming {
     /// workers keep in flight together) — the per-pair working set
     /// the memory-regression gate pins. Zero for non-fleet exhibits.
     bytes_per_pair: u64,
+    /// Fleet exhibit only: the pairs co-resident at once (not written).
+    co_resident: u64,
+    /// Rows written in place of this one: scaleout's, one per thread
+    /// count.
+    split: Vec<ExhibitTiming>,
 }
 
 impl ToJson for ExhibitTiming {
@@ -110,19 +114,134 @@ impl ToJson for ExhibitTiming {
     }
 }
 
-/// Every exhibit name the command line accepts.
-const EXHIBITS: [&str; 10] = [
-    "fig1",
-    "table1",
-    "fig5",
-    "ivd",
-    "table2",
-    "ablations",
-    "defend",
-    "dos",
-    "fleet",
-    "scaleout",
+/// What the command line sets for the exhibits.
+struct Options {
+    /// Trials per experimental point.
+    trials: u64,
+    population: u32,
+    shards: u32,
+    /// `--defense`: `defend` runs it beside the baseline, and the fleet
+    /// deploys it.
+    defense: DefenseSpec,
+    tuning: fleet::FleetTuning,
+    /// `--threads` as given (0 = auto): scaleout restores it after its
+    /// sweep.
+    threads: usize,
+}
+
+impl Options {
+    /// The defenses `defend` runs. A chosen defense still runs next to
+    /// the undefended baseline so the overhead columns keep their
+    /// denominator.
+    fn defenses(&self) -> Vec<DefenseSpec> {
+        match self.defense {
+            DefenseSpec::None => DefenseSpec::arena().to_vec(),
+            spec => vec![DefenseSpec::None, spec],
+        }
+    }
+}
+
+/// One exhibit of the command line.
+struct Exhibit {
+    name: &'static str,
+    /// Runs when no exhibit is named.
+    by_default: bool,
+    /// The trial count its `--bench-json` row records.
+    trials: fn(&Options) -> u64,
+    /// Runs it, given its `--bench-json` row so far: name, trial count and
+    /// threads. Fleet and scaleout add what only they know.
+    run: fn(&Options, &mut ExhibitTiming) -> Report,
+}
+
+/// An exhibit that runs when no exhibit is named.
+const fn exhibit(
+    name: &'static str,
+    trials: fn(&Options) -> u64,
+    run: fn(&Options, &mut ExhibitTiming) -> Report,
+) -> Exhibit {
+    Exhibit {
+        name,
+        by_default: true,
+        trials,
+        run,
+    }
+}
+
+/// Every exhibit, in run order. The secondary grids cap their trials per
+/// point: the ablations at 40, `defend` at 25 in each of its 4 adversary
+/// cells per defense, and `dos` at 25 in its false-positive sweep, the
+/// only part of it that scales.
+const EXHIBITS: [Exhibit; 10] = [
+    exhibit("fig1", |_| 1, |_, _| fig1::run()),
+    exhibit("table1", |o| o.trials, |_, t| table1::run(t.trials)),
+    exhibit("fig5", |o| o.trials, |_, t| fig5::run(t.trials)),
+    exhibit("ivd", |o| o.trials, |_, t| ivd::run(t.trials)),
+    exhibit("table2", |o| o.trials, |_, t| table2::run(t.trials)),
+    exhibit(
+        "ablations",
+        |o| o.trials.min(40),
+        |_, t| ablations::run(t.trials),
+    ),
+    exhibit(
+        "defend",
+        |o| o.trials.min(25) * 4 * o.defenses().len() as u64,
+        |o, _| defend::run(o.trials.min(25), &o.defenses()),
+    ),
+    exhibit("dos", |o| o.trials.min(25), |_, t| dos::run(t.trials)),
+    exhibit("fleet", |o| o.population as u64, run_fleet),
+    // A measurement harness, not a paper artifact: it re-runs the
+    // baseline population once per thread count.
+    Exhibit {
+        by_default: false,
+        ..exhibit("scaleout", |o| o.population as u64, run_scaleout)
+    },
 ];
+
+fn run_fleet(o: &Options, timing: &mut ExhibitTiming) -> Report {
+    let r = fleet::run_with(o.population, o.shards, o.defense, &o.tuning);
+    // Shard occupancy over both populations (baseline + attacked),
+    // element-wise: the balance the hash partition achieved.
+    let attacked = &r.attacked.merged.shard_events;
+    let baseline = r.baseline.merged.shard_events.iter().zip(attacked);
+    timing.shard_events = baseline.map(|(a, b)| a + b).collect();
+    // Shards run `min(threads, shards)` at a time and hold
+    // `population / shards` pairs each.
+    let in_flight = timing.threads.min(o.shards as usize) as u64;
+    timing.co_resident = (o.population as u64 * in_flight / o.shards as u64).max(1);
+    r.report()
+}
+
+/// The same fleet at `--threads` 1/2/4/8, with one timing row per thread
+/// count, so `--bench-json` carries the whole scaling curve.
+fn run_scaleout(o: &Options, timing: &mut ExhibitTiming) -> Report {
+    let points = fleet::scaleout(
+        o.population,
+        o.shards,
+        o.defense,
+        &o.tuning,
+        &[1, 2, 4, 8],
+        o.threads,
+    );
+    for p in &points {
+        eprintln!(
+            "[timing] scaleout --threads {}: {:.0} ms, {} events, efficiency {:.2}",
+            p.threads, p.wall_ms, p.events, p.efficiency
+        );
+        timing.split.push(ExhibitTiming {
+            exhibit: "scaleout",
+            trials: timing.trials,
+            threads: p.threads,
+            wall_ms: p.wall_ms,
+            tally: runner::Tally {
+                events: p.events,
+                ..runner::Tally::default()
+            },
+            ..ExhibitTiming::default()
+        });
+    }
+    fleet::scaleout_report(o.population, o.shards, &points)
+}
+
 /// Flags that take a value, as `--flag V` or `--flag=V`.
 const VALUE_FLAGS: [&str; 6] = [
     "--threads",
@@ -133,13 +252,16 @@ const VALUE_FLAGS: [&str; 6] = [
     "--spread",
 ];
 const SWITCHES: [&str; 4] = ["--quick", "--json", "--check", "--progress"];
-const USAGE: &str = "usage: repro [--quick] [--json] [--check] [--threads N] [--trials N] \
-    [--population N] [--shards N] [--defense NAME] [--bench-json=PATH] [--spread SECS] \
-    [--progress] [fig1|table1|fig5|ivd|table2|ablations|defend|dos|fleet|scaleout]...";
 
 /// Prints `msg` and the usage line to stderr and exits 1.
 fn usage_error(msg: &str) -> ! {
-    eprintln!("repro: {msg}\n{USAGE}");
+    let names: Vec<&str> = EXHIBITS.iter().map(|e| e.name).collect();
+    eprintln!(
+        "repro: {msg}\nusage: repro [--quick] [--json] [--check] [--threads N] [--trials N] \
+         [--population N] [--shards N] [--defense NAME] [--bench-json=PATH] [--spread SECS] \
+         [--progress] [{}]...",
+        names.join("|")
+    );
     std::process::exit(1);
 }
 
@@ -153,7 +275,7 @@ fn exhibit_names(args: &[String]) -> Vec<&str> {
             if it.next().is_none() {
                 usage_error(&format!("{a} needs a value"));
             }
-        } else if EXHIBITS.contains(&a) {
+        } else if EXHIBITS.iter().any(|e| e.name == a) {
             names.push(a);
         } else if !(SWITCHES.contains(&a)
             || a.starts_with("--bench-json=")
@@ -195,244 +317,90 @@ fn main() {
     let check = args.iter().any(|a| a == "--check");
     runner::set_conformance(check);
     let bench_json = parse_flag_str(&args, "--bench-json");
-    if let Some(threads) = parse_flag_value(&args, "--threads") {
-        runner::set_threads(threads as usize);
-    }
-    let trials = parse_flag_value(&args, "--trials").unwrap_or(if quick {
-        common::QUICK_TRIALS
-    } else {
-        common::TRIALS
+    let threads_flag = parse_flag_value(&args, "--threads").unwrap_or(0) as usize;
+    runner::set_threads(threads_flag);
+    let defense = parse_flag_str(&args, "--defense").map_or(DefenseSpec::None, |name| {
+        DefenseSpec::parse(&name).unwrap_or_else(|| {
+            let names: Vec<&str> = DefenseSpec::arena().iter().map(|d| d.name()).collect();
+            eprintln!("unknown defense {name:?}; valid: {}", names.join(", "));
+            std::process::exit(1);
+        })
     });
-    let population =
-        parse_flag_value(&args, "--population").unwrap_or(if quick { 128 } else { 1_000 }) as u32;
-    let shards = parse_flag_value(&args, "--shards").unwrap_or(8).max(1) as u32;
-    let tuning = fleet::FleetTuning {
-        spread_secs: parse_flag_value(&args, "--spread"),
-        progress: args.iter().any(|a| a == "--progress"),
+    let (trials, population) = if quick {
+        (common::QUICK_TRIALS, 128)
+    } else {
+        (common::TRIALS, 1_000)
     };
-    let defense = match parse_flag_str(&args, "--defense") {
-        Some(name) => match DefenseSpec::parse(&name) {
-            Some(spec) => Some(spec),
-            None => {
-                let names: Vec<&str> = DefenseSpec::arena().iter().map(|d| d.name()).collect();
-                eprintln!("unknown defense {name:?}; valid: {}", names.join(", "));
-                std::process::exit(1);
-            }
+    let opts = Options {
+        trials: parse_flag_value(&args, "--trials").unwrap_or(trials),
+        population: parse_flag_value(&args, "--population").unwrap_or(population) as u32,
+        shards: parse_flag_value(&args, "--shards").unwrap_or(8).max(1) as u32,
+        defense,
+        tuning: fleet::FleetTuning {
+            spread_secs: parse_flag_value(&args, "--spread"),
+            progress: args.iter().any(|a| a == "--progress"),
         },
-        None => None,
+        threads: threads_flag,
     };
-    let want = |name: &str| wanted.is_empty() || wanted.contains(&name);
 
     let threads = runner::threads();
     let mut timings: Vec<ExhibitTiming> = Vec::new();
-    let mut timed = |exhibit: &'static str, trials: u64, body: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        let ((), peak_alloc_bytes) = count_alloc::measure_peak_bytes(body);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let timing = ExhibitTiming {
-            exhibit,
-            trials,
+    let mut reports = Vec::new();
+    let (mut violations, mut samples) = (0, Vec::new());
+    let named = |e: &&Exhibit| wanted.contains(&e.name) || wanted.is_empty() && e.by_default;
+    for exhibit in EXHIBITS.iter().filter(named) {
+        let mut timing = ExhibitTiming {
+            exhibit: exhibit.name,
+            trials: (exhibit.trials)(&opts),
             threads,
-            wall_ms,
-            // Exhibits run back to back, so the tally taken after each one
-            // holds exactly that exhibit's runs.
-            tally: runner::take(),
-            peak_alloc_bytes,
             ..ExhibitTiming::default()
         };
-        eprintln!(
-            "[timing] {exhibit}: {wall_ms:.0} ms, {} events, {threads} thread(s), peak {:.1} MiB",
-            timing.tally.events,
-            peak_alloc_bytes as f64 / (1024.0 * 1024.0)
-        );
-        timings.push(timing);
-    };
-
-    if want("fig1") {
-        timed("fig1", 1, &mut || {
-            let cases = fig1::run();
-            if json {
-                println!("{}", h2priv_bench::json::to_string_pretty(&cases));
-            } else {
-                println!("{}", fig1::render(&cases));
-            }
-        });
-    }
-    if want("table1") {
-        timed("table1", trials, &mut || {
-            let rows = table1::run(trials);
-            if json {
-                println!("{}", h2priv_bench::json::to_string_pretty(&rows));
-            } else {
-                println!("{}", table1::render(&rows));
-            }
-        });
-    }
-    if want("fig5") {
-        timed("fig5", trials, &mut || {
-            let points = fig5::run(trials);
-            if json {
-                println!("{}", h2priv_bench::json::to_string_pretty(&points));
-            } else {
-                println!("{}", fig5::render(&points));
-            }
-        });
-    }
-    if want("ivd") {
-        timed("ivd", trials, &mut || {
-            let points = ivd::run(trials);
-            if json {
-                println!("{}", h2priv_bench::json::to_string_pretty(&points));
-            } else {
-                println!("{}", ivd::render(&points));
-            }
-        });
-    }
-    if want("table2") {
-        timed("table2", trials, &mut || {
-            let cols = table2::run(trials);
-            if json {
-                println!("{}", h2priv_bench::json::to_string_pretty(&cols));
-            } else {
-                println!("{}", table2::render(&cols));
-                let (lo, hi) = table2::baseline_image_degrees(trials.min(30));
-                println!(
-                    "(baseline degree of multiplexing of the emblem images: {lo:.0}%–{hi:.0}%)\n"
-                );
-            }
-        });
-    }
-    if want("ablations") {
-        timed("ablations", trials.min(40), &mut || {
-            let rows = ablations::run(trials.min(40));
-            if json {
-                println!("{}", h2priv_bench::json::to_string_pretty(&rows));
-            } else {
-                println!("{}", ablations::render(&rows));
-            }
-        });
-    }
-    if want("defend") {
-        // The frontier is 4 adversary cells per defense; cap per-cell
-        // trials like the ablation sweep does.
-        let defend_trials = trials.min(25);
-        // A chosen defense still runs next to the undefended baseline so
-        // the overhead columns keep their denominator.
-        let defenses: Vec<DefenseSpec> = match defense {
-            Some(spec) if spec != DefenseSpec::None => vec![DefenseSpec::None, spec],
-            _ => DefenseSpec::arena().to_vec(),
-        };
-        timed(
-            "defend",
-            defend_trials * defenses.len() as u64 * 4,
-            &mut || {
-                let cells = defend::run_subset(defend_trials, &defenses);
-                if json {
-                    println!("{}", h2priv_bench::json::to_string_pretty(&cells));
-                } else {
-                    println!("{}", defend::render(&cells));
-                }
-            },
-        );
-    }
-    if want("dos") {
-        // The attack grid and fleet runs are fixed-size; trials scale only
-        // the false-positive sweep, capped like the other secondary grids.
-        let dos_trials = trials.min(25);
-        timed("dos", dos_trials, &mut || {
-            let report = dos::run(dos_trials);
-            if json {
-                println!("{}", h2priv_bench::json::to_string_pretty(&report));
-            } else {
-                println!("{}", dos::render(&report));
-            }
-        });
-    }
-    if want("fleet") {
-        let mut report = None;
-        timed("fleet", population as u64, &mut || {
-            let r = fleet::run_with(
-                population,
-                shards,
-                defense.unwrap_or(DefenseSpec::None),
-                &tuning,
-            );
-            if json {
-                println!("{}", h2priv_bench::json::to_string_pretty(&r));
-            } else {
-                println!("{}", fleet::render(&r));
-            }
-            report = Some(r);
-        });
-        if let (Some(r), Some(t)) = (report, timings.last_mut()) {
-            // Shard occupancy over both populations (baseline + attacked),
-            // element-wise: the balance the hash partition achieved.
-            t.shard_events = r
-                .baseline
-                .merged
-                .shard_events
-                .iter()
-                .zip(&r.attacked.merged.shard_events)
-                .map(|(a, b)| a + b)
-                .collect();
-            // Per-pair working set: the peak divided by how many pairs were
-            // co-resident when it was reached. Shards run `min(threads,
-            // shards)` at a time and hold `population / shards` pairs each.
-            let co_resident =
-                (population as u64 * threads.min(shards as usize) as u64 / shards as u64).max(1);
-            t.bytes_per_pair = t.peak_alloc_bytes / co_resident;
-            eprintln!(
-                "[timing] fleet memory: peak_alloc_bytes {} ({:.1} MiB), {} bytes/pair over {} co-resident pair(s)",
-                t.peak_alloc_bytes,
-                t.peak_alloc_bytes as f64 / (1024.0 * 1024.0),
-                t.bytes_per_pair,
-                co_resident
-            );
-        }
-    }
-
-    // Explicit request only (never part of the run-everything default):
-    // scaleout re-executes the baseline population once per thread count,
-    // overriding --threads point by point, purely to measure parallel
-    // efficiency.
-    if wanted.contains(&"scaleout") {
-        let restore = parse_flag_value(&args, "--threads").unwrap_or(0) as usize;
-        let points = fleet::scaleout(
-            population,
-            shards,
-            defense.unwrap_or(DefenseSpec::None),
-            &tuning,
-            &[1, 2, 4, 8],
-            restore,
-        );
+        let t0 = Instant::now();
+        let (report, peak) = count_alloc::measure_peak_bytes(|| (exhibit.run)(&opts, &mut timing));
+        timing.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        timing.peak_alloc_bytes = peak;
+        // Exhibits run back to back, so the tally taken after each one
+        // holds exactly that exhibit's runs.
+        timing.tally = runner::take();
+        violations += timing.tally.violations;
+        samples.extend(timing.tally.samples.iter().cloned());
         if json {
-            println!("{}", h2priv_bench::json::to_string_pretty(&points));
+            reports.push(report.to_json(exhibit.name));
         } else {
-            println!("{}", fleet::render_scaleout(population, shards, &points));
+            println!("{}", report.markdown());
         }
-        // One timing row per thread count, so `--bench-json` carries the
-        // whole scaling curve.
-        for p in &points {
+        if !timing.split.is_empty() {
+            timings.append(&mut timing.split);
+            continue;
+        }
+        let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+        eprintln!(
+            "[timing] {}: {:.0} ms, {} events, {threads} thread(s), peak {:.1} MiB",
+            exhibit.name,
+            timing.wall_ms,
+            timing.tally.events,
+            mib(peak)
+        );
+        // The per-pair working set: the peak divided by how many pairs
+        // were co-resident when it was reached.
+        if let Some(per_pair) = peak.checked_div(timing.co_resident) {
+            timing.bytes_per_pair = per_pair;
             eprintln!(
-                "[timing] scaleout --threads {}: {:.0} ms, {} events, efficiency {:.2}",
-                p.threads, p.wall_ms, p.events, p.efficiency
+                "[timing] {} memory: peak_alloc_bytes {peak} ({:.1} MiB), {} bytes/pair over {} co-resident pair(s)",
+                exhibit.name,
+                mib(peak),
+                timing.bytes_per_pair,
+                timing.co_resident
             );
-            timings.push(ExhibitTiming {
-                exhibit: "scaleout",
-                trials: population as u64,
-                threads: p.threads,
-                wall_ms: p.wall_ms,
-                tally: runner::Tally {
-                    events: p.events,
-                    ..runner::Tally::default()
-                },
-                ..ExhibitTiming::default()
-            });
         }
+        timings.push(timing);
+    }
+    if json {
+        println!("{}", to_string_pretty(&reports));
     }
 
     if let Some(path) = bench_json {
-        let body = h2priv_bench::json::to_string_pretty(&timings);
+        let body = to_string_pretty(&timings);
         match std::fs::write(&path, body + "\n") {
             Ok(()) => eprintln!("[timing] wrote {path}"),
             Err(err) => eprintln!("[timing] failed to write {path}: {err}"),
@@ -440,15 +408,11 @@ fn main() {
     }
 
     if check {
-        // Scaleout runs outside a timed exhibit: its tally is still open.
-        let rest = runner::take();
-        let tallies: Vec<_> = timings.iter().map(|t| &t.tally).chain([&rest]).collect();
-        let violations: u64 = tallies.iter().map(|t| t.violations).sum();
         if violations == 0 {
             eprintln!("[conformance] all trials clean: no protocol invariant violations");
         } else {
             eprintln!("[conformance] {violations} violation(s) detected:");
-            for sample in tallies.iter().flat_map(|t| &t.samples) {
+            for sample in &samples {
                 eprintln!("[conformance]   {sample}");
             }
             std::process::exit(2);

@@ -1,11 +1,15 @@
-//! Shared experiment plumbing: trial batches and summary math.
+//! Shared experiment plumbing: trial batches and their counts.
 
 use h2priv_core::experiment::{
-    analyze_trial, calibrate_size_map, objects_of_interest, paper_scenario, run_paper_trial,
+    analyze_trial, calibrate_size_map_with, objects_of_interest, paper_scenario, run_paper_trial,
     AttackTrial, TrialAnalysis,
 };
 use h2priv_core::{AttackConfig, SizeMap};
+use h2priv_defense::DefenseSpec;
+use h2priv_netsim::{mbps, SimDuration};
 use h2priv_testkit::ScenarioConfig;
+
+use crate::table::Count;
 
 /// Number of trials per experimental point — the paper's "the webpage was
 /// downloaded 100 times".
@@ -21,11 +25,30 @@ pub struct Batch {
     pub trials: Vec<(AttackTrial, TrialAnalysis)>,
 }
 
+/// The paper's escalating adversary (§IV/§V): none, 80 ms jitter, that
+/// jitter plus an 800 Mbps throttle, and the full jitter × throttle ×
+/// drop attack.
+pub fn adversary_grid() -> [Option<AttackConfig>; 4] {
+    let jitter = SimDuration::from_millis(80);
+    [
+        None,
+        Some(AttackConfig::jitter_only(jitter)),
+        Some(AttackConfig::jitter_and_throttle(jitter, mbps(800))),
+        Some(AttackConfig::paper_attack()),
+    ]
+}
+
 /// Calibrates the predictor's size map once (objects of interest of the
-/// canonical scenario).
+/// canonical scenario) against the undefended server.
 pub fn calibrated_map() -> SizeMap {
+    calibrated_map_against(DefenseSpec::None)
+}
+
+/// [`calibrated_map`] against a server running `defense`: per Kerckhoffs'
+/// principle the adversary knows the deployed countermeasure.
+pub fn calibrated_map_against(defense: DefenseSpec) -> SizeMap {
     let (iw, _) = paper_scenario(0);
-    calibrate_size_map(&objects_of_interest(&iw))
+    calibrate_size_map_with(&objects_of_interest(&iw), |cfg| cfg.defense = defense)
 }
 
 /// Runs `trials` seeded trials under `attack` (None = baseline), analyzing
@@ -73,21 +96,26 @@ pub(crate) fn paper_trial(
 }
 
 impl Batch {
-    /// Fraction (percent) of trials where the HTML's degree of multiplexing
-    /// reached zero.
-    pub fn html_non_mux_pct(&self) -> f64 {
-        self.pct(|(_, a)| a.objects[0].degree == Some(0.0))
+    /// Trials that meet `pred`, of all trials.
+    pub fn count(&self, pred: impl Fn(&(AttackTrial, TrialAnalysis)) -> bool) -> Count {
+        let k = self.trials.iter().filter(|t| pred(t)).count() as u64;
+        Count::new(k, self.trials.len() as u64)
     }
 
-    /// Fraction (percent) of trials where the HTML attack criterion held
-    /// (degree 0 **and** identified).
-    pub fn html_success_pct(&self) -> f64 {
-        self.pct(|(_, a)| a.objects[0].success)
+    /// Trials where the HTML's degree of multiplexing reached zero.
+    pub fn html_non_mux(&self) -> Count {
+        self.count(|(_, a)| a.objects[0].degree == Some(0.0))
     }
 
-    /// Fraction (percent) of trials whose connection broke.
-    pub fn broken_pct(&self) -> f64 {
-        self.pct(|(_, a)| a.broken)
+    /// Trials where the HTML attack criterion held (degree 0 **and**
+    /// identified).
+    pub fn html_success(&self) -> Count {
+        self.count(|(_, a)| a.objects[0].success)
+    }
+
+    /// Trials whose connection broke.
+    pub fn broken(&self) -> Count {
+        self.count(|(_, a)| a.broken)
     }
 
     /// Total TCP retransmissions summed over all trials.
@@ -98,28 +126,19 @@ impl Batch {
             .sum()
     }
 
-    /// Percentage of trials where the image at display rank `rank` was
-    /// predicted correctly.
-    pub fn rank_correct_pct(&self, rank: usize) -> f64 {
-        self.pct(|(_, a)| a.rank_correct.get(rank).copied().unwrap_or(false))
+    /// Trials where the image at display rank `rank` was predicted
+    /// correctly.
+    pub fn rank_correct(&self, rank: usize) -> Count {
+        self.count(|(_, a)| a.rank_correct.get(rank).copied().unwrap_or(false))
     }
 
-    /// Mean degree of multiplexing of the object at `index`, over trials
-    /// where it was measured.
-    pub fn mean_degree(&self, index: usize) -> f64 {
-        let degrees: Vec<f64> = self
-            .trials
+    /// Degrees of multiplexing of the object at `index`, one per trial
+    /// that measured it.
+    pub fn degrees(&self, index: usize) -> Vec<f64> {
+        self.trials
             .iter()
             .filter_map(|(_, a)| a.objects[index].degree)
-            .collect();
-        h2priv_analysis::stats::mean(&degrees)
-    }
-
-    fn pct(&self, pred: impl Fn(&(AttackTrial, TrialAnalysis)) -> bool) -> f64 {
-        if self.trials.is_empty() {
-            return 0.0;
-        }
-        self.trials.iter().filter(|t| pred(t)).count() as f64 * 100.0 / self.trials.len() as f64
+            .collect()
     }
 }
 
@@ -132,9 +151,10 @@ mod tests {
         let map = calibrated_map();
         let batch = run_batch(2, None, &map, |_| {});
         assert_eq!(batch.trials.len(), 2);
-        let pct = batch.html_non_mux_pct();
-        assert!((0.0..=100.0).contains(&pct));
-        assert!(batch.broken_pct() <= 100.0);
-        assert!(batch.mean_degree(1) >= 0.0);
+        let non_mux = batch.html_non_mux();
+        assert_eq!(non_mux.n, 2);
+        assert!(non_mux.k <= 2);
+        assert!(batch.broken().k <= 2);
+        assert!(batch.degrees(1).iter().all(|&d| d >= 0.0));
     }
 }

@@ -14,31 +14,7 @@ use h2priv_netsim::{Dir, SimDuration};
 use h2priv_testkit::{run_trial, ScenarioConfig};
 use h2priv_web::{BrowsePlan, ObjectKind, Phase, PlanStep, Trigger, Website};
 
-use crate::json::{object, Json, ToJson};
-
-/// Result for one request-timing case.
-#[derive(Debug, Clone)]
-pub struct Fig1Case {
-    /// Case name (the paper's case 1 / case 2).
-    pub policy: String,
-    /// True object sizes.
-    pub true_sizes: Vec<u64>,
-    /// The observer's burst size estimates, in time order.
-    pub estimated_sizes: Vec<u64>,
-    /// True iff every object's size was recovered within 5 %.
-    pub sizes_recovered: bool,
-}
-
-impl ToJson for Fig1Case {
-    fn to_json(&self) -> Json {
-        object([
-            ("policy", self.policy.to_json()),
-            ("true_sizes", self.true_sizes.to_json()),
-            ("estimated_sizes", self.estimated_sizes.to_json()),
-            ("sizes_recovered", self.sizes_recovered.to_json()),
-        ])
-    }
-}
+use crate::table::Report;
 
 /// Builds the two-object site; `concurrent` decides whether O₂ is
 /// requested together with O₁ (Fig. 1 case 2) or only after O₁ completes
@@ -76,57 +52,43 @@ fn scenario(concurrent: bool) -> (Website, BrowsePlan) {
     (site, BrowsePlan::new().with_phase(first).with_phase(second))
 }
 
-/// Runs both cases.
-pub fn run() -> Vec<Fig1Case> {
-    [("case 1: O2 after O1", false), ("case 2: concurrent", true)]
-        .into_iter()
-        .map(|(label, concurrent)| {
-            let (site, plan) = scenario(concurrent);
-            let mut cfg = ScenarioConfig {
-                seed: 7,
-                conformance: crate::runner::conformance_enabled(),
-                ..ScenarioConfig::default()
-            };
-            cfg.browser.gap_noise_frac = 0.0;
-            let r = run_trial(&site, &plan, &cfg, None);
-            crate::runner::record(r.events, &r.sched, r.violations_total, &r.violations);
-            let records = extract_records(&r.trace);
-            let data = app_data_records(&records, Dir::RightToLeft);
-            let bursts = segment_bursts(&data, BURST_GAP);
-            // Keep bursts that plausibly carry object data (skip the tiny
-            // settings/handshake-adjacent ones).
-            let estimated: Vec<u64> = bursts
+/// Runs both cases: one sentence each under the heading.
+pub fn run() -> Report {
+    let mut head = vec!["FIGURE 1: size recovery, non-multiplexed vs multiplexed".to_owned()];
+    for (label, concurrent) in [("case 1: O2 after O1", false), ("case 2: concurrent", true)] {
+        let (site, plan) = scenario(concurrent);
+        let mut cfg = ScenarioConfig {
+            seed: 7,
+            conformance: crate::runner::conformance_enabled(),
+            ..ScenarioConfig::default()
+        };
+        cfg.browser.gap_noise_frac = 0.0;
+        let r = run_trial(&site, &plan, &cfg, None);
+        crate::runner::record(r.events, &r.sched, r.violations_total, &r.violations);
+        let records = extract_records(&r.trace);
+        let data = app_data_records(&records, Dir::RightToLeft);
+        let bursts = segment_bursts(&data, BURST_GAP);
+        // Keep bursts that plausibly carry object data (skip the tiny
+        // settings/handshake-adjacent ones).
+        let estimated: Vec<u64> = bursts
+            .iter()
+            .filter(|b| b.plaintext_bytes > 2_000)
+            .map(|b| b.plaintext_bytes)
+            .collect();
+        let true_sizes = [40_000u64, 70_000];
+        let sizes_recovered = true_sizes.iter().all(|&t| {
+            estimated
                 .iter()
-                .filter(|b| b.plaintext_bytes > 2_000)
-                .map(|b| b.plaintext_bytes)
-                .collect();
-            let true_sizes = vec![40_000u64, 70_000];
-            let sizes_recovered = true_sizes.iter().all(|&t| {
-                estimated
-                    .iter()
-                    .any(|&e| (e as f64 - t as f64).abs() / t as f64 <= 0.05)
-            });
-            Fig1Case {
-                policy: label.to_owned(),
-                true_sizes,
-                estimated_sizes: estimated,
-                sizes_recovered,
-            }
-        })
-        .collect()
-}
-
-/// Renders both cases.
-pub fn render(cases: &[Fig1Case]) -> String {
-    let mut out = String::new();
-    out.push_str("FIGURE 1: size recovery, non-multiplexed vs multiplexed\n");
-    for c in cases {
-        out.push_str(&format!(
-            "  {:<12} true {:?}  observed bursts {:?}  -> sizes recovered: {}\n",
-            c.policy, c.true_sizes, c.estimated_sizes, c.sizes_recovered
+                .any(|&e| (e as f64 - t as f64).abs() / t as f64 <= 0.05)
+        });
+        head.push(format!(
+            "  {label:<12} true {true_sizes:?}  observed bursts {estimated:?}  -> sizes recovered: {sizes_recovered}"
         ));
     }
-    out
+    Report {
+        head,
+        ..Report::default()
+    }
 }
 
 #[cfg(test)]
@@ -135,15 +97,15 @@ mod tests {
 
     #[test]
     fn sequential_recovers_multiplexed_does_not() {
-        let cases = run();
-        assert_eq!(cases.len(), 2);
+        let head = run().head;
+        assert_eq!(head.len(), 3);
         assert!(
-            cases[0].sizes_recovered,
-            "sequential requests should expose sizes: {cases:?}"
+            head[1].ends_with("sizes recovered: true"),
+            "sequential requests should expose sizes: {head:?}"
         );
         assert!(
-            !cases[1].sizes_recovered,
-            "concurrent requests should hide sizes: {cases:?}"
+            head[2].ends_with("sizes recovered: false"),
+            "concurrent requests should hide sizes: {head:?}"
         );
     }
 }

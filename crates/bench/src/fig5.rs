@@ -18,80 +18,63 @@ use h2priv_core::AttackConfig;
 use h2priv_netsim::{mbps, SimDuration};
 
 use crate::common::{calibrated_map, run_batch};
-use crate::json::{object, Json, ToJson};
-
-/// One point of the regenerated Figure 5.
-#[derive(Debug, Clone)]
-pub struct Fig5Point {
-    /// Gateway bandwidth cap, Mbps.
-    pub bandwidth_mbps: u64,
-    /// Total retransmissions across all trials (the solid line).
-    pub retransmissions: u64,
-    /// Trials where the HTML was recovered un-multiplexed, percent (the
-    /// dashed line).
-    pub success_pct: f64,
-    /// Trials whose connection broke, percent.
-    pub broken_pct: f64,
-}
-
-impl ToJson for Fig5Point {
-    fn to_json(&self) -> Json {
-        object([
-            ("bandwidth_mbps", self.bandwidth_mbps.to_json()),
-            ("retransmissions", self.retransmissions.to_json()),
-            ("success_pct", self.success_pct.to_json()),
-            ("broken_pct", self.broken_pct.to_json()),
-        ])
-    }
-}
+use crate::table::{Column, Count, Fmt, Layout, Report, Table};
 
 /// The paper's sweep, extended with sub-bottleneck points where our
 /// calibrated path actually reacts.
 pub const BANDWIDTHS_MBPS: [u64; 8] = [1000, 800, 500, 100, 14, 8, 4, 1];
 
-/// Regenerates Figure 5 with `trials` downloads per point.
-pub fn run(trials: u64) -> Vec<Fig5Point> {
+/// Regenerates Figure 5 with `trials` downloads per point: the data
+/// series as a table, then as an ASCII plot.
+pub fn run(trials: u64) -> Report {
     let map = calibrated_map();
-    BANDWIDTHS_MBPS
-        .iter()
-        .map(|&bw| {
-            let attack = AttackConfig::jitter_and_throttle(SimDuration::from_millis(50), mbps(bw));
-            let batch = run_batch(trials, Some(&attack), &map, |_| {});
-            Fig5Point {
-                bandwidth_mbps: bw,
-                retransmissions: batch.total_retransmissions(),
-                success_pct: batch.html_non_mux_pct(),
-                broken_pct: batch.broken_pct(),
-            }
-        })
-        .collect()
+    let mut table = Table::new(
+        "FIGURE 5: Effect of bandwidth limitation (50 ms jitter active)",
+        Layout::Pipe,
+        vec![
+            Column::new("bandwidth (Mbps)", 0, Fmt::Fixed(0)),
+            Column::new("retransmissions", 0, Fmt::Fixed(0)),
+            Column::new("success (%)", 0, Fmt::Fixed(0)),
+            Column::new("broken (%)", 0, Fmt::Fixed(0)),
+        ],
+    );
+    let mut points = Vec::new();
+    for bw in BANDWIDTHS_MBPS {
+        let attack = AttackConfig::jitter_and_throttle(SimDuration::from_millis(50), mbps(bw));
+        let batch = run_batch(trials, Some(&attack), &map, |_| {});
+        // The dashed line: trials where the HTML was recovered
+        // un-multiplexed.
+        let point = (bw, batch.total_retransmissions(), batch.html_non_mux());
+        table.push(vec![
+            bw.into(),
+            point.1.into(),
+            point.2.into(),
+            batch.broken().into(),
+        ]);
+        points.push(point);
+    }
+    Report {
+        notes: bar_plot(&points),
+        ..table.into()
+    }
 }
 
-/// Renders the figure's data series as a table plus an ASCII plot.
-pub fn render(points: &[Fig5Point]) -> String {
-    let mut out = String::new();
-    out.push_str("FIGURE 5: Effect of bandwidth limitation (50 ms jitter active)\n");
-    out.push_str("| bandwidth (Mbps) | retransmissions | success (%) | broken (%) |\n");
-    out.push_str("|-----------------:|----------------:|------------:|-----------:|\n");
-    for p in points {
-        out.push_str(&format!(
-            "| {:>16} | {:>15} | {:>11.0} | {:>10.0} |\n",
-            p.bandwidth_mbps, p.retransmissions, p.success_pct, p.broken_pct
-        ));
-    }
-    let max_rexmit = points.iter().map(|p| p.retransmissions).max().unwrap_or(1);
-    out.push_str("\nretransmissions (#) and success (%) by bandwidth:\n");
-    for p in points {
-        let bar_r = (p.retransmissions * 30 / max_rexmit.max(1)) as usize;
-        let bar_s = (p.success_pct * 0.3) as usize;
-        out.push_str(&format!(
-            "{:>5} Mbps  rexmit {:<31} success {:<31}\n",
-            p.bandwidth_mbps,
-            "#".repeat(bar_r.max(if p.retransmissions > 0 { 1 } else { 0 })),
+/// Retransmissions (the solid line) and success (the dashed line) per
+/// `(bandwidth, retransmissions, success)` point, as bars.
+fn bar_plot(points: &[(u64, u64, Count)]) -> Vec<String> {
+    let max_rexmit = points.iter().map(|p| p.1).max().unwrap_or(1);
+    let mut lines = vec!["retransmissions (#) and success (%) by bandwidth:".to_owned()];
+    for &(bw, rexmit, success) in points {
+        let bar_r = (rexmit * 30 / max_rexmit.max(1)) as usize;
+        let bar_s = (success.pct() * 0.3) as usize;
+        lines.push(format!(
+            "{:>5} Mbps  rexmit {:<31} success {:<31}",
+            bw,
+            "#".repeat(bar_r.max(if rexmit > 0 { 1 } else { 0 })),
             "*".repeat(bar_s),
         ));
     }
-    out
+    lines
 }
 
 #[cfg(test)]
@@ -100,23 +83,14 @@ mod tests {
 
     #[test]
     fn render_scales_bars() {
-        let points = vec![
-            Fig5Point {
-                bandwidth_mbps: 1000,
-                retransmissions: 300,
-                success_pct: 40.0,
-                broken_pct: 0.0,
-            },
-            Fig5Point {
-                bandwidth_mbps: 1,
-                retransmissions: 30,
-                success_pct: 5.0,
-                broken_pct: 20.0,
-            },
-        ];
-        let s = render(&points);
-        assert!(s.contains("1000"));
-        assert!(s.contains('#'));
-        assert!(s.contains('*'));
+        let lines = bar_plot(&[
+            (1000, 300, Count { k: 40, n: 100 }),
+            (1, 30, Count { k: 5, n: 100 }),
+        ]);
+        assert_eq!(lines.len(), 3);
+        assert!(lines[1].starts_with(
+            " 1000 Mbps  rexmit ##############################  success ************ "
+        ));
+        assert!(lines[2].starts_with("    1 Mbps  rexmit ###    "));
     }
 }

@@ -33,9 +33,9 @@ use h2priv_testkit::fleet::{
 };
 use h2priv_web::isidewith;
 
-use crate::common::calibrated_map;
-use crate::json::{object, Json, ToJson};
+use crate::common::{calibrated_map, calibrated_map_against};
 use crate::runner;
+use crate::table::{Cell, Column, Count, Fmt, Layout, Report, Table};
 
 /// One population run's summary (baseline or attacked).
 #[derive(Debug, Clone)]
@@ -45,40 +45,11 @@ pub struct FleetRun {
     /// The merged shards, less the victim's capture: the `victim_*`
     /// fields below analyze it.
     pub merged: ShardResult,
-    /// Wall-clock for the whole population, milliseconds.
-    pub wall_ms: f64,
     /// The victim's HTML was recovered per the §II-A criterion (degree of
     /// multiplexing 0 **and** identified from the encrypted trace).
     pub victim_success: bool,
     /// The victim HTML's minimum degree of multiplexing.
     pub victim_degree: Option<f64>,
-    /// The victim's connection broke.
-    pub victim_broken: bool,
-}
-
-impl ToJson for FleetRun {
-    fn to_json(&self) -> Json {
-        let m = &self.merged;
-        object([
-            ("label", self.label.to_json()),
-            ("events", m.events.to_json()),
-            ("shard_events", m.shard_events.to_json()),
-            ("wall_ms", self.wall_ms.to_json()),
-            ("completed", (m.completed as u64).to_json()),
-            ("broken", (m.broken as u64).to_json()),
-            ("requests", m.requests.to_json()),
-            ("requests_complete", m.requests_complete.to_json()),
-            ("end_time_ms", m.end_time.as_millis().to_json()),
-            ("victim_success", self.victim_success.to_json()),
-            (
-                "victim_degree",
-                self.victim_degree
-                    .map(|d| d.to_json())
-                    .unwrap_or(Json::Null),
-            ),
-            ("victim_broken", self.victim_broken.to_json()),
-        ])
-    }
 }
 
 /// The whole exhibit: baseline and attacked populations.
@@ -96,15 +67,42 @@ pub struct FleetReport {
     pub attacked: FleetRun,
 }
 
-impl ToJson for FleetReport {
-    fn to_json(&self) -> Json {
-        object([
-            ("population", (self.population as u64).to_json()),
-            ("shards", (self.shards as u64).to_json()),
-            ("defense", self.defense.to_json()),
-            ("baseline", self.baseline.to_json()),
-            ("attacked", self.attacked.to_json()),
-        ])
+impl FleetReport {
+    /// The exhibit's table: outcome counts per population and the
+    /// victim's verdict.
+    pub fn report(&self) -> Report {
+        let mut table = Table::new(
+            format!(
+                "FLEET: {} pairs over {} shards, victim = pair 0, defense: {}",
+                self.population, self.shards, self.defense
+            ),
+            Layout::Pipe,
+            vec![
+                Column::new("run", 8, Fmt::Left),
+                Column::new("completed", 0, Fmt::Fixed(0)),
+                Column::new("broken", 0, Fmt::Fixed(0)),
+                Column::new("requests done", 0, Fmt::Ratio(5)),
+                Column::new("victim degree", 0, Fmt::Fixed(2)),
+                Column::new("victim recovered", 0, Fmt::Fixed(0)),
+            ],
+        );
+        for run in [&self.baseline, &self.attacked] {
+            let m = &run.merged;
+            table.push(vec![
+                run.label.into(),
+                u64::from(m.completed).into(),
+                u64::from(m.broken).into(),
+                Count::new(m.requests_complete, m.requests).into(),
+                run.victim_degree.map_or(Cell::Missing, Cell::Num),
+                if run.victim_success { "yes" } else { "no" }.into(),
+            ]);
+        }
+        table.notes = vec![
+            "(recovery per the paper's criterion: degree of multiplexing 0 and size-identified;"
+                .into(),
+            " the gateway throttles only the victim's flow — bystanders are untouched)".into(),
+        ];
+        table.into()
     }
 }
 
@@ -221,7 +219,6 @@ fn run_population(
     map: &h2priv_core::SizeMap,
 ) -> FleetRun {
     let vs = victim_shard(config);
-    let t0 = Instant::now();
     // Shards fan out over `run_seeded`'s workers exactly like trials: the
     // shard id is the "seed", results come back in shard order, and each
     // worker builds the victim's adversary locally (`Rc` is not Send; only
@@ -235,7 +232,6 @@ fn run_population(
         let snapshot = adversary.map(|a| AdversarySnapshot::new(&a.borrow()));
         (result, snapshot)
     });
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let snapshot = results.iter().find_map(|(_, s)| s.clone());
     let results = results.into_iter().map(|(r, _)| r).collect();
     let mut merged = merge_recorded(config, results);
@@ -257,10 +253,8 @@ fn run_population(
     FleetRun {
         label,
         merged,
-        wall_ms,
         victim_success: analysis.objects[0].success,
         victim_degree: analysis.objects[0].degree,
-        victim_broken: analysis.broken,
     }
 }
 
@@ -286,13 +280,7 @@ pub fn run_with(
     let _heartbeat = progress
         .clone()
         .map(|p| Heartbeat::start(p, 2 * population as u64));
-    let map = if defense == DefenseSpec::None {
-        calibrated_map()
-    } else {
-        let (iw, _) = h2priv_core::experiment::paper_scenario(0);
-        let objects = h2priv_core::experiment::objects_of_interest(&iw);
-        h2priv_core::experiment::calibrate_size_map_with(&objects, |cfg| cfg.defense = defense)
-    };
+    let map = calibrated_map_against(defense);
     let baseline = run_population("baseline", &config, None, &map);
     let attack = AttackConfig::paper_attack();
     let attacked = run_population("attacked", &config, Some(&attack), &map);
@@ -319,18 +307,6 @@ pub struct ScaleoutPoint {
     pub efficiency: f64,
     /// Completed pairs (must not vary with the thread count).
     pub completed: u32,
-}
-
-impl ToJson for ScaleoutPoint {
-    fn to_json(&self) -> Json {
-        object([
-            ("threads", (self.threads as u64).to_json()),
-            ("wall_ms", self.wall_ms.to_json()),
-            ("events", self.events.to_json()),
-            ("efficiency", self.efficiency.to_json()),
-            ("completed", (self.completed as u64).to_json()),
-        ])
-    }
 }
 
 /// The scale-out exhibit: the same baseline fleet population executed at
@@ -383,59 +359,34 @@ pub fn scaleout(
     points
 }
 
-/// Renders the scale-out curve.
-pub fn render_scaleout(population: u32, shards: u32, points: &[ScaleoutPoint]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "FLEET SCALE-OUT: {population} pairs over {shards} shards, baseline population per thread count\n",
-    ));
-    out.push_str("| threads | wall ms |     events | efficiency |\n");
-    out.push_str("|--------:|--------:|-----------:|-----------:|\n");
+/// The scale-out curve as a table.
+pub fn scaleout_report(population: u32, shards: u32, points: &[ScaleoutPoint]) -> Report {
+    let mut table = Table::new(
+        format!(
+            "FLEET SCALE-OUT: {population} pairs over {shards} shards, baseline population per thread count"
+        ),
+        Layout::Pipe,
+        vec![
+            Column::new("threads", 0, Fmt::Fixed(0)),
+            Column::new("wall ms", 0, Fmt::Fixed(0)),
+            Column::new("events", 10, Fmt::Fixed(0)),
+            Column::new("efficiency", 0, Fmt::Fixed(2)),
+        ],
+    );
     for p in points {
-        out.push_str(&format!(
-            "| {:>7} | {:>7.0} | {:>10} | {:>10.2} |\n",
-            p.threads, p.wall_ms, p.events, p.efficiency
-        ));
+        table.push(vec![
+            (p.threads as u64).into(),
+            p.wall_ms.into(),
+            p.events.into(),
+            p.efficiency.into(),
+        ]);
     }
-    out.push_str(
-        "(same shard partition at every thread count — outcome rows are identical, only\n \
-         wall-clock moves; efficiency is the 1-thread wall-clock over threads × this point's)\n",
-    );
-    out
-}
-
-/// Renders the exhibit in the repro layout.
-pub fn render(report: &FleetReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "FLEET: {} pairs over {} shards, victim = pair 0, defense: {}\n",
-        report.population, report.shards, report.defense
-    ));
-    out.push_str(
-        "| run      | completed | broken | requests done | victim degree | victim recovered |\n",
-    );
-    out.push_str(
-        "|----------|----------:|-------:|--------------:|--------------:|-----------------:|\n",
-    );
-    for run in [&report.baseline, &report.attacked] {
-        out.push_str(&format!(
-            "| {:<8} | {:>9} | {:>6} | {:>7}/{:<5} | {:>13} | {:>16} |\n",
-            run.label,
-            run.merged.completed,
-            run.merged.broken,
-            run.merged.requests_complete,
-            run.merged.requests,
-            run.victim_degree
-                .map(|d| format!("{d:.2}"))
-                .unwrap_or_else(|| "-".to_owned()),
-            if run.victim_success { "yes" } else { "no" },
-        ));
-    }
-    out.push_str(
-        "(recovery per the paper's criterion: degree of multiplexing 0 and size-identified;\n \
-         the gateway throttles only the victim's flow — bystanders are untouched)\n",
-    );
-    out
+    table.notes = vec![
+        "(same shard partition at every thread count — outcome rows are identical, only".into(),
+        " wall-clock moves; efficiency is the 1-thread wall-clock over threads × this point's)"
+            .into(),
+    ];
+    table.into()
 }
 
 #[cfg(test)]
@@ -446,8 +397,12 @@ mod tests {
     fn tiny_fleet_report_renders() {
         let report = run(12, 2, DefenseSpec::None);
         assert_eq!(report.population, 12);
-        let s = render(&report);
-        assert!(s.contains("baseline"));
+        let s = report.report().markdown();
+        assert!(s.contains(
+            "| run      | completed | broken | requests done | victim degree | victim recovered |\n\
+             |----------|----------:|-------:|--------------:|--------------:|-----------------:|\n\
+             | baseline |        12 |      0 |     636/636   |"
+        ));
         assert!(s.contains("attacked"));
         let baseline = &report.baseline.merged;
         assert_eq!(baseline.shard_events.len(), 2);

@@ -1,9 +1,8 @@
-//! Minimal JSON serialization for the exhibit types.
+//! Minimal JSON serialization for exhibit tables and timing rows.
 //!
-//! The harness used to derive `serde::Serialize`, but the external serde
-//! stack is unavailable in offline builds, and the exhibits only ever emit
-//! flat structs of scalars, strings and vectors. This module is the whole
-//! of what they need: a [`Json`] value tree, a [`ToJson`] conversion trait,
+//! The workspace is std-only, and what it emits is small: tables of
+//! cells, strings and flat rows of scalars. This module is the whole of
+//! what they need: a [`Json`] value tree, a [`ToJson`] conversion trait,
 //! and a pretty printer matching serde_json's 2-space layout.
 
 use std::fmt::Write as _;
@@ -36,11 +35,6 @@ pub trait ToJson {
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
-    }
-}
-impl ToJson for u16 {
-    fn to_json(&self) -> Json {
-        Json::U64(u64::from(*self))
     }
 }
 impl ToJson for u64 {

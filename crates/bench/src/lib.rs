@@ -21,8 +21,11 @@
 //!   ([`fleet::scaleout`]: the same population at `--threads` 1/2/4/8,
 //!   identical outcome rows asserted, wall-clock and efficiency recorded).
 //!
-//! The `repro` binary prints them in the paper's layout; `EXPERIMENTS.md`
-//! records paper-vs-measured values. Timing lives in `pagebench/`, which
+//! Each returns a [`table::Report`]: tables of counted cells plus free
+//! text. The `repro` binary prints them in the paper's layout, or as one
+//! [`json`] document; [`runner`] fans trials out over threads, and
+//! [`common`] counts over a trial batch. `EXPERIMENTS.md` records
+//! paper-vs-measured values. Timing lives in `pagebench/`, which
 //! measures wall-clock per simulated page load.
 
 #![warn(missing_docs)]
@@ -37,5 +40,6 @@ pub mod fleet;
 pub mod ivd;
 pub mod json;
 pub mod runner;
+pub mod table;
 pub mod table1;
 pub mod table2;

@@ -12,25 +12,21 @@ use h2priv_defense::DefenseSpec;
 /// and seeds each shard's RNG from the pair id, not the shard id — so a
 /// pair's page load plays out identically no matter which shard hosts it.
 /// The rendered outcome rows must therefore be byte-identical at any
-/// `--shards`; only the header line, which names the shard count itself,
-/// may differ.
+/// `--shards`; only the title, which names the shard count itself, may
+/// differ.
 #[test]
 fn fleet_outcomes_are_identical_across_shard_counts() {
     const POPULATION: u32 = 24;
 
     runner::set_threads(1);
     let body_of = |shards: u32| {
-        let rendered = fleet::render(&fleet::run(POPULATION, shards, DefenseSpec::None));
-        let (header, body) = rendered
-            .split_once('\n')
-            .expect("render emits a header line");
-        assert_eq!(
-            header,
-            format!(
-                "FLEET: {POPULATION} pairs over {shards} shards, victim = pair 0, defense: none"
-            )
-        );
-        body.to_owned()
+        let mut table = fleet::run(POPULATION, shards, DefenseSpec::None)
+            .report()
+            .tables;
+        let title = std::mem::take(&mut table[0].title);
+        let expect = format!("FLEET: {POPULATION} pairs over {shards} shards");
+        assert_eq!(title, format!("{expect}, victim = pair 0, defense: none"));
+        table[0].markdown()
     };
 
     let reference = body_of(1);
@@ -63,8 +59,8 @@ fn fleet_report_is_identical_across_thread_counts() {
 
             // The rendered exhibit is what `repro` prints: byte-identical.
             assert_eq!(
-                fleet::render(&serial),
-                fleet::render(&threaded),
+                serial.report().markdown(),
+                threaded.report().markdown(),
                 "{tuning:?}: report diverged at {threads} threads"
             );
 
@@ -100,9 +96,9 @@ fn defended_fleet_is_identical_across_thread_counts() {
 
     for defense in DefenseSpec::arena() {
         runner::set_threads(1);
-        let serial = fleet::render(&fleet::run(POPULATION, SHARDS, defense));
+        let serial = fleet::run(POPULATION, SHARDS, defense).report().markdown();
         runner::set_threads(8);
-        let threaded = fleet::render(&fleet::run(POPULATION, SHARDS, defense));
+        let threaded = fleet::run(POPULATION, SHARDS, defense).report().markdown();
         assert_eq!(
             serial, threaded,
             "{defense}: defended fleet diverged between 1 and 8 threads"
@@ -133,11 +129,9 @@ fn defended_fleet_outcomes_are_identical_across_shard_counts() {
         ),
     ] {
         let rows_of = |shards: u32| {
-            fleet::render(&fleet::run(population, shards, defense))
-                .split_once('\n')
-                .expect("render emits a header line")
-                .1
-                .to_owned()
+            let mut table = fleet::run(population, shards, defense).report().tables;
+            table[0].title.clear();
+            table[0].markdown()
         };
         let reference = rows_of(1);
         for shards in [2, 4, 8] {

@@ -17,26 +17,17 @@ const TRIALS: u64 = 6;
 static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
 fn batch_fingerprint(batch: &Batch) -> Vec<u64> {
-    let mut fp = vec![
-        batch.html_non_mux_pct().to_bits(),
-        batch.html_success_pct().to_bits(),
-        batch.broken_pct().to_bits(),
-        batch.total_retransmissions(),
-    ];
+    let mut fp = Vec::new();
+    let mut counts = vec![batch.html_non_mux(), batch.html_success(), batch.broken()];
+    counts.extend((0..8).map(|rank| batch.rank_correct(rank)));
     // Per object of interest (0 = HTML, 1..=8 = images by party): trials
-    // that identified it, and its mean degree of multiplexing.
+    // that identified it, and its degrees of multiplexing.
     for index in 0..9 {
-        let successes = batch
-            .trials
-            .iter()
-            .filter(|(_, a)| a.objects[index].success)
-            .count();
-        fp.push(successes as u64);
-        fp.push(batch.mean_degree(index).to_bits());
+        counts.push(batch.count(|(_, a)| a.objects[index].success));
+        fp.extend(batch.degrees(index).iter().map(|d| d.to_bits()));
     }
-    for rank in 0..8 {
-        fp.push(batch.rank_correct_pct(rank).to_bits());
-    }
+    fp.extend(counts.iter().flat_map(|c| [c.k, c.n]));
+    fp.push(batch.total_retransmissions());
     // Per-trial event counts pin down the raw engine runs, not just the
     // aggregated statistics.
     fp.extend(batch.trials.iter().map(|(t, _)| t.result.events));

@@ -172,7 +172,12 @@ impl DosClient {
     pub fn new(config: DosConfig) -> Self {
         DosClient {
             config,
-            decoder: FrameDecoder::new(false),
+            decoder: {
+                // Only DATA lengths are read: no body bytes are copied.
+                let mut decoder = FrameDecoder::new(false);
+                decoder.set_opaque_data(true);
+                decoder
+            },
             out: Vec::new(),
             deferred: Vec::new(),
             deferred_frames: 0,

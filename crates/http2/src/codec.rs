@@ -318,9 +318,10 @@ impl FrameDecoder {
 
     /// Switches DATA payload delivery to opaque length-only views, backed
     /// by a shared zero page instead of a copy of the received bytes.
-    /// [`H2Connection`](crate::H2Connection) always decodes this way, since
-    /// it reports only each DATA frame's length; other readers keep the
-    /// default and get copies of the bytes.
+    /// Every reader in the workspace decodes this way, since each reads
+    /// only a DATA frame's length: [`H2Connection`](crate::H2Connection),
+    /// the conformance oracle and the DoS attacker. Only the codec's
+    /// round-trip tests keep the default and get copies of the bytes.
     pub fn set_opaque_data(&mut self, opaque: bool) {
         self.opaque_data = opaque;
     }

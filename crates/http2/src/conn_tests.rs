@@ -594,6 +594,30 @@ fn goaway_cancels_streams_above_last_stream_id() {
     assert_eq!(c.pending_data(b), 0, "cancelled output is dropped");
 }
 
+#[test]
+fn goaway_names_the_last_peer_stream() {
+    let (mut c, mut s) = ready_pair(H2Config::default(), H2Config::default());
+    let a = c.open_stream(&get("/a"), true).unwrap();
+    let b = c.open_stream(&get("/b"), true).unwrap();
+    shuttle(&mut c, &mut s);
+    assert_eq!((a, b), (StreamId(1), StreamId(3)));
+    s.send_goaway(ErrorCode::NoError);
+    let goaway = drain_frames(&mut s);
+    assert_eq!(
+        goaway,
+        vec![Frame::GoAway {
+            last_stream_id: StreamId(3),
+            error_code: ErrorCode::NoError,
+        }]
+    );
+    c.recv(&encode_frame(&goaway[0])).unwrap();
+    assert!(drain_events(&mut c)
+        .iter()
+        .all(|ev| !matches!(ev, H2Event::Reset { .. })));
+    assert_eq!(c.stream_state(a), Some(StreamState::HalfClosedLocal));
+    assert_eq!(c.stream_state(b), Some(StreamState::HalfClosedLocal));
+}
+
 /// Feeds a fresh server a client preface, SETTINGS and one HEADERS frame
 /// on stream 1 carrying `header_block`, and checks that the server fails
 /// the connection with COMPRESSION_ERROR and sends only that GOAWAY.

@@ -337,6 +337,9 @@ pub struct H2Connection {
     frame_decoder: FrameDecoder,
 
     next_stream_id: StreamId,
+    /// Highest peer-initiated stream accepted so far: the id a GOAWAY
+    /// names (RFC 7540 §6.8).
+    last_peer_stream: StreamId,
     streams: FxHashMap<StreamId, StreamEntry>,
     /// Insertion-ordered ids of streams that may have pending data.
     data_order: Vec<StreamId>,
@@ -408,6 +411,7 @@ impl H2Connection {
                 Peer::Client => StreamId(1),
                 Peer::Server => StreamId(2),
             },
+            last_peer_stream: StreamId(0),
             streams: FxHashMap::default(),
             data_order: Vec::new(),
             conn_send_window: FlowWindow::default(),
@@ -723,12 +727,12 @@ impl H2Connection {
         });
     }
 
-    /// Queues a GOAWAY.
+    /// Queues a GOAWAY naming the highest peer-initiated stream this end
+    /// accepted: the peer may retry any stream above it.
     pub fn send_goaway(&mut self, error_code: ErrorCode) {
         self.output_idle = false;
-        let last = StreamId(self.next_stream_id.0.saturating_sub(2));
         self.control_queue.push_back(Frame::GoAway {
-            last_stream_id: last,
+            last_stream_id: self.last_peer_stream,
             error_code,
         });
     }
@@ -1114,6 +1118,9 @@ impl H2Connection {
                 {
                     self.send_rst(stream_id, ErrorCode::RefusedStream);
                     return Ok(());
+                }
+                if remote_open {
+                    self.last_peer_stream = self.last_peer_stream.max(stream_id);
                 }
                 let entry = self.streams.entry(stream_id).or_insert_with(|| {
                     StreamEntry::new(

@@ -34,8 +34,6 @@ pub enum AbortReason {
     TooManyTimeouts,
     /// The local application aborted.
     LocalAbort,
-    /// A protocol violation (unexpected segment for the state).
-    ProtocolError,
 }
 
 /// Connection lifecycle states: the opening half of the RFC 9293

@@ -47,10 +47,10 @@ cp "$lock" pagebench/Cargo.lock
 
 sh scripts/bench_check.sh
 
-# Cross-layer conformance oracle over a quick full-exhibit run
-# (equivalent to `make check-conformance`): exits nonzero on any TCP/TLS/
-# HTTP/2 invariant violation.
-cargo run --release -p h2priv-bench --bin repro -- --quick --check > /dev/null
+# Cross-layer conformance oracle over a quick full-exhibit run through the
+# JSON path: exits nonzero on any TCP/TLS/HTTP/2 invariant violation. The
+# golden check below covers the table path at full size.
+cargo run --release -p h2priv-bench --bin repro -- --quick --check --json > /dev/null
 
 # The recorded full-run stdout and per-exhibit counts must still
 # reproduce exactly.
