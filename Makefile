@@ -16,8 +16,9 @@ lint:
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Perf gate: fleet bytes/pair at one thread against BENCH_repro.json, and
-# the pagebench workloads against pagebench/BASELINE.json on that host.
+# Perf gate: fleet bytes/pair and the quick table1 peak at one thread
+# against BENCH_repro.json, and the pagebench workloads against
+# pagebench/BASELINE.json on that host.
 bench-check:
 	sh scripts/bench_check.sh
 

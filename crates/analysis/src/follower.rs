@@ -7,15 +7,15 @@
 //! and retransmissions included — using the very same [`Reassembler`] the
 //! endpoints use. Reassembly is not an endpoint privilege.
 //!
-//! The follower keeps no copy of the stream. Each newly in-order range is
-//! handed to the caller as a borrowed view of the captured segment's
-//! bytes, and segments held behind a gap stay shared views of the capture.
+//! The follower reads segments as they pass and keeps no copy of the
+//! stream. Each newly in-order range is handed to the caller as a
+//! borrowed view of the segment's bytes; only a segment held behind a gap
+//! stays, as a shared view of its bytes, until the gap fills.
 
-use h2priv_tcp::{Reassembler, Seq};
+use h2priv_tcp::{Reassembler, Seq, TcpSegment};
 
-use crate::observed::ObservedPacket;
-
-/// Follows one direction of one TCP connection from captured segments.
+/// Follows one direction of one TCP connection from the segments that
+/// pass the observer.
 #[derive(Debug, Clone, Default)]
 pub struct StreamFollower {
     /// The sender's ISN, learned from its SYN.
@@ -32,24 +32,24 @@ impl StreamFollower {
         StreamFollower::default()
     }
 
-    /// Feeds one captured packet (must be from the followed direction) and
-    /// hands `deliver` each range of stream bytes it brings in order, in
-    /// stream order.
-    pub fn push(&mut self, packet: &ObservedPacket, deliver: impl FnMut(&[u8])) {
-        if packet.flags.syn {
-            self.isn = Some(packet.seq);
+    /// Feeds one segment (must be from the followed direction) and hands
+    /// `deliver` each range of stream bytes it brings in order, in stream
+    /// order.
+    pub fn push(&mut self, segment: &TcpSegment, deliver: impl FnMut(&[u8])) {
+        if segment.flags.syn {
+            self.isn = Some(segment.seq);
             return;
         }
         let Some(isn) = self.isn else {
-            if !packet.payload.is_empty() {
+            if !segment.payload.is_empty() {
                 self.orphan_segments += 1;
             }
             return;
         };
         // Data starts at isn + 1 (the SYN consumes one sequence number).
-        let offset = (packet.seq - (isn + 1)) as u64;
+        let offset = (segment.seq - (isn + 1)) as u64;
         self.reassembler
-            .insert_with(offset, &packet.payload, deliver);
+            .insert_with(offset, &segment.payload, deliver);
     }
 
     /// Bytes buffered out of order (a gap is in front of them).
@@ -71,32 +71,30 @@ impl StreamFollower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2priv_netsim::{Dir, SimTime};
-    use h2priv_tcp::{TcpFlags, TcpSegment};
+    use h2priv_tcp::TcpFlags;
 
-    fn packet(seq: u32, flags: TcpFlags, payload: &[u8]) -> ObservedPacket {
-        let segment = TcpSegment {
+    fn packet(seq: u32, flags: TcpFlags, payload: &[u8]) -> TcpSegment {
+        TcpSegment {
             seq: Seq(seq),
             ack: Seq(0),
             flags,
             window: 1000,
             payload: payload.to_vec().into(),
-        };
-        ObservedPacket::capture(SimTime::ZERO, Dir::RightToLeft, &segment)
+        }
     }
 
-    fn syn(seq: u32) -> ObservedPacket {
+    fn syn(seq: u32) -> TcpSegment {
         packet(seq, TcpFlags::SYN, b"")
     }
 
-    fn data(seq: u32, payload: &[u8]) -> ObservedPacket {
+    fn data(seq: u32, payload: &[u8]) -> TcpSegment {
         packet(seq, TcpFlags::ACK, payload)
     }
 
-    /// The bytes `packet` brings in order, concatenated.
-    fn follow(f: &mut StreamFollower, packet: &ObservedPacket) -> Vec<u8> {
+    /// The bytes `segment` brings in order, concatenated.
+    fn follow(f: &mut StreamFollower, segment: &TcpSegment) -> Vec<u8> {
         let mut out = Vec::new();
-        f.push(packet, |bytes| out.extend_from_slice(bytes));
+        f.push(segment, |bytes| out.extend_from_slice(bytes));
         out
     }
 

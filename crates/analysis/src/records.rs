@@ -1,4 +1,4 @@
-//! TLS record extraction from a captured trace.
+//! TLS record extraction from captured packets.
 //!
 //! Combines [`StreamFollower`] reassembly with the keyless
 //! [`RecordScanner`] to recover, for each direction, the sequence of record
@@ -6,16 +6,19 @@
 //! dataset: its monitor counts GET requests with the filter
 //! `ssl.record.content_type == 23` over exactly this view (§IV-D, §V).
 //!
-//! Extraction reads record headers only, over borrowed views of the
-//! captured segments: the follower hands each newly in-order range
-//! straight to the scanner, which skips encrypted fragments by their
-//! length. Nothing is allocated per packet.
+//! Extraction runs online, over packets in transit: the gateway capture
+//! ([`WireTrace::push`]) and the adversary's monitor each feed an
+//! extractor the live segment. Record headers are read over borrowed
+//! views of the segment's bytes: the follower hands each newly in-order
+//! range straight to the scanner, which skips encrypted fragments by
+//! their length. Nothing is allocated per packet.
 
 use h2priv_netsim::{Dir, SimTime};
+use h2priv_tcp::TcpSegment;
 use h2priv_tls::{ContentType, RecordScanner};
 
 use crate::follower::StreamFollower;
-use crate::observed::{ObservedPacket, WireTrace};
+use crate::observed::WireTrace;
 
 /// One record as seen by the observer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,15 +57,22 @@ impl RecordExtractor {
         RecordExtractor::default()
     }
 
-    /// Feeds one captured packet and hands `emit` each record it
-    /// completes, in stream order.
-    pub fn push(&mut self, packet: &ObservedPacket, mut emit: impl FnMut(RecordEvent)) {
+    /// Feeds one segment of the followed direction, seen at `time`
+    /// travelling in `dir`, and hands `emit` each record it completes, in
+    /// stream order.
+    pub fn push(
+        &mut self,
+        time: SimTime,
+        dir: Dir,
+        segment: &TcpSegment,
+        mut emit: impl FnMut(RecordEvent),
+    ) {
         let scanner = &mut self.scanner;
-        self.follower.push(packet, |bytes| {
+        self.follower.push(segment, |bytes| {
             scanner.scan(bytes, |r| {
                 emit(RecordEvent {
-                    time: packet.time,
-                    dir: packet.dir,
+                    time,
+                    dir,
                     content_type: r.content_type,
                     wire_len: r.wire_len,
                     stream_offset: r.stream_offset,
@@ -72,20 +82,10 @@ impl RecordExtractor {
     }
 }
 
-/// Extracts all records from a completed capture, both directions, in
-/// arrival order.
+/// The records a capture extracted, both directions, in arrival order: an
+/// owned copy of [`WireTrace::records`].
 pub fn extract_records(trace: &WireTrace) -> Vec<RecordEvent> {
-    let mut c2s = RecordExtractor::new();
-    let mut s2c = RecordExtractor::new();
-    let mut out = Vec::new();
-    for packet in &trace.packets {
-        let extractor = match packet.dir {
-            Dir::LeftToRight => &mut c2s,
-            Dir::RightToLeft => &mut s2c,
-        };
-        extractor.push(packet, |record| out.push(record));
-    }
-    out
+    trace.records().to_vec()
 }
 
 /// Convenience filter: application-data records in one direction — the
@@ -101,44 +101,48 @@ pub fn app_data_records(records: &[RecordEvent], dir: Dir) -> Vec<RecordEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2priv_tcp::{Seq, TcpFlags, TcpSegment};
+    use h2priv_tcp::{Seq, TcpFlags};
     use h2priv_tls::{RecordCipher, RecordWriter};
 
-    /// Builds a capture of one direction carrying `messages` as records,
-    /// split into MSS-sized packets.
-    fn capture(messages: &[(ContentType, usize)]) -> WireTrace {
+    /// One direction's segments carrying `messages` as records: a SYN,
+    /// then MSS-sized data packets one millisecond apart.
+    fn segments(messages: &[(ContentType, usize)]) -> Vec<(SimTime, TcpSegment)> {
         let mut writer = RecordWriter::new(RecordCipher::new(5, 2));
         let mut stream = Vec::new();
         for &(ct, len) in messages {
             stream.extend(writer.seal_message(ct, &vec![0xAB; len]));
         }
-        let mut trace = WireTrace::new();
-        // SYN first.
-        trace.push(ObservedPacket::capture(
-            SimTime::ZERO,
-            Dir::RightToLeft,
-            &TcpSegment {
-                seq: Seq(500),
+        let syn = TcpSegment {
+            seq: Seq(500),
+            ack: Seq(0),
+            flags: TcpFlags::SYN,
+            window: 0,
+            payload: h2priv_bytes::SharedBytes::new(),
+        };
+        let data = stream.chunks(1460).enumerate().map(|(i, chunk)| {
+            let segment = TcpSegment {
+                seq: Seq(501 + (i * 1460) as u32),
                 ack: Seq(0),
-                flags: TcpFlags::SYN,
+                flags: TcpFlags::ACK,
                 window: 0,
-                payload: h2priv_bytes::SharedBytes::new(),
-            },
-        ));
-        for (i, chunk) in stream.chunks(1460).enumerate() {
-            trace.push(ObservedPacket::capture(
-                SimTime::from_millis(1 + i as u64),
-                Dir::RightToLeft,
-                &TcpSegment {
-                    seq: Seq(501 + (i * 1460) as u32),
-                    ack: Seq(0),
-                    flags: TcpFlags::ACK,
-                    window: 0,
-                    payload: chunk.into(),
-                },
-            ));
+                payload: chunk.into(),
+            };
+            (SimTime::from_millis(1 + i as u64), segment)
+        });
+        std::iter::once((SimTime::ZERO, syn)).chain(data).collect()
+    }
+
+    /// Captures `segments` in the order given, travelling server→client.
+    fn capture_of(segments: &[(SimTime, TcpSegment)]) -> WireTrace {
+        let mut trace = WireTrace::new();
+        for (time, segment) in segments {
+            trace.push(*time, Dir::RightToLeft, segment);
         }
         trace
+    }
+
+    fn capture(messages: &[(ContentType, usize)]) -> WireTrace {
+        capture_of(&segments(messages))
     }
 
     #[test]
@@ -183,13 +187,15 @@ mod tests {
 
     #[test]
     fn out_of_order_capture_still_extracts() {
-        let mut trace = capture(&[(ContentType::ApplicationData, 4_000)]);
-        // Swap two data packets.
-        let n = trace.packets.len();
-        assert!(n >= 3);
-        trace.packets.swap(1, 2);
+        let mut segments = segments(&[(ContentType::ApplicationData, 4_000)]);
+        assert!(segments.len() >= 4, "a SYN and three data packets");
+        // The second data packet reaches the tap before the first.
+        segments.swap(1, 2);
+        let trace = capture_of(&segments);
+        assert!(trace.packets()[1].seq.0 > trace.packets()[2].seq.0);
         let records = extract_records(&trace);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].plaintext_len(), 4_000);
+        assert_eq!(records[0].time, segments.last().unwrap().0);
     }
 }

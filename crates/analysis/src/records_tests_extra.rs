@@ -2,7 +2,7 @@
 //! behaviour, and retransmission transparency — the situations the live
 //! monitor encounters during the attack's disruption phase.
 
-use crate::{extract_records, ObservedPacket, RecordExtractor, WireTrace};
+use crate::{extract_records, RecordEvent, RecordExtractor, WireTrace};
 use h2priv_netsim::{Dir, SimTime};
 use h2priv_tcp::{Seq, TcpFlags, TcpSegment};
 use h2priv_tls::{ContentType, RecordCipher, RecordWriter};
@@ -24,22 +24,22 @@ impl Flow {
         }
     }
 
-    fn syn(&mut self) -> ObservedPacket {
+    fn syn(&mut self) -> Live {
         self.synced = true;
-        ObservedPacket::capture(
-            SimTime::ZERO,
-            self.dir,
-            &TcpSegment {
+        Live {
+            time: SimTime::ZERO,
+            dir: self.dir,
+            segment: TcpSegment {
                 seq: Seq(1_000),
                 ack: Seq(0),
                 flags: TcpFlags::SYN,
                 window: 0,
                 payload: h2priv_bytes::SharedBytes::new(),
             },
-        )
+        }
     }
 
-    fn message(&mut self, len: usize, at_ms: u64) -> Vec<ObservedPacket> {
+    fn message(&mut self, len: usize, at_ms: u64) -> Vec<Live> {
         assert!(self.synced);
         let wire = self
             .writer
@@ -48,19 +48,36 @@ impl Flow {
             .map(|chunk| {
                 let seq = self.next_seq;
                 self.next_seq += chunk.len() as u32;
-                ObservedPacket::capture(
-                    SimTime::from_millis(at_ms),
-                    self.dir,
-                    &TcpSegment {
+                Live {
+                    time: SimTime::from_millis(at_ms),
+                    dir: self.dir,
+                    segment: TcpSegment {
                         seq: Seq(seq),
                         ack: Seq(0),
                         flags: TcpFlags::ACK,
                         window: 0,
                         payload: chunk.to_vec().into(),
                     },
-                )
+                }
             })
             .collect()
+    }
+}
+
+/// A packet in transit past the observer.
+struct Live {
+    time: SimTime,
+    dir: Dir,
+    segment: TcpSegment,
+}
+
+impl Live {
+    fn capture(&self, trace: &mut WireTrace) {
+        trace.push(self.time, self.dir, &self.segment);
+    }
+
+    fn extract(&self, extractor: &mut RecordExtractor, emit: impl FnMut(RecordEvent)) {
+        extractor.push(self.time, self.dir, &self.segment, emit);
     }
 }
 
@@ -69,17 +86,17 @@ fn directions_are_followed_independently() {
     let mut c2s = Flow::new(Dir::LeftToRight, 1);
     let mut s2c = Flow::new(Dir::RightToLeft, 2);
     let mut trace = WireTrace::new();
-    trace.push(c2s.syn());
-    trace.push(s2c.syn());
+    c2s.syn().capture(&mut trace);
+    s2c.syn().capture(&mut trace);
     // Interleave packets of both directions.
     for p in c2s.message(100, 1) {
-        trace.push(p);
+        p.capture(&mut trace);
     }
     for p in s2c.message(5_000, 2) {
-        trace.push(p);
+        p.capture(&mut trace);
     }
     for p in c2s.message(80, 3) {
-        trace.push(p);
+        p.capture(&mut trace);
     }
     let records = extract_records(&trace);
     let c2s_count = records.iter().filter(|r| r.dir == Dir::LeftToRight).count();
@@ -100,13 +117,13 @@ fn directions_are_followed_independently() {
 fn hole_blocks_later_records_until_filled() {
     let mut flow = Flow::new(Dir::RightToLeft, 2);
     let mut extractor = RecordExtractor::new();
-    extractor.push(&flow.syn(), |_| {});
+    flow.syn().extract(&mut extractor, |_| {});
     let first = flow.message(2_000, 1);
     let second = flow.message(2_000, 2);
     // Deliver the second message's packets first: nothing completes.
     let mut got = 0;
     for p in &second {
-        extractor.push(p, |_| got += 1);
+        p.extract(&mut extractor, |_| got += 1);
     }
     assert_eq!(got, 0, "records behind a hole must not complete");
     // Fill the hole: both messages flood out, stamped with the filling
@@ -114,7 +131,7 @@ fn hole_blocks_later_records_until_filled() {
     // wait out after its drop window.
     let mut released = Vec::new();
     for p in &first {
-        extractor.push(p, |r| released.push(r));
+        p.extract(&mut extractor, |r| released.push(r));
     }
     assert_eq!(released.len(), 2);
     assert!(released
@@ -126,11 +143,11 @@ fn hole_blocks_later_records_until_filled() {
 fn duplicate_packets_do_not_duplicate_records() {
     let mut flow = Flow::new(Dir::RightToLeft, 2);
     let mut extractor = RecordExtractor::new();
-    extractor.push(&flow.syn(), |_| {});
+    flow.syn().extract(&mut extractor, |_| {});
     let packets = flow.message(3_000, 1);
     let mut count = 0;
     for p in packets.iter().chain(&packets) {
-        extractor.push(p, |_| count += 1);
+        p.extract(&mut extractor, |_| count += 1);
     }
     assert_eq!(count, 1);
 }

@@ -4,8 +4,8 @@
 //! reconstruction, and record extraction against a brute-force reference.
 
 use h2priv_analysis::{
-    extract_records, segment_bursts, GroundTruth, ObjectRange, ObservedPacket, RecordEvent,
-    StreamFollower, WireTrace,
+    extract_records, segment_bursts, GroundTruth, ObjectRange, RecordEvent, StreamFollower,
+    WireTrace,
 };
 use h2priv_bytes::{FxHashMap, SharedBytes};
 use h2priv_http2::StreamId;
@@ -133,17 +133,14 @@ fn follower_matches_endpoint_stream() {
             .map(|i| (i % 256) as u8)
             .collect();
         let mss = g.range(100usize..1_460);
-        let packet = |seq: u32, flags, payload: SharedBytes| {
-            let segment = TcpSegment {
-                seq: Seq(seq),
-                ack: Seq(0),
-                flags,
-                window: 0,
-                payload,
-            };
-            ObservedPacket::capture(SimTime::ZERO, Dir::RightToLeft, &segment)
+        let packet = |seq: u32, flags, payload: SharedBytes| TcpSegment {
+            seq: Seq(seq),
+            ack: Seq(0),
+            flags,
+            window: 0,
+            payload,
         };
-        let mut packets: Vec<ObservedPacket> = (0u32..)
+        let mut packets: Vec<TcpSegment> = (0u32..)
             .zip(data.chunks(mss))
             .map(|(i, c)| packet(1_001 + i * mss as u32, TcpFlags::ACK, c.to_vec().into()))
             .collect();
@@ -249,7 +246,7 @@ fn reference_records(trace: &WireTrace, flows: &[Flow]) -> Vec<RecordEvent> {
     let mut received: Vec<Vec<(usize, usize)>> = vec![Vec::new(); flows.len()];
     let mut emitted = vec![0usize; flows.len()];
     let mut out = Vec::new();
-    for packet in &trace.packets {
+    for packet in trace.packets() {
         if packet.payload.is_empty() {
             continue;
         }
@@ -311,9 +308,15 @@ fn extraction_matches_brute_force_reference() {
         } else {
             None
         };
+        // Each packet is stamped with its capture index, in microseconds,
+        // as it is pushed: the capture reads it in transit.
         let mut trace = WireTrace::new();
+        let push = |trace: &mut WireTrace, flow: &Flow, from, to, flags| {
+            let at = SimTime::from_micros(trace.len() as u64);
+            trace.push(at, flow.dir, &segment(flow, from, to, flags));
+        };
         for flow in &flows {
-            trace.push(capture(flow, 0, 0, TcpFlags::SYN));
+            push(&mut trace, flow, 0, 0, TcpFlags::SYN);
         }
         let mut queues: Vec<Vec<(usize, usize)>> = flows
             .iter()
@@ -326,11 +329,8 @@ fn extraction_matches_brute_force_reference() {
         while queues.iter().any(|q| !q.is_empty()) {
             let f = g.range(0..flows.len());
             if let Some((from, to)) = queues[f].pop() {
-                trace.push(capture(&flows[f], from, to, TcpFlags::ACK));
+                push(&mut trace, &flows[f], from, to, TcpFlags::ACK);
             }
-        }
-        for (i, p) in trace.packets.iter_mut().enumerate() {
-            p.time = SimTime::from_micros(i as u64);
         }
         let records = extract_records(&trace);
         assert_eq!(records, reference_records(&trace, &flows));
@@ -344,9 +344,9 @@ fn extraction_matches_brute_force_reference() {
     });
 }
 
-/// A packet of `flow` carrying its stream bytes `[from, to)` (none for a
+/// A segment of `flow` carrying its stream bytes `[from, to)` (none for a
 /// SYN).
-fn capture(flow: &Flow, from: usize, to: usize, flags: TcpFlags) -> ObservedPacket {
+fn segment(flow: &Flow, from: usize, to: usize, flags: TcpFlags) -> TcpSegment {
     let (seq, payload) = if flags.syn {
         (Seq(flow.isn), SharedBytes::new())
     } else {
@@ -355,14 +355,13 @@ fn capture(flow: &Flow, from: usize, to: usize, flags: TcpFlags) -> ObservedPack
             SharedBytes::copy_from_slice(&flow.stream[from..to]),
         )
     };
-    let segment = TcpSegment {
+    TcpSegment {
         seq,
         ack: Seq(0),
         flags,
         window: 0,
         payload,
-    };
-    ObservedPacket::capture(SimTime::ZERO, flow.dir, &segment)
+    }
 }
 
 // ---------- the degree of multiplexing against a reference ----------------

@@ -193,7 +193,7 @@ pub fn padding_defense(trials: u64) -> Table {
 /// misses. Evaluated on the jitter-only adversary (no forced reset), whose
 /// imperfect serialization leaves many merged bursts.
 pub fn pairwise_decomposition(trials: u64) -> Table {
-    use h2priv_analysis::{app_data_records, extract_records, segment_bursts};
+    use h2priv_analysis::{app_data_records, segment_bursts};
     use h2priv_core::experiment::BURST_GAP;
     use h2priv_core::{identify_bursts, identify_bursts_with_pairs};
     let map = calibrated_map();
@@ -201,8 +201,10 @@ pub fn pairwise_decomposition(trials: u64) -> Table {
     let total = trials * 9;
     let per_seed = crate::runner::run_seeded(trials, |seed| {
         let trial = paper_trial(seed, Some(&attack), |_| {});
-        let records = extract_records(&trial.result.trace);
-        let data = app_data_records(&records, h2priv_netsim::Dir::RightToLeft);
+        let data = app_data_records(
+            trial.result.trace.records(),
+            h2priv_netsim::Dir::RightToLeft,
+        );
         let bursts = segment_bursts(&data, BURST_GAP);
         let objects = objects_of_interest(&trial.iw);
         let singles = identify_bursts(&map, &bursts);

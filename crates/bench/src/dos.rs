@@ -149,7 +149,7 @@ fn fleet_row(attack: DosAttack, guarded: bool) -> Vec<Cell> {
 const FP_CONDITIONS: [&str; 4] = [
     "baseline (fig1/table2)",
     "jitter 80ms (table1)",
-    "throttle 800kbps (fig5)",
+    "throttle 800Mbps (fig5)",
     "full SV attack",
 ];
 

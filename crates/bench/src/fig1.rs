@@ -8,7 +8,7 @@
 //! and estimates sizes; the bench reports whether the true sizes were
 //! recovered.
 
-use h2priv_analysis::{app_data_records, extract_records, segment_bursts};
+use h2priv_analysis::{app_data_records, segment_bursts};
 use h2priv_core::experiment::BURST_GAP;
 use h2priv_netsim::{Dir, SimDuration};
 use h2priv_testkit::{run_trial, ScenarioConfig};
@@ -65,8 +65,7 @@ pub fn run() -> Report {
         cfg.browser.gap_noise_frac = 0.0;
         let r = run_trial(&site, &plan, &cfg, None);
         crate::runner::record(r.events, &r.sched, r.violations_total, &r.violations);
-        let records = extract_records(&r.trace);
-        let data = app_data_records(&records, Dir::RightToLeft);
+        let data = app_data_records(r.trace.records(), Dir::RightToLeft);
         let bursts = segment_bursts(&data, BURST_GAP);
         // Keep bursts that plausibly carry object data (skip the tiny
         // settings/handshake-adjacent ones).

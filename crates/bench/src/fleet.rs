@@ -33,7 +33,7 @@ use h2priv_testkit::fleet::{
 };
 use h2priv_web::isidewith;
 
-use crate::common::{calibrated_map, calibrated_map_against};
+use crate::common::calibrated_map_against;
 use crate::runner;
 use crate::table::{Cell, Column, Count, Fmt, Layout, Report, Table};
 
@@ -212,12 +212,13 @@ pub(crate) fn merge_recorded(config: &FleetConfig, results: Vec<ShardResult>) ->
     m
 }
 
-fn run_population(
-    label: &'static str,
+/// Runs a population's shards over `run_seeded`'s workers and merges them
+/// in shard order. With `attack`, the victim's shard installs an
+/// adversary, whose snapshot comes back beside the merge.
+fn run_shards(
     config: &FleetConfig,
     attack: Option<&AttackConfig>,
-    map: &h2priv_core::SizeMap,
-) -> FleetRun {
+) -> (ShardResult, Option<AdversarySnapshot>) {
     let vs = victim_shard(config);
     // Shards fan out over `run_seeded`'s workers exactly like trials: the
     // shard id is the "seed", results come back in shard order, and each
@@ -234,7 +235,16 @@ fn run_population(
     });
     let snapshot = results.iter().find_map(|(_, s)| s.clone());
     let results = results.into_iter().map(|(r, _)| r).collect();
-    let mut merged = merge_recorded(config, results);
+    (merge_recorded(config, results), snapshot)
+}
+
+fn run_population(
+    label: &'static str,
+    config: &FleetConfig,
+    attack: Option<&AttackConfig>,
+    map: &h2priv_core::SizeMap,
+) -> FleetRun {
+    let (mut merged, snapshot) = run_shards(config, attack);
     let victim = merged.victim.take().expect("victim shard always runs");
     let iw = isidewith::build(&victim.golden_order);
     // The full attack analyzes the post-reset serialized window, exactly
@@ -331,16 +341,17 @@ pub fn scaleout(
     let _heartbeat = progress
         .clone()
         .map(|p| Heartbeat::start(p, thread_counts.len() as u64 * population as u64));
-    let map = calibrated_map();
     let mut points: Vec<ScaleoutPoint> = Vec::new();
     for &threads in thread_counts {
         runner::set_threads(threads);
+        // Only the shards and their merge are timed: the table prints no
+        // victim analysis, so none runs.
         let t0 = Instant::now();
-        let run = run_population("baseline", &config, None, &map);
+        let (merged, _) = run_shards(&config, None);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         if let Some(first) = points.first() {
             assert_eq!(
-                run.merged.completed, first.completed,
+                merged.completed, first.completed,
                 "thread count must not change outcomes"
             );
         }
@@ -350,9 +361,9 @@ pub fn scaleout(
         points.push(ScaleoutPoint {
             threads,
             wall_ms,
-            events: run.merged.events,
+            events: merged.events,
             efficiency,
-            completed: run.merged.completed,
+            completed: merged.completed,
         });
     }
     runner::set_threads(restore_threads);

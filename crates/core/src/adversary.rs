@@ -16,7 +16,6 @@
 //! yields the single-lever adversaries of §IV (jitter-only for Table I,
 //! jitter+throttle for Fig. 5, and so on).
 
-use h2priv_analysis::ObservedPacket;
 use h2priv_netsim::{BitsPerSec, Dir, MbContext, Middlebox, Packet, SimDuration, SimTime, Verdict};
 use h2priv_tcp::TcpSegment;
 
@@ -217,8 +216,7 @@ impl Middlebox<TcpSegment> for Adversary {
             self.phase_log.push((now, AttackPhase::Observing));
         }
         // Observe (the monitor follows the client→server direction).
-        let observed = ObservedPacket::capture(now, ctx.dir, &packet.payload);
-        let insight = self.monitor.observe(&observed);
+        let insight = self.monitor.observe(now, ctx.dir, &packet.payload);
 
         // Phase transitions.
         let mut entered_disrupting_now = false;

@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use h2priv_analysis::{app_data_records, extract_records, segment_bursts, GroundTruth, WireTrace};
+use h2priv_analysis::{app_data_records, segment_bursts, GroundTruth, WireTrace};
 use h2priv_netsim::{Dir, SimDuration, SimRng, SimTime};
 use h2priv_testkit::{build_scenario, run_scenario, RunResult, ScenarioConfig};
 use h2priv_web::isidewith::{self, Isidewith};
@@ -162,8 +162,7 @@ pub fn calibrate_size_map_with(
         cfg.server_link.jitter = h2priv_netsim::DurationDist::None;
         tweak(&mut cfg);
         let result = h2priv_testkit::run_trial(&iw.site, &plan, &cfg, None);
-        let records = extract_records(&result.trace);
-        let data = app_data_records(&records, Dir::RightToLeft);
+        let data = app_data_records(result.trace.records(), Dir::RightToLeft);
         let bursts = segment_bursts(&data, BURST_GAP);
         if let Some(biggest) = bursts.iter().max_by_key(|b| b.plaintext_bytes) {
             map.insert(object, biggest.plaintext_bytes);
@@ -238,8 +237,7 @@ pub fn analyze_capture(
     objects_of_interest: &[ObjectId],
     analysis_start: Option<SimTime>,
 ) -> TrialAnalysis {
-    let records = extract_records(trace);
-    let mut data = app_data_records(&records, Dir::RightToLeft);
+    let mut data = app_data_records(trace.records(), Dir::RightToLeft);
     if let Some(start) = analysis_start {
         data.retain(|r| r.time >= start);
     }

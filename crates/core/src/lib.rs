@@ -6,9 +6,9 @@
 //! multiplexing by *serializing* the server's object transmissions:
 //!
 //! 1. [`TrafficMonitor`] (the paper's `tshark`) passively reassembles the
-//!    client→server TCP stream, reads TLS record headers over shared views
-//!    of the captured segments, and counts GET requests via the
-//!    `content_type == 23` filter.
+//!    client→server TCP stream, reads TLS record headers in the segments
+//!    as they pass, and counts GET requests via the `content_type == 23`
+//!    filter.
 //! 2. [`NetworkController`] (the paper's `tc`/bash scripts) spaces
 //!    GET-carrying packets (§IV-B jitter), caps bandwidth (§IV-C), and
 //!    drops server→client application packets to force an HTTP/2

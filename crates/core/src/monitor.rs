@@ -10,15 +10,15 @@
 //! larger). The server→client direction carries no GETs, so the monitor
 //! does not follow it.
 //!
-//! It reads headers only, over shared views of the packets it sees: the
-//! same [`RecordExtractor`] the offline analysis uses hands it each
-//! record as its last byte arrives, and observing a packet allocates
-//! nothing.
+//! It reads headers only, over the live packets it sees: the same
+//! [`RecordExtractor`] the gateway capture runs hands it each record as
+//! its last byte arrives, and observing a packet allocates nothing.
 
 use std::ops::Range;
 
-use h2priv_analysis::{ObservedPacket, RecordExtractor};
+use h2priv_analysis::RecordExtractor;
 use h2priv_netsim::{Dir, SimTime};
+use h2priv_tcp::TcpSegment;
 use h2priv_tls::ContentType;
 
 /// Monitor configuration.
@@ -84,11 +84,12 @@ impl TrafficMonitor {
         self.get_times.get((n as usize).checked_sub(1)?).copied()
     }
 
-    /// Feeds one packet; returns what it revealed.
-    pub fn observe(&mut self, packet: &ObservedPacket) -> PacketInsight {
+    /// Feeds one segment passing at `time` in `dir`; returns what it
+    /// revealed.
+    pub fn observe(&mut self, time: SimTime, dir: Dir, segment: &TcpSegment) -> PacketInsight {
         let first = self.gets_seen + 1;
-        if packet.dir == Dir::LeftToRight {
-            self.c2s.push(packet, |record| {
+        if dir == Dir::LeftToRight {
+            self.c2s.push(time, dir, segment, |record| {
                 if record.content_type != ContentType::ApplicationData
                     || record.wire_len < self.config.get_min_wire_len
                 {
@@ -99,7 +100,7 @@ impl TrafficMonitor {
                     return;
                 }
                 self.gets_seen += 1;
-                self.get_times.push(packet.time);
+                self.get_times.push(time);
             });
         }
         PacketInsight {
@@ -111,8 +112,11 @@ impl TrafficMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2priv_tcp::{Seq, TcpFlags, TcpSegment};
+    use h2priv_tcp::{Seq, TcpFlags};
     use h2priv_tls::{RecordCipher, RecordWriter};
+
+    /// A client→server segment passing at a time.
+    type Live = (SimTime, TcpSegment);
 
     struct Feed {
         writer: RecordWriter,
@@ -129,43 +133,40 @@ mod tests {
             }
         }
 
-        fn packets(&mut self, ct: ContentType, len: usize, at_ms: u64) -> Vec<ObservedPacket> {
+        fn packets(&mut self, ct: ContentType, len: usize, at_ms: u64) -> Vec<Live> {
             let mut out = Vec::new();
             if !self.sent_syn {
                 self.sent_syn = true;
-                out.push(ObservedPacket::capture(
-                    SimTime::ZERO,
-                    Dir::LeftToRight,
-                    &TcpSegment {
-                        seq: Seq(100),
-                        ack: Seq(0),
-                        flags: TcpFlags::SYN,
-                        window: 0,
-                        payload: h2priv_bytes::SharedBytes::new(),
-                    },
-                ));
+                let syn = TcpSegment {
+                    seq: Seq(100),
+                    ack: Seq(0),
+                    flags: TcpFlags::SYN,
+                    window: 0,
+                    payload: h2priv_bytes::SharedBytes::new(),
+                };
+                out.push((SimTime::ZERO, syn));
             }
             let wire = self.writer.seal_message(ct, &vec![0u8; len]);
             for chunk in wire.chunks(1460) {
-                out.push(ObservedPacket::capture(
-                    SimTime::from_millis(at_ms),
-                    Dir::LeftToRight,
-                    &TcpSegment {
-                        seq: Seq(self.next_seq),
-                        ack: Seq(0),
-                        flags: TcpFlags::ACK,
-                        window: 0,
-                        payload: chunk.to_vec().into(),
-                    },
-                ));
+                let segment = TcpSegment {
+                    seq: Seq(self.next_seq),
+                    ack: Seq(0),
+                    flags: TcpFlags::ACK,
+                    window: 0,
+                    payload: chunk.to_vec().into(),
+                };
+                out.push((SimTime::from_millis(at_ms), segment));
                 self.next_seq += chunk.len() as u32;
             }
             out
         }
     }
 
-    fn observe_all(m: &mut TrafficMonitor, packets: Vec<ObservedPacket>) -> Vec<u64> {
-        packets.iter().flat_map(|p| m.observe(p).new_gets).collect()
+    fn observe_all(m: &mut TrafficMonitor, packets: Vec<Live>) -> Vec<u64> {
+        packets
+            .iter()
+            .flat_map(|(time, segment)| m.observe(*time, Dir::LeftToRight, segment).new_gets)
+            .collect()
     }
 
     #[test]
@@ -211,30 +212,21 @@ mod tests {
         let mut monitor = TrafficMonitor::new(MonitorConfig::default());
         let mut writer = RecordWriter::new(RecordCipher::new(1, 2));
         let wire = writer.seal_message(ContentType::ApplicationData, &vec![0u8; 500]);
-        let syn = ObservedPacket::capture(
-            SimTime::ZERO,
-            Dir::RightToLeft,
-            &TcpSegment {
-                seq: Seq(7),
-                ack: Seq(0),
-                flags: TcpFlags::SYN,
-                window: 0,
-                payload: h2priv_bytes::SharedBytes::new(),
-            },
-        );
-        monitor.observe(&syn);
-        let data = ObservedPacket::capture(
-            SimTime::from_millis(1),
-            Dir::RightToLeft,
-            &TcpSegment {
-                seq: Seq(8),
-                ack: Seq(0),
-                flags: TcpFlags::ACK,
-                window: 0,
-                payload: wire.into(),
-            },
-        );
-        let insight = monitor.observe(&data);
+        let syn = TcpSegment {
+            seq: Seq(7),
+            ack: Seq(0),
+            flags: TcpFlags::SYN,
+            window: 0,
+            payload: h2priv_bytes::SharedBytes::new(),
+        };
+        monitor.observe(SimTime::ZERO, Dir::RightToLeft, &syn);
+        let data = TcpSegment {
+            seq: Seq(8),
+            flags: TcpFlags::ACK,
+            payload: wire.into(),
+            ..syn
+        };
+        let insight = monitor.observe(SimTime::from_millis(1), Dir::RightToLeft, &data);
         assert!(insight.new_gets.is_empty());
         assert_eq!(monitor.gets_seen(), 0);
     }

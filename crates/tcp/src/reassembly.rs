@@ -7,7 +7,7 @@
 //! (`h2priv-analysis`) hands each range straight to its TLS record scanner
 //! — reassembly is not an endpoint privilege, which is precisely why TLS
 //! record boundaries leak. Held-back chunks are shared views of the
-//! captured segments' bytes, so reassembly copies nothing until a range
+//! arriving segments' bytes, so reassembly copies nothing until a range
 //! is released.
 
 use std::collections::BTreeMap;

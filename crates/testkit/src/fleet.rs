@@ -1006,7 +1006,7 @@ impl ShardResult {
             let tap = victim.expect("the victim's shard folds it with its tap");
             self.victim = Some(VictimCapture {
                 golden_order: tap.golden_order.clone(),
-                trace: std::mem::replace(&mut *tap.trace.borrow_mut(), WireTrace::new()),
+                trace: tap.trace.borrow_mut().finish(),
                 truth: std::mem::replace(&mut *tap.truth.borrow_mut(), GroundTruth::new()),
                 outcomes,
                 broken: dead,
@@ -1315,7 +1315,7 @@ mod tests {
         assert_eq!(result.broken, 0, "no connection should die unperturbed");
         assert_eq!(result.violations_total, 0, "{:?}", result.violations);
         let victim = result.victim.expect("victim capture present");
-        assert!(!victim.trace.packets.is_empty());
+        assert!(!victim.trace.is_empty());
         assert!(!victim.outcomes.is_empty());
         assert!(victim.outcomes.iter().all(|o| o.completed_at.is_some()));
         assert!(!victim.broken);
@@ -1423,7 +1423,7 @@ mod tests {
             || None,
         );
         let victim = streamed.victim.expect("victim capture present");
-        assert!(!victim.trace.packets.is_empty());
+        assert!(!victim.trace.is_empty());
         assert!(victim.outcomes.iter().all(|o| o.completed_at.is_some()));
         assert!(!victim.broken);
         assert_eq!(streamed.violations_total, 0, "{:?}", streamed.violations);

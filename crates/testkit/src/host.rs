@@ -827,12 +827,13 @@ impl HostCore {
     /// invisible on the wire; what changes is the cost model — one
     /// buffer + one `Arc` per pump pass instead of one per record, and the
     /// frame buffers returned to the HTTP/2 encoder pool. The run buffer
-    /// is reused only when one is free: a buffer parked by a pass that
-    /// sealed nothing, or the rope's spare, the backing buffer of a
-    /// fully-acked chunk that nothing else still holds. A tapped pair's
-    /// capture keeps a view of every sealed run, so the spare is rarely
-    /// there: on a paper page load about one sealing pass in ten reuses a
-    /// buffer, and the rest allocate their run.
+    /// is reused when one is free: a buffer parked by a pass that sealed
+    /// nothing, or the rope's spare, the backing buffer of a fully-acked
+    /// chunk that nothing else still holds. The gateway capture reads each
+    /// packet in transit and keeps no view of it, so once a run is acked
+    /// only a segment still in flight or held behind a receiver's gap can
+    /// keep it: on a paper page load about seven sealing passes in eight
+    /// start from a reused buffer.
     fn pump_outbound(&mut self, now: SimTime, scratch: &mut PumpScratch) -> bool {
         if self.dead || !self.tls_established {
             return false;
@@ -863,8 +864,7 @@ impl HostCore {
         // HTTP/2 mux is what makes concurrent responses interleave.
         let limit = self.socket_buffer.min(2 * self.tcp.cwnd());
         // Reuse a free buffer if there is one: the one parked in scratch
-        // by a pass that sealed nothing, else the rope's spare (rare while
-        // a capture tap holds views of the sealed runs).
+        // by a pass that sealed nothing, else the rope's spare.
         let mut run = std::mem::take(&mut scratch.run);
         if run.capacity() == 0 {
             run = self.tcp.take_send_spare().unwrap_or(run);

@@ -349,7 +349,7 @@ pub fn run_scenario(mut scenario: Scenario) -> RunResult {
     // The run is over, so nothing will write to the capture again: move
     // the trace and ground truth out of their shared cells instead of
     // deep-cloning them per trial.
-    let trace = std::mem::replace(&mut *scenario.trace.borrow_mut(), WireTrace::new());
+    let trace = scenario.trace.borrow_mut().finish();
     let truth = std::mem::replace(&mut *scenario.truth.borrow_mut(), GroundTruth::new());
     let client = scenario.client.borrow();
     let server = scenario.server.borrow();

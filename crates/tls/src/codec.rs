@@ -11,8 +11,8 @@
 //! lengths without any key material. It reads each 5-byte header and skips
 //! the encrypted fragment by its length, so it holds no stream bytes beyond
 //! a header split across two segments, and can walk borrowed views of the
-//! captured segments as they come. The analysis crate builds the paper's
-//! `content_type == 23` filter on top of it.
+//! segments as they pass the observer. The analysis crate builds the
+//! paper's `content_type == 23` filter on top of it.
 
 use crate::cipher::RecordCipher;
 use crate::record::{ContentType, RecordHeader, AEAD_OVERHEAD, HEADER_LEN, MAX_PLAINTEXT};

@@ -66,9 +66,9 @@ fn sealing_a_run_into_a_warm_buffer_is_allocation_free() {
     let mut session = established_client();
 
     // A warm run buffer, as the batched pump has when it reuses one (a
-    // buffer parked by an idle pass, or the rope's spare once no capture
-    // holds it): its capacity already covers a full socket buffer of
-    // sealed records.
+    // buffer parked by an idle pass, or the rope's spare once its chunk is
+    // acked and no packet in flight still shares it): its capacity already
+    // covers a full socket buffer of sealed records.
     let payload = vec![0x5A_u8; 2_048];
     let mut run: Vec<u8> = Vec::with_capacity(64 * 1024);
     for _ in 0..16 {

@@ -1,14 +1,24 @@
 #!/usr/bin/env sh
 # Perf regression gate: one memory check and one time check.
 #
-# Memory, at one thread. `repro fleet --threads 1` runs the fleet's shards
-# one after another, so the counting allocator's peak, and with it the
-# fleet row's bytes per co-resident pair, is the same on every run.
-# BENCH_repro.json holds the output of this same command; the gate fails
-# when bytes/pair grows more than 20% above it. A spread-out fleet run
-# (`--spread 60`, the million-pair configuration at a gate-friendly size)
-# must stay strictly below the baseline: holding pairs that have finished
-# and gone quiet is the regression streaming exists to prevent.
+# Memory, at one thread, where the counting allocator's peak is the same
+# on every run. Two rows:
+# - `repro fleet --threads 1` runs the fleet's shards one after another;
+#   the gate fails when its bytes per co-resident pair grow more than 20%.
+#   A spread-out fleet run (`--spread 60`, the million-pair configuration
+#   at a gate-friendly size) must stay strictly below the baseline:
+#   holding pairs that have finished and gone quiet is the regression
+#   streaming exists to prevent.
+# - `repro --threads 1 --quick table1` runs 25 single-pair trials per
+#   jitter point and keeps every trial's result until the table is built;
+#   the gate fails when its `peak_alloc_bytes` grows more than 20%. A
+#   capture that kept the payload bytes it saw would multiply this peak.
+# BENCH_repro.json holds the two rows these same commands write, the
+# fleet row first. Re-record it from a release build with:
+#
+#   ./target/release/repro fleet --threads 1 --bench-json=fleet.json
+#   ./target/release/repro --threads 1 --quick table1 --bench-json=table1.json
+#   { sed '$d' fleet.json | sed '$s/$/,/'; sed 1d table1.json; } > BENCH_repro.json
 #
 # Time, through pagebench only, and only on the host that recorded
 # pagebench/BASELINE.json. The host counts as the same when `nproc` and
@@ -34,25 +44,31 @@ lock=$(mktemp)
 trap 'rm -f "$fresh" "$log" "$lock"' EXIT INT TERM
 status=0
 
-# bytes_per_pair FILE: the fleet row's bytes per co-resident pair.
-bytes_per_pair() {
-    awk '/"exhibit"/ { fleet = /"fleet"/ }
-         /"bytes_per_pair"/ && fleet { gsub(/,/, "", $2); print $2 + 0 }' "$1"
+# field FILE EXHIBIT NAME: the NAME field of the EXHIBIT row.
+field() {
+    awk -v exhibit="\"$2\"" -v name="\"$3\":" '
+        $1 == "\"exhibit\":" { hit = index($2, exhibit) == 1 }
+        $1 == name && hit { gsub(/,/, "", $2); print $2 + 0 }' "$1"
 }
 
 ./target/release/repro fleet --threads 1 --bench-json="$fresh" >/dev/null
-now=$(bytes_per_pair "$fresh")
+now=$(field "$fresh" fleet bytes_per_pair)
 ./target/release/repro fleet --threads 1 --spread 60 --bench-json="$fresh" >/dev/null
-spread=$(bytes_per_pair "$fresh")
-awk -v base="$(bytes_per_pair BENCH_repro.json)" -v now="$now" -v spread="$spread" 'BEGIN {
-    if (base == "" || now == "" || spread == "") {
-        print "bench-check: memory: a fleet bytes_per_pair row is missing"
+spread=$(field "$fresh" fleet bytes_per_pair)
+./target/release/repro --threads 1 --quick table1 --bench-json="$fresh" >/dev/null
+table1=$(field "$fresh" table1 peak_alloc_bytes)
+awk -v base="$(field BENCH_repro.json fleet bytes_per_pair)" -v now="$now" -v spread="$spread" \
+    -v table1_base="$(field BENCH_repro.json table1 peak_alloc_bytes)" -v table1="$table1" 'BEGIN {
+    if (base == "" || now == "" || spread == "" || table1_base == "" || table1 == "") {
+        print "bench-check: memory: a fleet bytes_per_pair or table1 peak_alloc_bytes row is missing"
         exit 1
     }
     printf "bench-check: memory fleet       %8d bytes/pair vs baseline %8d (%+.1f%%)\n",
            now, base, (now / base - 1) * 100
     printf "bench-check: memory --spread 60 %8d bytes/pair vs baseline %8d (%+.1f%%)\n",
            spread, base, (spread / base - 1) * 100
+    printf "bench-check: memory table1 --quick peak %10d bytes vs baseline %10d (%+.1f%%)\n",
+           table1, table1_base, (table1 / table1_base - 1) * 100
     bad = 0
     if (now > base * 1.20) {
         print "bench-check: fleet memory regressed more than 20%"
@@ -60,6 +76,10 @@ awk -v base="$(bytes_per_pair BENCH_repro.json)" -v now="$now" -v spread="$sprea
     }
     if (spread >= base) {
         print "bench-check: streaming no longer bounds the working set"
+        bad = 1
+    }
+    if (table1 > table1_base * 1.20) {
+        print "bench-check: table1 --quick peak memory regressed more than 20%"
         bad = 1
     }
     exit bad
