@@ -14,17 +14,22 @@
 //!
 //! * **Near tier** — a ring of [`BUCKET_COUNT`] buckets, each spanning
 //!   2^[`BUCKET_NANOS_SHIFT`] ns (32.768 µs), covering a window of ~67 ms
-//!   from the window's `epoch` bucket. Insert is a `Vec::push` plus a
-//!   bitmap bit; pop scans the occupancy bitmap to the next live bucket
-//!   (word-at-a-time) and drains it in sorted order.
+//!   from the window's `epoch` bucket. Each bucket is a singly linked
+//!   list threaded through the arena slots, headed by one `u32` per
+//!   bucket, so insert is two stores plus a bitmap bit; pop scans the
+//!   occupancy bitmap to the next live bucket (word-at-a-time), moves its
+//!   list into one reused drain buffer, sorts it, and drains it in order.
 //! * **Far tier** — a [`MinHeap4`] of keys whose bucket lies at or beyond
 //!   the window's end. When the near tier drains, the window is re-anchored
 //!   at the overflow head and every overflow key now inside the new window
 //!   is *promoted* into buckets.
 //! * **Arena** — event payloads live in a slab ([`Arena`]) with a free
-//!   list; bucket and heap entries are 24-byte `(at, seq, slot)` keys, so
-//!   sorting shuffles keys, not payloads, and steady-state push/pop
-//!   recycles slots without touching the allocator.
+//!   list. Each slot also holds its key `(at, seq)` and the next slot of
+//!   its bucket's list; heap and drain-buffer entries are 24-byte
+//!   `(at, seq, slot)` keys, so sorting shuffles keys, not payloads. The
+//!   ring owns no per-bucket storage: a fresh queue allocates its head
+//!   array once, and steady-state push/pop recycles slots and the drain
+//!   buffer without touching the allocator.
 //!
 //! # Determinism
 //!
@@ -100,11 +105,26 @@ impl Ord for Key {
     }
 }
 
+/// End of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// One arena slot: a queued event's key, the next slot of its bucket's
+/// list, and its payload (`None` once popped, while the slot is free).
+#[derive(Debug)]
+struct Slot<T> {
+    at: SimTime,
+    seq: u64,
+    /// The next slot in the same ring bucket's list, or [`NIL`]. Unused
+    /// while the key waits in the overflow heap or the drain buffer.
+    next: u32,
+    value: Option<T>,
+}
+
 /// Slab of event payloads with a free list. Keys carry `u32` slot indices;
 /// after warm-up, push/pop recycles freed slots and never allocates.
 #[derive(Debug)]
 struct Arena<T> {
-    slots: Vec<Option<T>>,
+    slots: Vec<Slot<T>>,
     free: Vec<u32>,
 }
 
@@ -116,24 +136,54 @@ impl<T> Arena<T> {
         }
     }
 
-    fn insert(&mut self, value: T) -> u32 {
+    fn insert(&mut self, at: SimTime, seq: u64, value: T) -> u32 {
+        let entry = Slot {
+            at,
+            seq,
+            next: NIL,
+            value: Some(value),
+        };
         match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(value);
+                self.slots[slot as usize] = entry;
                 slot
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 live events");
-                self.slots.push(Some(value));
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&slot| slot != NIL)
+                    .expect("fewer than 2^32 - 1 live events");
+                self.slots.push(entry);
                 slot
             }
         }
     }
 
     fn take(&mut self, slot: u32) -> T {
-        let value = self.slots[slot as usize].take().expect("live arena slot");
+        let value = self.slots[slot as usize]
+            .value
+            .take()
+            .expect("live arena slot");
         self.free.push(slot);
         value
+    }
+
+    /// The keys of the bucket list starting at `head`, in list order.
+    fn list(&self, head: u32) -> impl Iterator<Item = Key> + '_ {
+        let mut slot = head;
+        std::iter::from_fn(move || {
+            if slot == NIL {
+                return None;
+            }
+            let entry = &self.slots[slot as usize];
+            let key = Key {
+                at: entry.at,
+                seq: entry.seq,
+                slot,
+            };
+            slot = entry.next;
+            Some(key)
+        })
     }
 }
 
@@ -195,8 +245,10 @@ impl SchedStats {
 /// sequence counter), popped in ascending order.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// The near-future ring; slot = absolute bucket index & `BUCKET_MASK`.
-    buckets: Box<[Vec<Key>]>,
+    /// Head slot of each ring bucket's list ([`NIL`] when it has none);
+    /// ring index = absolute bucket index & `BUCKET_MASK`. The cursor
+    /// bucket's list moves into `drain` when its drain starts.
+    heads: Box<[u32]>,
     /// One bit per ring slot: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Absolute bucket index where the current window starts. Keys with
@@ -205,11 +257,14 @@ pub struct CalendarQueue<T> {
     /// Absolute bucket index of the bucket currently being drained
     /// (always within the window).
     cursor: u64,
-    /// Drain position within the cursor bucket once sorted.
+    /// The cursor bucket's keys in ascending order once its drain has
+    /// started; `drain[drain_pos..]` are still queued. Empty iff the
+    /// cursor bucket is not mid-drain. One buffer serves every bucket, so
+    /// it allocates only when a bucket holds more keys than any before.
+    drain: Vec<Key>,
+    /// Next key of `drain` to pop.
     drain_pos: usize,
-    /// Whether the cursor bucket has been sorted for draining.
-    sorted: bool,
-    /// Total keys resident in the ring.
+    /// Total keys resident in the ring (bucket lists and `drain`).
     near_len: usize,
     /// Far-future keys (bucket index `>= epoch + BUCKET_COUNT`).
     overflow: MinHeap4<Key>,
@@ -217,8 +272,8 @@ pub struct CalendarQueue<T> {
     stats: SchedStats,
     /// Memoized global minimum `(at, seq)`; `None` means *unknown* (not
     /// necessarily empty) and is recomputed lazily by [`Self::min_key`].
-    /// Maintained O(1): push lowers it, pop refreshes it from the sorted
-    /// cursor bucket when the next key is already at hand.
+    /// Maintained O(1): push lowers it, pop refreshes it from the drain
+    /// buffer when the next key is already at hand.
     cached_min: std::cell::Cell<Option<(SimTime, u64)>>,
 }
 
@@ -226,12 +281,12 @@ impl<T> CalendarQueue<T> {
     /// Creates an empty queue anchored at time zero.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..BUCKET_COUNT).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; BUCKET_COUNT].into_boxed_slice(),
             occupied: [0; WORDS],
             epoch: 0,
             cursor: 0,
+            drain: Vec::new(),
             drain_pos: 0,
-            sorted: false,
             near_len: 0,
             overflow: MinHeap4::new(),
             arena: Arena::new(),
@@ -258,7 +313,7 @@ impl<T> CalendarQueue<T> {
     /// Inserts an event. `(at, seq)` must be unique and `at` must not
     /// precede the last popped key's `at` (debug-asserted).
     pub fn push(&mut self, at: SimTime, seq: u64, value: T) {
-        let slot = self.arena.insert(value);
+        let slot = self.arena.insert(at, seq, value);
         let key = Key { at, seq, slot };
         let b = bucket_of(at);
         // The window is never re-anchored on push: a key beyond the (possibly
@@ -292,11 +347,14 @@ impl<T> CalendarQueue<T> {
             let abs = self
                 .next_occupied_from(self.cursor)
                 .expect("near_len > 0 implies an occupied bucket");
-            let bucket = &self.buckets[(abs & BUCKET_MASK) as usize];
-            let key = if abs == self.cursor && self.sorted {
-                bucket[self.drain_pos]
+            let key = if abs == self.cursor && !self.drain.is_empty() {
+                self.drain[self.drain_pos]
             } else {
-                *bucket.iter().min().expect("occupied bucket is non-empty")
+                let head = self.heads[(abs & BUCKET_MASK) as usize];
+                self.arena
+                    .list(head)
+                    .min()
+                    .expect("occupied bucket is non-empty")
             };
             Some((key.at, key.seq))
         } else {
@@ -316,55 +374,49 @@ impl<T> CalendarQueue<T> {
             }
             self.rebase();
         }
-        let abs = self
+        // The cursor only moves on once its bucket has drained, so `drain`
+        // is empty whenever it does.
+        self.cursor = self
             .next_occupied_from(self.cursor)
             .expect("near_len > 0 implies an occupied bucket");
-        if abs != self.cursor {
-            self.cursor = abs;
-            self.drain_pos = 0;
-            self.sorted = false;
-        }
         let ring = (self.cursor & BUCKET_MASK) as usize;
-        if !self.sorted {
-            self.buckets[ring].sort_unstable();
-            self.sorted = true;
-            self.drain_pos = 0;
+        if self.drain.is_empty() {
+            let head = std::mem::replace(&mut self.heads[ring], NIL);
+            self.drain.extend(self.arena.list(head));
+            self.drain.sort_unstable();
         }
-        let bucket = &mut self.buckets[ring];
-        let key = bucket[self.drain_pos];
+        let key = self.drain[self.drain_pos];
         self.drain_pos += 1;
         self.near_len -= 1;
-        if self.drain_pos == bucket.len() {
-            bucket.clear();
-            self.occupied[ring / 64] &= !(1u64 << (ring % 64));
+        if self.drain_pos == self.drain.len() {
+            self.drain.clear();
             self.drain_pos = 0;
-            self.sorted = false;
+            self.occupied[ring / 64] &= !(1u64 << (ring % 64));
             self.cached_min.set(None);
         } else {
             // The cursor bucket strictly precedes every other bucket and
             // the whole overflow tier in time, so its next sorted key IS
             // the global minimum.
-            let next = bucket[self.drain_pos];
+            let next = self.drain[self.drain_pos];
             self.cached_min.set(Some((next.at, next.seq)));
         }
         Some((key.at, key.seq, self.arena.take(key.slot)))
     }
 
-    /// Places a key into its ring bucket, keeping the active bucket's
-    /// sorted drain order intact.
+    /// Places a key into its ring bucket: onto the bucket's list, or into
+    /// the drain buffer at its sorted place when the bucket is mid-drain.
     fn insert_near(&mut self, key: Key) {
         let b = bucket_of(key.at);
         let ring = (b & BUCKET_MASK) as usize;
-        let bucket = &mut self.buckets[ring];
-        if b == self.cursor && self.sorted {
-            // The bucket is mid-drain: keep `[drain_pos..]` sorted. New
-            // keys carry fresh sequence numbers, so they typically belong
-            // at the very end — the binary search makes that O(1)-ish.
-            let pos = self.drain_pos
-                + bucket[self.drain_pos..].partition_point(|k| (k.at, k.seq) < (key.at, key.seq));
-            bucket.insert(pos, key);
+        if b == self.cursor && !self.drain.is_empty() {
+            // New keys carry fresh sequence numbers, so they typically
+            // belong at the very end — the binary search makes that
+            // O(1)-ish.
+            let pos = self.drain_pos + self.drain[self.drain_pos..].partition_point(|k| *k < key);
+            self.drain.insert(pos, key);
         } else {
-            bucket.push(key);
+            self.arena.slots[key.slot as usize].next = self.heads[ring];
+            self.heads[ring] = key.slot;
         }
         self.occupied[ring / 64] |= 1u64 << (ring % 64);
         self.near_len += 1;
@@ -378,8 +430,6 @@ impl<T> CalendarQueue<T> {
         let b = bucket_of(head.at);
         self.epoch = b;
         self.cursor = b;
-        self.drain_pos = 0;
-        self.sorted = false;
         let end = b + BUCKET_COUNT as u64;
         while let Some(head) = self.overflow.peek() {
             if bucket_of(head.at) >= end {

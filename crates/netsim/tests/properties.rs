@@ -218,7 +218,13 @@ impl Queues {
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64, bool)> {
-        let want = self.reference.pop_first();
+        let want = self.reference.first().copied();
+        assert_eq!(
+            self.wheel.min_key(),
+            want.map(|(at, seq, _)| (at, seq)),
+            "wheel's peek diverged from the sorted reference"
+        );
+        self.reference.pop_first();
         assert_eq!(
             self.heap.pop(),
             want,

@@ -54,7 +54,7 @@ use h2priv_netsim::{
 use h2priv_tcp::TcpSegment;
 use h2priv_web::{isidewith, PoolConfig, PoolStats, RequestOutcome, Website, WorkerPool};
 
-use crate::host::{App, BufPool, HostCore, PumpScratch};
+use crate::host::{earliest, App, BufPool, HostCore, PumpScratch};
 use crate::pair::{PairInputs, PairRecipe};
 use crate::scenario::ScenarioConfig;
 use crate::tap::WireTap;
@@ -494,10 +494,7 @@ impl HostArena {
             let next = if core.dead {
                 None
             } else {
-                match (core.tcp.poll_timeout(), core.app_wakeup()) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
+                earliest(core.tcp.poll_timeout(), core.app_wakeup())
             };
             if let Some(at) = next {
                 self.arm_slot_deadline(idx, at);

@@ -363,14 +363,9 @@ impl HostCore {
         let pad = self.shaper.as_ref().and_then(|s| s.shaper.next_wakeup());
         // Guard and detector deadlines wake an otherwise-idle server: the
         // attacks they watch for are precisely the ones that go quiet.
-        let dos = [
-            self.guard.as_ref().and_then(|g| g.next_wakeup()),
-            self.detector.as_ref().and_then(|d| d.next_wakeup()),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        [app, pad, dos].into_iter().flatten().min()
+        let guard = self.guard.as_ref().and_then(|g| g.next_wakeup());
+        let detector = self.detector.as_ref().and_then(|d| d.next_wakeup());
+        earliest(earliest(app, pad), earliest(guard, detector))
     }
 
     /// True when this core has nothing left to send on its own: it is
@@ -408,6 +403,14 @@ impl HostCore {
             h2_budget -= 1;
             pool.get()
         });
+    }
+}
+
+/// The earlier of two optional deadlines, where `None` means no deadline.
+pub(crate) fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -970,5 +973,25 @@ impl HostCore {
             }
         }
         progressed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn earliest_takes_the_earlier_deadline_and_ignores_none() {
+        let (early, late) = (Some(SimTime::from_millis(1)), Some(SimTime::from_millis(2)));
+        for (a, b, want) in [
+            (None, None, None),
+            (early, None, early),
+            (None, early, early),
+            (early, late, early),
+            (late, early, early),
+            (early, early, early),
+        ] {
+            assert_eq!(earliest(a, b), want, "earliest({a:?}, {b:?})");
+        }
     }
 }

@@ -7,6 +7,22 @@
 //! Sans-everything: the browser is a state machine the host drives with
 //! events and polls for commands; it touches neither sockets nor the
 //! HTTP/2 connection directly.
+//!
+//! The host asks for [`Browser::next_wakeup`] and [`Browser::is_done`]
+//! and polls [`Browser::poll_cmds`] after every pump, far more often than
+//! any request changes state. So the browser keeps both answers, computed
+//! by one scan over its requests, until a mutation that can move them:
+//! [`start`](Browser::start), [`note_stream`](Browser::note_stream),
+//! [`on_headers`](Browser::on_headers), an
+//! [`on_data`](Browser::on_data) that records progress or completes a
+//! request, [`on_reset`](Browser::on_reset),
+//! [`on_connection_dead`](Browser::on_connection_dead), and a poll that
+//! does work. A poll returns at once, without a scan, when `now` is
+//! before the kept wakeup and no start, completion or failure has
+//! happened since the phase triggers last ran. Debug builds check every
+//! kept answer and every early return against a full scan.
+
+use std::cell::Cell;
 
 use h2priv_bytes::FxHashMap;
 
@@ -114,11 +130,31 @@ struct ReqState {
     resets_sent: u32,
 }
 
+impl ReqState {
+    /// Readies the request for a fresh attempt due at `now`, dropping
+    /// the stream and whatever the abandoned attempt received.
+    fn restart(&mut self, now: SimTime) {
+        self.stream = None;
+        self.issued = false;
+        self.due = now;
+        self.last_progress = now;
+        self.progress_accum = 0;
+        self.bytes = 0;
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PhaseProgress {
     Pending,
     Scheduled,
     Cancelled,
+}
+
+/// The answers of [`Browser::next_wakeup`] and [`Browser::is_done`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Kept {
+    wakeup: Option<SimTime>,
+    done: bool,
 }
 
 /// The browser state machine.
@@ -134,6 +170,13 @@ pub struct Browser {
     started_at: Option<SimTime>,
     connection_dead: bool,
     rng: SimRng,
+    /// The answers as of the last scan; `None` after a mutation that can
+    /// move them, until the next query scans again.
+    kept: Cell<Option<Kept>>,
+    /// A start, completion or failure has happened since
+    /// [`trigger_phases`](Self::trigger_phases) last ran, or a phase's
+    /// fire time was still ahead when it did.
+    triggers_pending: bool,
 }
 
 impl Browser {
@@ -166,12 +209,16 @@ impl Browser {
             started_at: None,
             connection_dead: false,
             rng,
+            kept: Cell::new(None),
+            triggers_pending: false,
         }
     }
 
     /// Marks the session start (connection established).
     pub fn start(&mut self, now: SimTime) {
         self.started_at = Some(now);
+        self.triggers_pending = true;
+        self.kept.set(None);
     }
 
     /// The host reports the stream allocated for a
@@ -179,12 +226,14 @@ impl Browser {
     pub fn note_stream(&mut self, req: usize, stream: StreamId) {
         self.requests[req].stream = Some(stream);
         self.by_stream.insert(stream, req);
+        self.kept.set(None);
     }
 
     /// Response headers arrived on a stream.
     pub fn on_headers(&mut self, stream: StreamId, now: SimTime) {
         if let Some(&req) = self.by_stream.get(&stream) {
             self.requests[req].last_progress = now;
+            self.kept.set(None);
         }
     }
 
@@ -202,24 +251,27 @@ impl Browser {
         if r.progress_accum >= self.config.progress_quantum {
             r.progress_accum = 0;
             r.last_progress = now;
+            self.kept.set(None);
         }
         if end_stream {
             r.complete = true;
             r.completed_at = Some(now);
             self.completed.insert(r.object, now);
+            self.triggers_pending = true;
+            self.kept.set(None);
         }
     }
 
-    /// The server reset a stream.
+    /// The server reset a stream: an unfinished request starts over, as
+    /// after a stall.
     pub fn on_reset(&mut self, stream: StreamId, now: SimTime) {
-        if let Some(&req) = self.by_stream.get(&stream) {
-            let r = &mut self.requests[req];
-            if !r.complete {
-                // Retry path shared with stalls: mark for re-issue.
-                r.stream = None;
-                r.issued = false;
-                r.due = now;
-            }
+        let Some(req) = self.by_stream.remove(&stream) else {
+            return;
+        };
+        let r = &mut self.requests[req];
+        if !r.complete && !r.failed {
+            r.restart(now);
+            self.kept.set(None);
         }
     }
 
@@ -231,28 +283,66 @@ impl Browser {
                 r.failed = true;
             }
         }
+        self.kept.set(None);
     }
 
     /// The earliest instant at which the browser needs to act, if any.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        if self.connection_dead {
-            return None;
+        self.kept().wakeup
+    }
+
+    /// True when every planned request has completed or failed and no phase
+    /// can still fire.
+    pub fn is_done(&self) -> bool {
+        self.kept().done
+    }
+
+    /// The kept answers, scanning first if a mutation dropped them.
+    fn kept(&self) -> Kept {
+        match self.kept.get() {
+            Some(kept) => {
+                debug_assert_eq!(kept, self.scan(), "kept answers went stale");
+                kept
+            }
+            None => {
+                let kept = self.scan();
+                self.kept.set(Some(kept));
+                kept
+            }
         }
-        let mut next: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            next = Some(next.map_or(t, |n| n.min(t)));
-        };
+    }
+
+    /// Computes the wakeup and doneness from every request and phase.
+    fn scan(&self) -> Kept {
+        if self.connection_dead {
+            return Kept {
+                wakeup: None,
+                done: true,
+            };
+        }
+        let mut wakeup: Option<SimTime> = None;
+        let mut open = false;
         for r in &self.requests {
             if r.failed || r.complete {
                 continue;
             }
-            if !r.issued {
-                consider(r.due);
+            open = true;
+            let at = if !r.issued {
+                r.due
             } else if r.stream.is_some() {
-                consider(r.last_progress + self.config.stall_timeout);
-            }
+                r.last_progress + self.config.stall_timeout
+            } else {
+                continue;
+            };
+            wakeup = Some(wakeup.map_or(at, |w| w.min(at)));
         }
-        next
+        let done = !open
+            && (self
+                .phase_progress
+                .iter()
+                .all(|p| *p != PhaseProgress::Pending)
+                || self.no_pending_phase_can_fire());
+        Kept { wakeup, done }
     }
 
     /// Advances the state machine and returns commands due at `now`.
@@ -260,15 +350,47 @@ impl Browser {
         if self.connection_dead || self.started_at.is_none() {
             return Vec::new();
         }
+        if !self.triggers_pending && self.next_wakeup().is_none_or(|at| now < at) {
+            debug_assert!(self.idle_at(now), "early return with work due");
+            return Vec::new();
+        }
         let mut cmds = Vec::new();
         self.trigger_phases(now);
         self.check_stalls(now, &mut cmds);
         self.issue_due(now, &mut cmds);
+        self.kept.set(None);
         cmds
+    }
+
+    /// Whether a full poll at `now` would find nothing to do: no request
+    /// due, none stalled, and no pending phase whose trigger has
+    /// completed or failed. Backs the debug check of the early return.
+    fn idle_at(&self, now: SimTime) -> bool {
+        let requests_idle = self.requests.iter().all(|r| {
+            r.complete
+                || r.failed
+                || if r.issued {
+                    r.stream.is_none()
+                        || now.saturating_since(r.last_progress) < self.config.stall_timeout
+                } else {
+                    r.due > now
+                }
+        });
+        let phases_idle = self
+            .phase_progress
+            .iter()
+            .zip(&self.plan.phases)
+            .all(|(p, phase)| {
+                *p != PhaseProgress::Pending
+                    || matches!(phase.trigger, Trigger::AfterComplete(object)
+                        if !self.completed.contains_key(&object) && !self.object_failed(object))
+            });
+        requests_idle && phases_idle
     }
 
     fn trigger_phases(&mut self, now: SimTime) {
         let started_at = self.started_at.expect("started");
+        self.triggers_pending = false;
         for i in 0..self.plan.phases.len() {
             if self.phase_progress[i] != PhaseProgress::Pending {
                 continue;
@@ -288,6 +410,7 @@ impl Browser {
             };
             let Some(fire) = fire else { continue };
             if fire > now {
+                self.triggers_pending = true;
                 continue;
             }
             self.phase_progress[i] = PhaseProgress::Scheduled;
@@ -341,13 +464,10 @@ impl Browser {
             let r = &mut self.requests[req];
             r.stream = None;
             if self.config.reissue_on_stall && r.reissue && r.attempts < self.config.max_attempts {
-                r.issued = false;
-                r.due = now;
-                r.last_progress = now;
-                r.progress_accum = 0;
-                r.bytes = 0;
+                r.restart(now);
             } else {
                 r.failed = true;
+                self.triggers_pending = true;
             }
         }
     }
@@ -360,6 +480,7 @@ impl Browser {
             }
             if r.attempts >= self.config.max_attempts {
                 r.failed = true;
+                self.triggers_pending = true;
                 continue;
             }
             r.issued = true;
@@ -372,20 +493,6 @@ impl Browser {
                 object: r.object,
             });
         }
-    }
-
-    /// True when every planned request has completed or failed and no phase
-    /// can still fire.
-    pub fn is_done(&self) -> bool {
-        if self.connection_dead {
-            return true;
-        }
-        let phases_settled = self
-            .phase_progress
-            .iter()
-            .all(|p| *p != PhaseProgress::Pending)
-            || self.no_pending_phase_can_fire();
-        phases_settled && self.requests.iter().all(|r| r.complete || r.failed)
     }
 
     fn no_pending_phase_can_fire(&self) -> bool {
@@ -498,6 +605,14 @@ mod tests {
             &cmds[0],
             BrowserCmd::SendRequest { path, .. } if path == "/b"
         ));
+    }
+
+    #[test]
+    fn a_phase_due_after_the_poll_stays_pending() {
+        let mut b = browser();
+        b.start(SimTime::from_millis(10));
+        assert!(b.poll_cmds(SimTime::from_millis(5)).is_empty());
+        assert_eq!(b.poll_cmds(SimTime::from_millis(10)).len(), 1);
     }
 
     #[test]
@@ -617,6 +732,29 @@ mod tests {
         b.on_reset(StreamId(1), SimTime::from_millis(10));
         let cmds = b.poll_cmds(SimTime::from_millis(10));
         assert!(matches!(&cmds[0], BrowserCmd::SendRequest { path, .. } if path == "/a"));
+    }
+
+    #[test]
+    fn server_reset_restarts_the_byte_count() {
+        let mut b = browser();
+        b.start(SimTime::ZERO);
+        let cmds = b.poll_cmds(SimTime::ZERO);
+        if let BrowserCmd::SendRequest { req, .. } = &cmds[0] {
+            b.note_stream(*req, StreamId(1));
+        }
+        b.on_data(StreamId(1), 100, false, SimTime::from_millis(5));
+        b.on_reset(StreamId(1), SimTime::from_millis(10));
+        let cmds = b.poll_cmds(SimTime::from_millis(10));
+        if let BrowserCmd::SendRequest { req, .. } = &cmds[0] {
+            b.note_stream(*req, StreamId(3));
+        }
+        // Late bytes on the reset stream belong to no attempt.
+        b.on_data(StreamId(1), 50, false, SimTime::from_millis(12));
+        b.on_data(StreamId(3), 1000, true, SimTime::from_millis(20));
+        let outcome = &b.outcomes()[0];
+        assert_eq!(outcome.bytes, 1000);
+        assert_eq!(outcome.issued_at.len(), 2);
+        assert_eq!(outcome.completed_at, Some(SimTime::from_millis(20)));
     }
 
     #[test]

@@ -138,3 +138,124 @@ fn browser_accounts_bytes() {
         assert!(!outcome.failed);
     });
 }
+
+/// Random drives through start, streams, headers, data, server resets,
+/// stalls, re-issues, failures and connection death, at non-decreasing
+/// times. In debug builds every `next_wakeup`, `is_done` and early
+/// `poll_cmds` return checks the browser's kept answers against a full
+/// scan; the drive itself checks that a finished browser wants no wakeup,
+/// that it only resets streams it opened, and that a completed request
+/// counts the bytes of its last attempt alone.
+#[test]
+fn browser_kept_answers_match_scans() {
+    prop::check("browser_kept_answers_match_scans", 256, |g| {
+        let mut site = Website::new();
+        let objects: Vec<ObjectId> = (0..5)
+            .map(|i| site.add(format!("/o{i}"), ObjectKind::Other, 1000))
+            .collect();
+        let mut phase = |trigger, objects: &[ObjectId]| Phase {
+            trigger,
+            delay: SimDuration::from_millis(g.range(0..50)),
+            steps: objects
+                .iter()
+                .map(|&object| PlanStep {
+                    object,
+                    gap: SimDuration::from_millis(g.range(0..50)),
+                })
+                .collect(),
+            reissue: g.range(0u32..4) != 0,
+        };
+        let plan = BrowsePlan::new()
+            .with_phase(phase(Trigger::Start, &objects[..2]))
+            .with_phase(phase(Trigger::AfterComplete(objects[0]), &objects[2..4]))
+            .with_phase(phase(Trigger::AfterComplete(objects[2]), &objects[4..]));
+        let config = BrowserConfig {
+            stall_timeout: SimDuration::from_millis(g.range(1..400)),
+            reissue_on_stall: g.range(0u32..4) != 0,
+            max_attempts: g.range(1..=3),
+            gap_noise_frac: 0.5,
+            progress_quantum: g.range(1..3_000),
+        };
+        let mut browser = Browser::new(&site, plan, config, SimRng::seed_from(g.any()));
+
+        let mut now = SimTime::ZERO;
+        // Streams the browser noted and neither side has reset or ended,
+        // with their request and the bytes fed to them so far.
+        let mut open: Vec<(StreamId, usize, u64)> = Vec::new();
+        let mut next_stream = 1u32;
+        // Bytes each completed request's final stream carried.
+        let mut completed_with: Vec<(usize, u64)> = Vec::new();
+        let start_step = g.range(0u32..4);
+        for step in 0..g.range(1u32..150) {
+            now += SimDuration::from_millis(g.range(0..150));
+            if step == start_step {
+                browser.start(now);
+            }
+            let pick = (!open.is_empty()).then(|| g.range(0..open.len()));
+            match (g.range(0u32..64), pick) {
+                (0, _) => {
+                    browser.on_connection_dead(now);
+                    assert!(browser.is_done());
+                    assert_eq!(browser.next_wakeup(), None);
+                    break;
+                }
+                (1..=8, Some(i)) => browser.on_headers(open[i].0, now),
+                (9..=28, Some(i)) => {
+                    let len = g.range(1usize..1_500);
+                    let end = g.range(0u32..3) == 0;
+                    open[i].2 += len as u64;
+                    browser.on_data(open[i].0, len, end, now);
+                    if end {
+                        let (_, req, fed) = open.swap_remove(i);
+                        completed_with.push((req, fed));
+                    }
+                }
+                (29..=34, Some(i)) => {
+                    browser.on_reset(open[i].0, now);
+                    open.swap_remove(i);
+                }
+                (draw, _) => {
+                    // Half the polls land exactly on the wakeup, where a
+                    // stall or a due request must be acted on.
+                    if draw % 2 == 0 {
+                        if let Some(at) = browser.next_wakeup() {
+                            now = now.max(at);
+                        }
+                    }
+                    for cmd in browser.poll_cmds(now) {
+                        match cmd {
+                            BrowserCmd::SendRequest { req, .. } => {
+                                // A query between a poll and its stream
+                                // notes must not keep a stale answer.
+                                browser.next_wakeup();
+                                // Now and then the host cannot open the
+                                // stream, and notes none.
+                                if g.range(0u32..8) != 0 {
+                                    let stream = StreamId(next_stream);
+                                    next_stream += 2;
+                                    browser.note_stream(req, stream);
+                                    open.push((stream, req, 0));
+                                }
+                            }
+                            BrowserCmd::ResetStream { stream } => {
+                                let i = open
+                                    .iter()
+                                    .position(|&(s, _, _)| s == stream)
+                                    .expect("reset of a stream that is not open");
+                                open.swap_remove(i);
+                            }
+                        }
+                    }
+                }
+            }
+            if browser.is_done() {
+                assert_eq!(browser.next_wakeup(), None);
+            }
+        }
+        let outcomes = browser.outcomes();
+        for (req, fed) in completed_with {
+            assert!(outcomes[req].completed_at.is_some());
+            assert_eq!(outcomes[req].bytes, fed, "request {req}'s bytes");
+        }
+    });
+}
