@@ -28,7 +28,7 @@ use h2priv_core::AttackConfig;
 use h2priv_dos::{DetectorConfig, DosAttack, DosConfig, GuardConfig};
 use h2priv_netsim::SimDuration;
 use h2priv_testkit::fleet::{run_fleet_shard, FleetConfig, FleetConformance, FleetDosConfig};
-use h2priv_testkit::{build_scenario, run_scenario, ScenarioConfig};
+use h2priv_testkit::{run_trial, ScenarioConfig};
 use h2priv_web::{isidewith, PoolConfig};
 
 use crate::common::{adversary_grid, paper_trial};
@@ -57,30 +57,24 @@ fn grid_cell(attack: DosAttack, guarded: bool) -> Vec<Cell> {
         conformance: runner::conformance_enabled(),
         ..ScenarioConfig::default()
     };
-    let scenario = build_scenario(&iw.site, &iw.plan, &config, None);
-    let (client, server) = (scenario.client.clone(), scenario.server.clone());
-    let r = run_scenario(scenario);
+    let r = run_trial(&iw.site, &iw.plan, &config, None);
     runner::record(r.events, &r.sched, r.violations_total, &r.violations);
-    let (client, server) = (client.borrow(), server.borrow());
-    let (attacker, site_server) = (client.attacker(), server.server());
-    let pool = site_server
-        .pool()
-        .expect("grid servers run a pool")
-        .borrow();
-    let detect = r.dos_alerts.first().zip(attacker.attack_started());
+    let attacker = r.attacker.expect("grid clients attack");
+    let pool = r.pool.as_ref().expect("grid servers run a pool");
+    let detect = r.dos_alerts.first().zip(attacker.attack_started);
     let detect = detect.map(|(alert, start)| alert.at.saturating_since(start));
     vec![
         attack.name().into(),
         Cell::from(if guarded { "on" } else { "off" }),
         attacker
-            .shed_at()
+            .shed_at
             .map_or(Cell::Missing, |t| Cell::Num(t.as_nanos() as f64 / 1e6)),
         detect.map_or(Cell::Missing, |d| Cell::Num(d.as_nanos() as f64 / 1e6)),
         (r.dos_alerts.len() as u64).into(),
         (pool.in_use() as u64).into(),
         (pool.parser_held() as u64).into(),
         pool.busy_until().as_millis().into(),
-        attacker.stats().resets_received.into(),
+        attacker.resets_received.into(),
     ]
 }
 

@@ -627,7 +627,7 @@ mod tests {
         c.on_received(&headers(1, true), SimTime::ZERO);
         c.on_sent(&headers(1, false), SimTime::ZERO);
         c.on_sent(&data(1, 1000, true), SimTime::ZERO);
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
     }
 
     #[test]
@@ -639,7 +639,7 @@ mod tests {
         for _ in 0..5 {
             c.on_sent(&data(1, 16_000, false), SimTime::ZERO);
         }
-        let violations = sink.take();
+        let violations = sink.take().0;
         assert!(
             violations
                 .iter()
@@ -653,7 +653,7 @@ mod tests {
         let (mut c, sink) = checker();
         c.on_received(&headers(1, true), SimTime::ZERO);
         c.on_received(&data(1, 10, false), SimTime::ZERO);
-        let violations = sink.take();
+        let violations = sink.take().0;
         assert!(
             violations.iter().any(|v| v.rule == "data-after-end-stream"),
             "violations: {violations:?}"
@@ -695,7 +695,7 @@ mod tests {
             SimTime::ZERO,
         );
         c.on_sent(&headers(1, true), SimTime::ZERO);
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
     }
 
     #[test]
@@ -705,7 +705,10 @@ mod tests {
         c.on_sent(&headers(1, true), SimTime::ZERO);
         c.on_sent(&headers(1, true), SimTime::ZERO);
         assert!(
-            sink.take().iter().any(|v| v.rule == "headers-after-close"),
+            sink.take()
+                .0
+                .iter()
+                .any(|v| v.rule == "headers-after-close"),
             "second HEADERS after our END_STREAM must be flagged"
         );
     }
@@ -721,7 +724,7 @@ mod tests {
             }),
             SimTime::ZERO,
         );
-        assert!(sink.take().iter().any(|v| v.rule == "window-update-zero"));
+        assert!(sink.take().0.iter().any(|v| v.rule == "window-update-zero"));
     }
 
     #[test]
@@ -736,7 +739,7 @@ mod tests {
         let recv_before = c.conn_recv;
         c.on_received(&data_padded(1, 40, false, Some(9)), SimTime::ZERO);
         assert_eq!(c.conn_recv, recv_before - 50);
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
     }
 
     #[test]
@@ -751,7 +754,7 @@ mod tests {
         for _ in 0..5 {
             c.on_sent(&data_padded(1, 13_000, false, Some(255)), SimTime::ZERO);
         }
-        let violations = sink.take();
+        let violations = sink.take().0;
         assert!(
             violations
                 .iter()
@@ -769,7 +772,7 @@ mod tests {
         let raw = [0, 0, 3, 0x0, 0x8, 0, 0, 0, 1, 3, 0, 0];
         c.on_received(&raw, SimTime::ZERO);
         assert!(
-            sink.take().iter().any(|v| v.rule == "frame-decode-recv"),
+            sink.take().0.iter().any(|v| v.rule == "frame-decode-recv"),
             "illegal pad length must surface as a decode violation"
         );
     }
@@ -781,7 +784,7 @@ mod tests {
         let raw = [0, 0, 4, 0x0, 0x8, 0, 0, 0, 1, 2, 9, 0xAB, 0xCD];
         c.on_received(&raw, SimTime::ZERO);
         assert!(
-            sink.take().iter().any(|v| v.rule == "frame-decode-recv"),
+            sink.take().0.iter().any(|v| v.rule == "frame-decode-recv"),
             "non-zero pad octets must surface as a decode violation"
         );
     }
@@ -793,6 +796,6 @@ mod tests {
         let mut bytes = CLIENT_PREFACE.to_vec();
         bytes.extend_from_slice(&headers(1, true));
         c.on_sent(&bytes, SimTime::ZERO);
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
     }
 }

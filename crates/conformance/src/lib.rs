@@ -131,11 +131,12 @@ impl ViolationSink {
         self.total() == 0
     }
 
-    /// Takes the stored violations, leaving the sink empty.
-    pub fn take(&self) -> Vec<Violation> {
+    /// Takes the stored violations and the total reported (including any
+    /// past the storage cap), leaving the sink empty. One call reads both,
+    /// so no caller can read the total after the take has zeroed it.
+    pub fn take(&self) -> (Vec<Violation>, u64) {
         let mut s = self.inner.borrow_mut();
-        s.total = 0;
-        std::mem::take(&mut s.stored)
+        (std::mem::take(&mut s.stored), std::mem::take(&mut s.total))
     }
 }
 
@@ -150,9 +151,24 @@ mod tests {
             sink.report(Layer::Tcp, "test", SimTime::ZERO, format!("v{i}"));
         }
         assert_eq!(sink.total(), MAX_STORED as u64 + 10);
-        let stored = sink.take();
+        let (stored, _) = sink.take();
         assert_eq!(stored.len(), MAX_STORED);
         assert!(sink.is_empty());
+    }
+
+    #[test]
+    fn take_returns_the_stored_violations_and_the_full_total() {
+        let sink = ViolationSink::new();
+        for i in 0..(MAX_STORED as u64 + 3) {
+            sink.report(Layer::Http2, "test", SimTime::ZERO, format!("v{i}"));
+        }
+        let (stored, total) = sink.take();
+        assert_eq!(stored.len(), MAX_STORED);
+        assert_eq!(total, MAX_STORED as u64 + 3);
+        assert!(sink.is_empty());
+        let (rest, rest_total) = sink.take();
+        assert!(rest.is_empty());
+        assert_eq!(rest_total, 0);
     }
 
     #[test]

@@ -197,9 +197,9 @@ mod tests {
         run(&mut tap, Dir::RightToLeft, syn(500));
         run(&mut tap, Dir::LeftToRight, pure_ack(501));
         run(&mut tap, Dir::LeftToRight, pure_ack(510));
-        assert!(sink.take().iter().any(|v| v.rule == "ack-unsent"));
+        assert!(sink.take().0.iter().any(|v| v.rule == "ack-unsent"));
         run(&mut tap, Dir::LeftToRight, pure_ack(502));
-        assert!(sink.take().iter().any(|v| v.rule == "ack-monotonic"));
+        assert!(sink.take().0.iter().any(|v| v.rule == "ack-monotonic"));
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
         synack.ack = Seq(101);
         run(&mut tap, Dir::RightToLeft, synack);
         run(&mut tap, Dir::LeftToRight, pure_ack(501));
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
     }
 
     #[test]
@@ -223,6 +223,6 @@ mod tests {
         run(&mut tap, Dir::LeftToRight, syn(100)); // same ISS: fine
         assert!(sink.is_empty());
         run(&mut tap, Dir::LeftToRight, syn(200));
-        assert!(sink.take().iter().any(|v| v.rule == "syn-iss-stable"));
+        assert!(sink.take().0.iter().any(|v| v.rule == "syn-iss-stable"));
     }
 }

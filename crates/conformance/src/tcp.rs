@@ -156,7 +156,7 @@ mod tests {
             }
         }
         assert_eq!(server.read().len(), 4000, "transfer did not complete");
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
     }
 
     #[test]
@@ -185,6 +185,6 @@ mod tests {
         }
         assert!(dropped);
         assert!(client.stats().retransmissions > 0, "loss never recovered");
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
     }
 }

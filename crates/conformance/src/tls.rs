@@ -208,7 +208,7 @@ mod tests {
             c.on_payload(off, chunk, SimTime::ZERO, &sink);
             off += chunk.len() as u64;
         }
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
         assert!(c.records_seen() >= 2);
     }
 
@@ -222,7 +222,7 @@ mod tests {
         c.on_payload(cut as u64, &wire[cut..], SimTime::ZERO, &sink);
         c.on_payload(cut as u64, &wire[cut..], SimTime::ZERO, &sink);
         c.on_payload(0, &wire[..cut], SimTime::ZERO, &sink);
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
         assert_eq!(c.records_seen(), {
             let mut probe = TlsDirChecker::new("probe");
             probe.on_payload(0, &wire, SimTime::ZERO, &sink);
@@ -254,7 +254,7 @@ mod tests {
         let sink = ViolationSink::new();
         let mut c = TlsDirChecker::new("l2r");
         c.on_payload(0, &wire, SimTime::ZERO, &sink);
-        let v = sink.take();
+        let v = sink.take().0;
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "record-too-long");
     }
@@ -287,7 +287,7 @@ mod tests {
         for chunk in wire.chunks(1460) {
             c.on_payload(c.next_offset, chunk, SimTime::ZERO, &sink);
         }
-        assert!(sink.is_empty(), "violations: {:?}", sink.take());
+        assert!(sink.is_empty(), "violations: {:?}", sink.take().0);
         assert_eq!(c.records_seen(), base + 4);
     }
 
@@ -308,7 +308,7 @@ mod tests {
         let sink = ViolationSink::new();
         let mut c = TlsDirChecker::new("l2r");
         c.on_payload(0, &spliced, SimTime::ZERO, &sink);
-        let v = sink.take();
+        let v = sink.take().0;
         assert_eq!(v.len(), 1, "violations: {v:?}");
         assert_eq!(v[0].rule, "record-seq");
     }
@@ -327,6 +327,6 @@ mod tests {
         let sink = ViolationSink::new();
         let mut c = TlsDirChecker::new("l2r");
         c.on_payload(0, &spliced, SimTime::ZERO, &sink);
-        assert_eq!(sink.total(), 1, "violations: {:?}", sink.take());
+        assert_eq!(sink.total(), 1, "violations: {:?}", sink.take().0);
     }
 }

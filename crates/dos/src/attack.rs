@@ -136,6 +136,12 @@ pub struct DosClientStats {
     pub resets_received: u64,
     /// Response body bytes the server managed to squeeze through.
     pub data_bytes_received: u64,
+    /// When the attack primitive began (handshake done, first hostile
+    /// frame staged).
+    pub attack_started: Option<SimTime>,
+    /// When the server shed this attacker (first `ENHANCE_YOUR_CALM`
+    /// RST_STREAM or any GOAWAY), if it has.
+    pub shed_at: Option<SimTime>,
 }
 
 /// Sans-IO malicious client. The host pumps it like an application:
@@ -162,8 +168,6 @@ pub struct DosClient {
     seq_open: bool,
     next_action: Option<SimTime>,
     opened: Vec<StreamId>,
-    attack_started: Option<SimTime>,
-    shed_at: Option<SimTime>,
     stats: DosClientStats,
 }
 
@@ -188,8 +192,6 @@ impl DosClient {
             seq_open: false,
             next_action: None,
             opened: Vec::new(),
-            attack_started: None,
-            shed_at: None,
             stats: DosClientStats::default(),
         }
     }
@@ -199,27 +201,15 @@ impl DosClient {
         self.config.attack
     }
 
-    /// Counters.
+    /// Counters, with the attack's start and shed times.
     pub fn stats(&self) -> DosClientStats {
         self.stats
-    }
-
-    /// When the server shed this attacker (first `ENHANCE_YOUR_CALM`
-    /// RST_STREAM or any GOAWAY), if it has.
-    pub fn shed_at(&self) -> Option<SimTime> {
-        self.shed_at
-    }
-
-    /// When the attack primitive began (handshake done, first hostile
-    /// frame staged).
-    pub fn attack_started(&self) -> Option<SimTime> {
-        self.attack_started
     }
 
     /// True once the server has shed the attack — the host may count the
     /// attacker finished.
     pub fn is_done(&self) -> bool {
-        self.shed_at.is_some()
+        self.stats.shed_at.is_some()
     }
 
     /// Begins the connection: client preface plus our SETTINGS. The
@@ -295,7 +285,7 @@ impl DosClient {
 
     /// Launches the attack primitive once the server's SETTINGS arrived.
     fn launch(&mut self, now: SimTime) {
-        self.attack_started = Some(now);
+        self.stats.attack_started = Some(now);
         match self.config.attack {
             DosAttack::SlowHeaders => {
                 // A fat header block gives the one-byte dribble an
@@ -328,7 +318,7 @@ impl DosClient {
 
     /// One pacing tick of the slow primitive.
     fn tick(&mut self, now: SimTime) {
-        if self.attack_started.is_none() {
+        if self.stats.attack_started.is_none() {
             if !self.handshake_done {
                 // Server SETTINGS not seen yet; check again next interval.
                 self.next_action = Some(now + self.config.interval);
@@ -417,12 +407,12 @@ impl DosClient {
                 }
                 Frame::RstStream { error_code, .. } => {
                     self.stats.resets_received += 1;
-                    if error_code == ErrorCode::EnhanceYourCalm && self.shed_at.is_none() {
-                        self.shed_at = Some(now);
+                    if error_code == ErrorCode::EnhanceYourCalm && self.stats.shed_at.is_none() {
+                        self.stats.shed_at = Some(now);
                     }
                 }
-                Frame::GoAway { .. } if self.shed_at.is_none() => {
-                    self.shed_at = Some(now);
+                Frame::GoAway { .. } if self.stats.shed_at.is_none() => {
+                    self.stats.shed_at = Some(now);
                 }
                 Frame::Data { data, .. } => {
                     self.stats.data_bytes_received += data.len() as u64;
@@ -435,7 +425,7 @@ impl DosClient {
     /// Drains staged wire bytes, running any due pacing tick first.
     /// Returns an empty vec when there is nothing to send.
     pub fn poll_wire(&mut self, now: SimTime) -> Vec<u8> {
-        if self.shed_at.is_none() {
+        if self.stats.shed_at.is_none() {
             while let Some(at) = self.next_action {
                 if at > now {
                     break;
@@ -456,7 +446,7 @@ impl DosClient {
 
     /// Next pacing deadline, if the attack is still live.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        if self.shed_at.is_some() {
+        if self.stats.shed_at.is_some() {
             return None;
         }
         self.next_action
@@ -586,7 +576,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         handshake(&mut c, t0);
         c.poll_wire(t0 + SimDuration::from_millis(500));
-        assert!(c.attack_started().is_some());
+        assert!(c.stats().attack_started.is_some());
         let t = t0 + SimDuration::from_secs(2);
         c.on_plaintext(
             &encode_frame(&Frame::GoAway {
@@ -595,7 +585,7 @@ mod tests {
             }),
             t,
         );
-        assert_eq!(c.shed_at(), Some(t));
+        assert_eq!(c.stats().shed_at, Some(t));
         assert!(c.is_done());
         assert_eq!(c.next_wakeup(), None);
     }

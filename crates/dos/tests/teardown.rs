@@ -10,7 +10,7 @@ use h2priv_core::experiment::run_paper_trial;
 use h2priv_core::AttackConfig;
 use h2priv_dos::{DetectorConfig, DosAttack, DosConfig, GuardConfig};
 use h2priv_netsim::SimDuration;
-use h2priv_testkit::{build_scenario, run_scenario, ScenarioConfig};
+use h2priv_testkit::{run_trial, ScenarioConfig};
 use h2priv_web::{isidewith, PoolConfig};
 
 #[test]
@@ -79,14 +79,9 @@ fn guard_goaway_releases_every_worker() {
             deadline: SimDuration::from_secs(30),
             ..ScenarioConfig::default()
         };
-        let scenario = build_scenario(&iw.site, &iw.plan, &config, None);
-        let client = scenario.client.clone();
-        let r = run_scenario(scenario);
-        assert!(
-            client.borrow().attacker().shed_at().is_some(),
-            "{}: guard sheds",
-            attack.name()
-        );
+        let r = run_trial(&iw.site, &iw.plan, &config, None);
+        let attacker = r.attacker.expect("the client attacks");
+        assert!(attacker.shed_at.is_some(), "{}: guard sheds", attack.name());
         assert_eq!(
             r.pool_in_use,
             0,

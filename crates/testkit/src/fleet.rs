@@ -1,25 +1,33 @@
-//! Fleet-scale population scenario: N client–server pairs per run.
+//! The host arena, the one driver of every client–server pair, and the
+//! fleet-scale population scenario built on it.
 //!
-//! The single-pair scenario ([`crate::run_trial`]) models one volunteer
-//! loading one page through the lab gateway. This module scales that to a
-//! *population*: `N` independent client–server pairs (thousands to
-//! hundreds of thousands) sharing a bottleneck gateway link, partitioned
-//! into shards by a deterministic hash of the pair id. Each shard is its
-//! own [`Simulator`] — sharding is what lets a driver run shards on
-//! separate OS threads — and shard construction depends only on
+//! A shard is one [`Simulator`]: a client-side and a server-side host
+//! arena with a gateway between them. A `HostArena` holds every
+//! `HostCore` of one side in a slab behind a *single* node, routes
+//! packets to cores by the pair id carried in each `FleetSegment`, and
+//! pumps the cores a delivery reaches with the arena's one shared
+//! `PumpScratch`. Protocol deadlines (TCP RTO, browser stalls, server
+//! workers) go through one deduplicated deadline heap with a single armed
+//! netsim timer, instead of timers per host. The `FleetGateway` runs an
+//! ordinary [`Middlebox`] chain (adversary, wire tap, conformance tap)
+//! over the instrumented pairs' packets only.
+//!
+//! Two entry points assemble shards, and they differ in one behaviour:
+//! when a core is pumped (`PumpTiming`). A paper trial
+//! ([`build_scenario`](crate::build_scenario)) is a one-pair shard that
+//! pumps each arrival at once, the timing every single-pair golden was
+//! recorded with. A fleet shard ([`run_fleet_shard`]) coalesces the
+//! same-instant arrivals into one pump per burst, the timing every fleet
+//! golden was recorded with.
+//!
+//! A fleet scales the paper's one volunteer to a *population*: `N`
+//! independent client–server pairs (thousands to hundreds of thousands)
+//! sharing a bottleneck gateway link, partitioned into shards by a
+//! deterministic hash of the pair id. Sharding is what lets a driver run
+//! shards on separate OS threads, and shard construction depends only on
 //! `(seed, shard)`, so results are byte-identical however many threads
 //! execute them. Merging is seed-ordered: [`merge_shards`] sorts by shard
 //! id before folding stats.
-//!
-//! Within a shard, hosts do not get one netsim node each. A `HostArena`
-//! holds every [`HostCore`] of one side (all clients, or all servers) in a
-//! slab behind a *single* node, routes packets to cores by the pair id
-//! carried in each `FleetSegment`, and batches the pump: packet deliveries
-//! only mark a core dirty, and one zero-delay timer per burst drains every
-//! dirty core with the arena's one shared `PumpScratch`. Protocol
-//! deadlines (TCP RTO, browser stalls, server workers) go through one
-//! binary heap with lazy deletion and a single armed netsim timer, instead
-//! of two timers per host.
 //!
 //! Pairs stream through the slabs: a pair is built and its client opens
 //! the connection at the pair's staggered start time, its outcome row is
@@ -28,14 +36,10 @@
 //! pairs in flight, not the population.
 //!
 //! The paper's attack drops into this unchanged: pair 0 is the *victim*,
-//! and the `FleetGateway` runs an ordinary [`Middlebox`] chain
-//! (adversary, wire tap, conformance tap) over the victim's packets only,
-//! with per-pair shaping state replicating [`GatewayNode`]'s egress
-//! serializer. Bystander pairs contend on the shared links but are not
-//! captured — recording per-byte ground truth for 100k pairs would dwarf
-//! the simulation, so only the victim carries a [`GroundTruth`].
-//!
-//! [`GatewayNode`]: h2priv_netsim::GatewayNode
+//! whose chain carries the adversary and the wire tap. Bystander pairs
+//! contend on the shared links but are not captured — recording per-byte
+//! ground truth for 100k pairs would dwarf the simulation, so only the
+//! victim carries a [`GroundTruth`].
 
 use h2priv_netsim::internals::MinHeap4;
 use std::cell::RefCell;
@@ -46,12 +50,14 @@ use std::sync::Arc;
 use h2priv_analysis::{GroundTruth, WireTrace};
 use h2priv_conformance::{ConformanceTap, Violation, ViolationSink};
 use h2priv_defense::DefenseSpec;
-use h2priv_dos::{DetectorConfig, DosAttack, DosConfig, GuardConfig};
+use h2priv_dos::{
+    Alert, DetectorConfig, DosAttack, DosClientStats, DosConfig, GuardConfig, GuardStats,
+};
 use h2priv_netsim::{
     Context, Dir, LinkConfig, Middlebox, MiddleboxChain, Node, NodeId, Packet, SchedStats,
     SimDuration, SimRng, SimTime, Simulator, StopReason, TimerId,
 };
-use h2priv_tcp::TcpSegment;
+use h2priv_tcp::{TcpSegment, TcpStats};
 use h2priv_web::{isidewith, PoolConfig, PoolStats, RequestOutcome, Website, WorkerPool};
 
 use crate::host::{earliest, App, BufPool, HostCore, PumpScratch};
@@ -62,9 +68,9 @@ use crate::tap::WireTap;
 /// The pair carrying the paper's attack instrumentation.
 pub const VICTIM_PAIR: u32 = 0;
 
-/// One TCP segment of one population pair. The pair id is the connection
-/// identity: arenas demux on it, the gateway selects per-pair middlebox
-/// chains on it.
+/// One TCP segment of one pair. The pair id is the connection identity:
+/// arenas demux on it, the gateway selects per-pair middlebox chains on
+/// it.
 #[derive(Debug, Clone)]
 pub(crate) struct FleetSegment {
     /// Which client–server pair this segment belongs to.
@@ -251,7 +257,29 @@ const TOKEN_ADMIT: u64 = 2;
 /// Sentinel for "pair not in this shard" in the dense pair-indexed maps.
 const NO_SLOT: u32 = u32::MAX;
 
-const OWNS_BOTH: &str = "the shard driver owns both arenas";
+const OWNS_BOTH: &str = "the shard owns both arenas";
+
+/// When an arena pumps a core that a packet reached.
+///
+/// The shard's one behavioural choice, made by its entry point. Pumping
+/// each arrival at once reproduces every paper trial byte for byte from
+/// the timing its goldens were recorded with; coalescing same-instant
+/// arrivals keeps the fleet's goldens and its cheaper pump count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PumpTiming {
+    /// Pump the core at once, one pump per delivered packet (a one-pair
+    /// shard).
+    EachArrival,
+    /// Mark the core, and pump every marked core once on a zero-delay
+    /// batch timer (a fleet shard).
+    Coalesced,
+}
+
+/// Builds pair `pair`'s client and server cores at its start time.
+pub(crate) type BuildPair = Box<dyn Fn(u32) -> (HostCore, HostCore)>;
+
+/// One pair's middlebox chain at a gateway, in processing order.
+pub(crate) type Chain = Vec<Box<dyn Middlebox<TcpSegment>>>;
 
 /// Per-slot lifecycle bits, one byte per pair (hot: the pump reads and
 /// writes these every batch, so they pack cache-line-dense instead of
@@ -284,7 +312,7 @@ pub(crate) struct HostArena {
     /// The opposite arena's node id (packet destination).
     peer: NodeId,
     /// The opposite arena, for the lifecycle steps that span both sides
-    /// (weak: the shard driver owns the two arenas).
+    /// (weak: the shard owns the two arenas).
     peer_arena: Weak<RefCell<HostArena>>,
     /// The protocol cores, slot-indexed (SoA with `pairs`/`flags`).
     /// `None` = a freed slot waiting on the free list for a later
@@ -316,6 +344,7 @@ pub(crate) struct HostArena {
     /// pairs the heap churn was ~10% of the shard's whole CPU budget.
     due_at: Vec<SimTime>,
     due_timer: Option<(TimerId, SimTime)>,
+    pump: PumpTiming,
     batch_armed: bool,
     /// The shared scratch: one decrypt/seal workspace for every core in
     /// the shard's arena, instead of per-host buffers.
@@ -335,7 +364,7 @@ pub(crate) struct HostArena {
     /// *descending* so the next admission pops off the end, and the
     /// builder that materializes a pair at its start.
     admit: Vec<(SimTime, u32)>,
-    builder: Option<PairBuilder>,
+    builder: Option<BuildPair>,
     /// Client arena: the pairs this shard simulates, and how many have
     /// folded their outcome row — the shard halts once all have.
     total_pairs: u32,
@@ -343,22 +372,68 @@ pub(crate) struct HostArena {
     /// Client arena: the outcome rows, folded as each page load finishes.
     result: ShardResult,
     /// Client arena of the victim's shard: where the victim's capture
-    /// comes from.
+    /// comes from, and its row once folded.
     victim: Option<VictimTap>,
+    victim_row: Option<VictimRow>,
     progress: Option<Arc<FleetProgress>>,
 }
 
-/// The victim's capture sources: the preference order its site was built
-/// for, the gateway tap's trace and the server's ground truth. Folding the
-/// victim's row moves them into its [`VictimCapture`].
-struct VictimTap {
-    golden_order: Vec<usize>,
-    trace: Rc<RefCell<WireTrace>>,
-    truth: Rc<RefCell<GroundTruth>>,
+/// The victim's capture sources: the gateway tap's trace and the server's
+/// ground truth. Folding the victim's row moves them into its
+/// [`VictimRow`].
+pub(crate) struct VictimTap {
+    pub(crate) trace: Rc<RefCell<WireTrace>>,
+    pub(crate) truth: Rc<RefCell<GroundTruth>>,
+}
+
+/// One pair's end state, read from its two cores when its row folds: when
+/// its page load is over, or after the run for a load the stop cut off.
+pub(crate) struct PairRow {
+    /// Per-request browser outcomes (empty for an attacker).
+    pub(crate) outcomes: Vec<RequestOutcome>,
+    /// Either side's connection died.
+    pub(crate) broken: bool,
+    pub(crate) client_tcp: TcpStats,
+    pub(crate) server_tcp: TcpStats,
+    /// Dummy records the server's shaper sealed.
+    pub(crate) defense_dummies: u64,
+    /// Alerts the server's detector raised.
+    pub(crate) dos_alerts: Vec<Alert>,
+    /// The server guard's counters, when one ran.
+    pub(crate) guard: Option<GuardStats>,
+    /// The attacker's counters and times, when the client is one.
+    pub(crate) attacker: Option<DosClientStats>,
+}
+
+impl PairRow {
+    fn read(client: &HostCore, server: &HostCore) -> PairRow {
+        let (outcomes, attacker) = match &client.app {
+            App::Client(browser) => (browser.outcomes(), None),
+            App::Attacker(attacker) => (Vec::new(), Some(attacker.stats())),
+            App::Server(_) => unreachable!("client slots hold client cores"),
+        };
+        PairRow {
+            outcomes,
+            broken: client.dead || server.dead,
+            client_tcp: client.tcp_stats(),
+            server_tcp: server.tcp_stats(),
+            defense_dummies: server.shaper_dummies(),
+            dos_alerts: server.dos_alerts(),
+            guard: server.guard_stats(),
+            attacker,
+        }
+    }
+}
+
+/// The victim pair's row and its capture, taken when the row folds.
+pub(crate) struct VictimRow {
+    pub(crate) row: PairRow,
+    pub(crate) trace: WireTrace,
+    pub(crate) truth: GroundTruth,
 }
 
 impl HostArena {
-    fn new(is_client: bool, peer: NodeId, population: u32) -> Self {
+    fn new(is_client: bool, peer: NodeId, population: u32, pump: PumpTiming) -> Self {
         HostArena {
             is_client,
             peer,
@@ -372,6 +447,7 @@ impl HostArena {
             due: MinHeap4::new(),
             due_at: Vec::new(),
             due_timer: None,
+            pump,
             batch_armed: false,
             scratch: PumpScratch::default(),
             pool: BufPool::default(),
@@ -384,6 +460,7 @@ impl HostArena {
             folded: 0,
             result: ShardResult::default(),
             victim: None,
+            victim_row: None,
             progress: None,
         }
     }
@@ -502,13 +579,30 @@ impl HostArena {
         }
         self.dirty.clear();
         // The clients' arena halts the shard once every pair has folded
-        // its row (mirroring the single-pair host's halt-when-done), which
-        // also releases idle-connection timers.
+        // its row, which also releases idle-connection timers: a paper
+        // trial ends the instant its page load is over.
         if self.is_client && self.total_pairs > 0 && self.folded == self.total_pairs {
             ctx.halt();
         }
         let due = self.due.peek().map(|(at, _)| *at);
-        crate::host::rearm(ctx, &mut self.due_timer, due, TOKEN_DUE);
+        rearm(ctx, &mut self.due_timer, due, TOKEN_DUE);
+    }
+
+    /// Client arena: folds `pair`'s row into the shard's result, and keeps
+    /// the victim's row with its capture.
+    fn fold(&mut self, pair: u32, row: PairRow, finished: bool) {
+        self.result.fold_pair(&row, finished);
+        if pair == VICTIM_PAIR {
+            let tap = self
+                .victim
+                .as_ref()
+                .expect("the victim's shard folds it with its tap");
+            self.victim_row = Some(VictimRow {
+                row,
+                trace: tap.trace.borrow_mut().finish(),
+                truth: std::mem::take(&mut *tap.truth.borrow_mut()),
+            });
+        }
     }
 
     /// Client arena, after a pump: the first time the page load is over,
@@ -544,8 +638,8 @@ impl HostArena {
         let server = servers.cores[servers.slot_of_pair[pair as usize] as usize]
             .as_ref()
             .expect("a finishing pair's server is live");
-        self.result
-            .fold_pair(pair, core, server, true, self.victim.as_ref());
+        let row = PairRow::read(core, server);
+        self.fold(pair, row, true);
         self.folded += 1;
         let freed = servers.client_finished(pair);
         if freed {
@@ -555,7 +649,7 @@ impl HostArena {
     }
 
     /// Server arena: the pair's client finished, so its server stops
-    /// shaping, just as a single-pair run halts once its browser is done.
+    /// shaping: the page load it padded is over.
     /// Frees the server and returns true when it is already quiet;
     /// otherwise flags it, and its own pump frees the pair once it goes
     /// quiet.
@@ -609,11 +703,8 @@ impl HostArena {
                 break;
             }
             self.admit.pop();
-            let (mut client, server) = self
-                .builder
-                .as_ref()
-                .expect("the client arena has a builder")
-                .build(pair);
+            let build = self.builder.as_ref().expect("the client arena builds");
+            let (mut client, server) = build(pair);
             // Reuse buffers earlier page loads returned to the pool.
             client.adopt_buffers(&mut self.pool);
             client.begin();
@@ -648,7 +739,10 @@ impl HostArena {
             .tcp
             .on_segment(seg, ctx.now());
         self.mark_dirty(idx);
-        self.arm_batch(ctx);
+        match self.pump {
+            PumpTiming::EachArrival => self.pump_dirty(ctx),
+            PumpTiming::Coalesced => self.arm_batch(ctx),
+        }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, FleetSegment>) {
@@ -670,8 +764,8 @@ impl HostArena {
                     continue;
                 }
                 self.due_at[idx as usize] = SimTime::MAX;
-                // The RTO check the single-pair host runs on its TCP timer;
-                // a no-op when no deadline actually expired (lazy entries).
+                // The RTO check: a no-op when no TCP deadline actually
+                // expired (an app deadline, or a lazy entry).
                 self.cores[idx as usize]
                     .as_mut()
                     .expect("armed slots are live")
@@ -684,7 +778,8 @@ impl HostArena {
     }
 }
 
-/// Materializes one pair's client and server cores at its start time.
+/// Materializes one fleet pair's client and server cores at its start
+/// time.
 ///
 /// Each pair's state is a pure function of `(seed, pair)` — the per-pair
 /// RNG is re-seeded from scratch and the [`PairRecipe`] consumes its forks
@@ -705,8 +800,6 @@ struct PairBuilder {
     truth: Rc<RefCell<GroundTruth>>,
     sink: Option<ViolationSink>,
     conformance: FleetConformance,
-    client_arena_id: NodeId,
-    server_arena_id: NodeId,
 }
 
 impl PairBuilder {
@@ -752,8 +845,6 @@ impl PairBuilder {
             .map(|dos| DosConfig::for_attack(dos.attack));
         self.recipe.build(
             PairInputs {
-                server_node: self.server_arena_id,
-                client_node: self.client_arena_id,
                 rng: &mut pair_rng,
                 session_key: 0x5EC0_0D5E ^ mix(self.seed, pair as u64),
                 site: &iside.site,
@@ -771,7 +862,7 @@ impl PairBuilder {
     }
 }
 
-/// Thin node shell so the driver keeps an `Rc` handle for post-run
+/// Thin node shell so the shard keeps an `Rc` handle for post-run
 /// extraction while the simulator owns the node slot.
 struct ArenaNode(Rc<RefCell<HostArena>>);
 
@@ -796,7 +887,8 @@ impl Node<FleetSegment> for ArenaNode {
 /// The shared gateway: bridges the two arenas, forwards every pair's
 /// traffic, and runs a per-pair [`MiddleboxChain`] (adversary, taps) for
 /// the instrumented pairs, with the same hold/shape/drop fold as a
-/// [`GatewayNode`].
+/// [`GatewayNode`]. A one-pair shard under a shaping defense runs a second
+/// one as the pacing edge, its victim chain holding the pacer.
 ///
 /// Chain lookup is a dense pair-indexed `Vec` — the uninstrumented common
 /// case (every bystander packet) is a single load hitting [`NO_SLOT`],
@@ -819,7 +911,7 @@ impl FleetGateway {
         }
     }
 
-    fn add_chain(&mut self, pair: u32, chain: Vec<Box<dyn Middlebox<TcpSegment>>>) {
+    fn add_chain(&mut self, pair: u32, chain: Chain) {
         self.chain_of_pair[pair as usize] = self.chains.len() as u32;
         self.chains.push(MiddleboxChain::new(chain));
     }
@@ -962,52 +1054,257 @@ impl ShardResult {
 
     /// Folds one pair's outcome row: when its page load finishes, or after
     /// the run for a load the deadline cut off. Every counter is a
-    /// commutative sum and at most one pair is the victim, so fold order
-    /// cannot change the shard result.
-    fn fold_pair(
-        &mut self,
-        pair: u32,
-        client: &HostCore,
-        server: &HostCore,
-        finished: bool,
-        victim: Option<&VictimTap>,
-    ) {
-        let server_alerts = server.dos_alerts();
-        if let App::Attacker(dos_client) = &client.app {
+    /// commutative sum, so fold order cannot change the shard result.
+    fn fold_pair(&mut self, row: &PairRow, finished: bool) {
+        if let Some(attacker) = &row.attacker {
             // Hostile pairs report attack outcomes, not page metrics:
             // folding them into completed/broken would skew the bystander
             // completion rate the exhibit quantifies.
             self.attackers += 1;
-            if dos_client.shed_at().is_some() {
+            if attacker.shed_at.is_some() {
                 self.attackers_shed += 1;
             }
-            if let Some(alert) = server_alerts.first() {
+            if let Some(alert) = row.dos_alerts.first() {
                 self.detected += 1;
-                let start = dos_client.attack_started().unwrap_or(SimTime::ZERO);
+                let start = attacker.attack_started.unwrap_or(SimTime::ZERO);
                 self.detection_latency_us += alert.at.saturating_since(start).as_micros();
             }
             return;
         }
-        self.benign_alerts += server_alerts.len() as u64;
-        let dead = client.dead || server.dead;
-        if dead {
+        self.benign_alerts += row.dos_alerts.len() as u64;
+        if row.broken {
             self.broken += 1;
         } else if finished {
             self.completed += 1;
         }
-        let outcomes = client.browser().outcomes();
-        self.requests += outcomes.len() as u64;
-        self.requests_complete +=
-            outcomes.iter().filter(|o| o.completed_at.is_some()).count() as u64;
-        if pair == VICTIM_PAIR {
-            let tap = victim.expect("the victim's shard folds it with its tap");
-            self.victim = Some(VictimCapture {
-                golden_order: tap.golden_order.clone(),
-                trace: tap.trace.borrow_mut().finish(),
-                truth: std::mem::replace(&mut *tap.truth.borrow_mut(), GroundTruth::new()),
-                outcomes,
-                broken: dead,
-            });
+        self.requests += row.outcomes.len() as u64;
+        self.requests_complete += row
+            .outcomes
+            .iter()
+            .filter(|o| o.completed_at.is_some())
+            .count() as u64;
+    }
+}
+
+/// Re-arms the arena's deadline timer, skipping the cancel+set round trip
+/// through the scheduler when the armed deadline is already the wanted
+/// one — between most pumps the earliest deadline is unchanged, and the
+/// scheduler churn of re-inserting it every pump shows up in profiles.
+fn rearm<P>(
+    ctx: &mut Context<'_, P>,
+    slot: &mut Option<(TimerId, SimTime)>,
+    want: Option<SimTime>,
+    token: u64,
+) {
+    match (want, *slot) {
+        (Some(at), Some((_, armed))) if at == armed => {}
+        (Some(at), prev) => {
+            if let Some((id, _)) = prev {
+                ctx.cancel_timer(id);
+            }
+            let id = ctx.set_timer(at.saturating_since(ctx.now()), token);
+            *slot = Some((id, at));
+        }
+        (None, Some((id, _))) => {
+            ctx.cancel_timer(id);
+            *slot = None;
+        }
+        (None, None) => {}
+    }
+}
+
+/// What one shard is assembled from. The fleet and a paper trial pass
+/// different values; the wiring and the run are the same.
+pub(crate) struct ShardParts {
+    /// The engine's seed: it draws link loss and jitter and every
+    /// middlebox's randomness.
+    pub(crate) engine_seed: u64,
+    pub(crate) pump: PumpTiming,
+    /// Pair ids range over `0..population`.
+    pub(crate) population: u32,
+    /// The shard's pairs with their start times, sorted by `(start, pair)`
+    /// descending.
+    pub(crate) admit: Vec<(SimTime, u32)>,
+    pub(crate) build: BuildPair,
+    /// Slab pre-size hint (pairs expected in flight at once).
+    pub(crate) slab_hint: usize,
+    /// The gateway's middlebox chains of the instrumented pairs.
+    pub(crate) chains: Vec<(u32, Chain)>,
+    /// A pacer for the victim's server→client packets at a CDN edge
+    /// between the gateway and the servers.
+    pub(crate) pacer: Option<Box<dyn Middlebox<TcpSegment>>>,
+    /// Clients ↔ gateway.
+    pub(crate) access: LinkConfig,
+    /// Gateway ↔ servers (↔ edge, under a pacer).
+    pub(crate) wan: LinkConfig,
+    /// The engine's event cap; `None` keeps the simulator's default.
+    pub(crate) event_budget: Option<u64>,
+    pub(crate) victim: Option<VictimTap>,
+    pub(crate) sink: Option<ViolationSink>,
+    pub(crate) pool: Option<Rc<RefCell<WorkerPool>>>,
+    pub(crate) progress: Option<Arc<FleetProgress>>,
+}
+
+/// One wired shard, not yet run: two host arenas, the gateway between
+/// them and, with a pacer, the edge.
+pub(crate) struct Shard {
+    sim: Simulator<FleetSegment>,
+    clients: Rc<RefCell<HostArena>>,
+    servers: Rc<RefCell<HostArena>>,
+    sink: Option<ViolationSink>,
+    pool: Option<Rc<RefCell<WorkerPool>>>,
+    progress: Option<Arc<FleetProgress>>,
+}
+
+/// What a shard's run leaves.
+pub(crate) struct ShardRun {
+    pub(crate) stop: StopReason,
+    /// Every field but `shard` and `victim`.
+    pub(crate) result: ShardResult,
+    pub(crate) victim: Option<VictimRow>,
+    /// The worker pool's end state, when the servers drew from one.
+    pub(crate) pool: Option<WorkerPool>,
+}
+
+impl Shard {
+    pub(crate) fn new(parts: ShardParts) -> Shard {
+        let mut sim: Simulator<FleetSegment> = Simulator::new(parts.engine_seed);
+        let client_arena_id = sim.reserve_node_id();
+        let gateway_id = sim.reserve_node_id();
+        let server_arena_id = sim.reserve_node_id();
+        // A pacer must finish its work one hop upstream of the observer: a
+        // hold issued inside the gateway's own chain would not move the
+        // tap's arrival timestamps.
+        let edge = parts.pacer.map(|pacer| (sim.reserve_node_id(), pacer));
+
+        let mut gateway = FleetGateway::new(client_arena_id, parts.population);
+        for (pair, chain) in parts.chains {
+            gateway.add_chain(pair, chain);
+        }
+        let arena = |is_client, peer| {
+            let mut a = HostArena::new(is_client, peer, parts.population, parts.pump);
+            a.cores.reserve(parts.slab_hint);
+            a.pairs.reserve(parts.slab_hint);
+            a.flags.reserve(parts.slab_hint);
+            a.due_at.reserve(parts.slab_hint);
+            Rc::new(RefCell::new(a))
+        };
+        let clients = arena(true, server_arena_id);
+        let servers = arena(false, client_arena_id);
+        {
+            let mut c = clients.borrow_mut();
+            c.peer_arena = Rc::downgrade(&servers);
+            servers.borrow_mut().peer_arena = Rc::downgrade(&clients);
+            c.total_pairs = parts.admit.len() as u32;
+            c.admit = parts.admit;
+            c.builder = Some(parts.build);
+            c.victim = parts.victim;
+            c.progress = parts.progress.clone();
+        }
+
+        sim.install_node(client_arena_id, Box::new(ArenaNode(clients.clone())));
+        sim.install_node(gateway_id, Box::new(gateway));
+        sim.install_node(server_arena_id, Box::new(ArenaNode(servers.clone())));
+        sim.add_link(client_arena_id, gateway_id, parts.access);
+        match edge {
+            // Pacing edge: clients — gateway — edge — servers. The WAN link
+            // (and the adversary's gateway) stays downstream of the pacer,
+            // so the tap observes post-shaping timing; the edge—server hop
+            // models an intra-datacenter LAN: fast, clean, order-preserving.
+            Some((edge_id, pacer)) => {
+                let mut edge = FleetGateway::new(client_arena_id, parts.population);
+                edge.add_chain(VICTIM_PAIR, vec![pacer]);
+                sim.install_node(edge_id, Box::new(edge));
+                sim.add_link(gateway_id, edge_id, parts.wan);
+                let lan = LinkConfig::with_delay(SimDuration::from_micros(50))
+                    .bandwidth(crate::calib::LINK_BANDWIDTH);
+                sim.add_link(edge_id, server_arena_id, lan);
+            }
+            None => sim.add_link(gateway_id, server_arena_id, parts.wan),
+        }
+        if let Some(budget) = parts.event_budget {
+            sim.set_event_budget(budget);
+        }
+        Shard {
+            sim,
+            clients,
+            servers,
+            sink: parts.sink,
+            pool: parts.pool,
+            progress: parts.progress,
+        }
+    }
+
+    /// Runs the shard until every pair has folded its row or `deadline`,
+    /// then folds the rows the stop cut off and drains the oracle.
+    pub(crate) fn run(mut self, deadline: SimDuration) -> ShardRun {
+        let deadline_at = SimTime::ZERO + deadline;
+        let summary = match &self.progress {
+            None => self.sim.run_until(deadline_at),
+            Some(progress) => {
+                // Run in simulated-time slices so the heartbeat sees events
+                // move mid-shard. Slicing is behavior-invariant: `events` is
+                // cumulative across calls and the final summary equals what
+                // one `run_until(deadline)` call would have returned.
+                let step = SimDuration::from_millis(500);
+                let mut reported = 0u64;
+                let mut next = SimTime::ZERO + step;
+                loop {
+                    let target = next.min(deadline_at);
+                    let s = self.sim.run_until(target);
+                    progress
+                        .events
+                        .fetch_add(s.events - reported, Ordering::Relaxed);
+                    reported = s.events;
+                    if s.stop != StopReason::DeadlineReached || target == deadline_at {
+                        break s;
+                    }
+                    next = target + step;
+                }
+            }
+        };
+        let sched = self.sim.sched_stats();
+
+        let mut clients = self.clients.borrow_mut();
+        let servers = self.servers.borrow();
+        // Fold the page loads the stop cut off; every other pair folded its
+        // row when it finished.
+        let cut_off: Vec<(u32, PairRow)> = (0..clients.cores.len())
+            .filter(|&idx| clients.flags[idx] & FLAG_FINISHED == 0)
+            .filter_map(|idx| {
+                let core = clients.cores[idx].as_ref()?;
+                let pair = clients.pairs[idx];
+                let server = servers.cores[servers.slot_of_pair[pair as usize] as usize]
+                    .as_ref()
+                    .expect("an unfinished pair's server is live");
+                Some((pair, PairRow::read(core, server)))
+            })
+            .collect();
+        for (pair, row) in cut_off {
+            clients.fold(pair, row, false);
+        }
+        let (violations, violations_total) = self.sink.map(|s| s.take()).unwrap_or_default();
+        let pool = self.pool.map(|p| p.borrow().clone());
+        if let Some(progress) = &self.progress {
+            progress.shards_done.fetch_add(1, Ordering::Relaxed);
+        }
+        ShardRun {
+            stop: summary.stop,
+            result: ShardResult {
+                pairs: clients.total_pairs,
+                events: summary.events,
+                shard_events: vec![summary.events],
+                end_time: summary.end_time,
+                sched,
+                violations,
+                violations_total,
+                peak_resident: clients.peak_resident.max(servers.peak_resident),
+                stray_segments: clients.stray_segments + servers.stray_segments,
+                pool: pool.as_ref().map(WorkerPool::stats),
+                ..std::mem::take(&mut clients.result)
+            },
+            victim: clients.victim_row.take(),
+            pool,
         }
     }
 }
@@ -1027,25 +1324,15 @@ pub fn run_fleet_shard(
         .filter(|&p| shard_of_pair(p, shards) == shard)
         .collect();
 
-    let mut sim: Simulator<FleetSegment> = Simulator::new(mix(config.seed, 0xE6E1 ^ shard as u64));
-    let client_arena_id = sim.reserve_node_id();
-    let gateway_id = sim.reserve_node_id();
-    let server_arena_id = sim.reserve_node_id();
-
     let victim_here = pairs.contains(&VICTIM_PAIR);
     let victim_golden = victim_golden_order(config.seed);
     let victim_site = victim_here.then(|| isidewith::build(&victim_golden));
     let bystander_site = isidewith::build(&bystander_golden_order(config.seed));
-    // One shared server-side site per variant for the whole shard, bodies
-    // generated exactly once: every `SiteServer` holds an `Rc` into it, so
-    // object tables and body buffers don't multiply with the population.
-    let shared_site = |iside: &isidewith::Isidewith| {
-        let mut site = iside.site.clone();
-        site.materialize_bodies();
-        Rc::new(site)
-    };
-    let victim_shared = victim_site.as_ref().map(&shared_site);
-    let bystander_shared = shared_site(&bystander_site);
+    // One shared server-side site per variant for the whole shard: every
+    // `SiteServer` holds an `Rc` into it, so object tables don't multiply
+    // with the population.
+    let victim_shared = victim_site.as_ref().map(|iw| Rc::new(iw.site.clone()));
+    let bystander_shared = Rc::new(bystander_site.site.clone());
 
     // The hardening stack installs fleet-wide (the site deploys it on
     // every server); benign pairs double as the false-positive corpus.
@@ -1086,15 +1373,16 @@ pub fn run_fleet_shard(
         truth: truth.clone(),
         sink: sink.clone(),
         conformance: config.conformance,
-        client_arena_id,
-        server_arena_id,
     };
+    let mut admit: Vec<(SimTime, u32)> = pairs.iter().map(|&p| (builder.start_at(p), p)).collect();
+    // Descending, so the next admission pops off the end.
+    admit.sort_unstable_by(|a, b| b.cmp(a));
 
     // Gateway chains are per-run wiring over pair *ids*, independent of
     // when (or whether) the pair's cores get materialized.
-    let mut gateway = FleetGateway::new(client_arena_id, config.population);
+    let mut chains = Vec::new();
     for &pair in &pairs {
-        let mut chain: Vec<Box<dyn Middlebox<TcpSegment>>> = Vec::new();
+        let mut chain: Chain = Vec::new();
         if pair == VICTIM_PAIR {
             if let Some(adv) = adversary.take() {
                 chain.push(adv);
@@ -1107,49 +1395,8 @@ pub fn run_fleet_shard(
             }
         }
         if !chain.is_empty() {
-            gateway.add_chain(pair, chain);
+            chains.push((pair, chain));
         }
-    }
-
-    let clients = Rc::new(RefCell::new(HostArena::new(
-        true,
-        server_arena_id,
-        config.population,
-    )));
-    let servers = Rc::new(RefCell::new(HostArena::new(
-        false,
-        client_arena_id,
-        config.population,
-    )));
-    {
-        let mut c = clients.borrow_mut();
-        let mut s = servers.borrow_mut();
-        c.peer_arena = Rc::downgrade(&servers);
-        s.peer_arena = Rc::downgrade(&clients);
-        if let Some(cohort) = config.cohort {
-            // Pre-size the slabs for the expected co-resident set; the
-            // hint has no effect on scheduling.
-            let cap = cohort.min(pairs.len() as u32) as usize;
-            for a in [&mut *c, &mut *s] {
-                a.cores.reserve(cap);
-                a.pairs.reserve(cap);
-                a.flags.reserve(cap);
-                a.due_at.reserve(cap);
-            }
-        }
-        c.total_pairs = pairs.len() as u32;
-        c.progress = config.progress.clone();
-        c.victim = victim_here.then(|| VictimTap {
-            golden_order: victim_golden,
-            trace: trace.clone(),
-            truth: truth.clone(),
-        });
-        let mut admit: Vec<(SimTime, u32)> =
-            pairs.iter().map(|&p| (builder.start_at(p), p)).collect();
-        // Descending, so the next admission pops off the end.
-        admit.sort_unstable_by(|a, b| b.cmp(a));
-        c.admit = admit;
-        c.builder = Some(builder);
     }
 
     // Shared links: capacity scales with the pairs sharing them, so the
@@ -1157,91 +1404,45 @@ pub fn run_fleet_shard(
     // FIFO serialization still couples the flows (the contention the
     // population exists to model).
     let n = pairs.len().max(1) as u64;
-    let access = LinkConfig::with_delay(crate::calib::CLIENT_GW_DELAY)
-        .bandwidth(crate::calib::LINK_BANDWIDTH * n);
-    let wan = LinkConfig::with_delay(crate::calib::GW_SERVER_DELAY)
-        .bandwidth(crate::calib::WAN_BANDWIDTH * n)
-        .queue_limit(crate::calib::WAN_QUEUE_BYTES * n)
-        .loss(crate::calib::WAN_LOSS)
-        .jitter(crate::calib::natural_jitter());
-
-    sim.install_node(client_arena_id, Box::new(ArenaNode(clients.clone())));
-    sim.install_node(gateway_id, Box::new(gateway));
-    sim.install_node(server_arena_id, Box::new(ArenaNode(servers.clone())));
-    sim.add_link(client_arena_id, gateway_id, access);
-    sim.add_link(gateway_id, server_arena_id, wan);
-    // Scale the livelock safety valve with the population: one fleet
-    // pair's page load is ~10.6k events, so this only trips on a genuinely
-    // stuck protocol.
-    sim.set_event_budget((pairs.len() as u64) * 2_000_000 + 10_000_000);
-
-    let deadline_at = SimTime::ZERO + config.deadline;
-    let summary = match &config.progress {
-        None => sim.run_until(deadline_at),
-        Some(progress) => {
-            // Run in simulated-time slices so the heartbeat sees events
-            // move mid-shard. Slicing is behavior-invariant: `events` is
-            // cumulative across calls and the final summary equals what
-            // one `run_until(deadline)` call would have returned.
-            let step = SimDuration::from_millis(500);
-            let mut reported = 0u64;
-            let mut next = SimTime::ZERO + step;
-            loop {
-                let target = next.min(deadline_at);
-                let s = sim.run_until(target);
-                progress
-                    .events
-                    .fetch_add(s.events - reported, Ordering::Relaxed);
-                reported = s.events;
-                if s.stop != StopReason::DeadlineReached || target == deadline_at {
-                    break s;
-                }
-                next = target + step;
-            }
-        }
-    };
-    let sched = sim.sched_stats();
-
-    let mut clients_ref = clients.borrow_mut();
-    let servers_ref = servers.borrow();
-    let arena = &mut *clients_ref;
-    // Fold the page loads the stop cut off; every other pair folded its
-    // row when it finished.
-    for idx in 0..arena.cores.len() {
-        let Some(core) = arena.cores[idx].as_ref() else {
-            continue;
-        };
-        if arena.flags[idx] & FLAG_FINISHED != 0 {
-            continue;
-        }
-        let pair = arena.pairs[idx];
-        let server = servers_ref.cores[servers_ref.slot_of_pair[pair as usize] as usize]
-            .as_ref()
-            .expect("an unfinished pair's server is live");
-        arena
-            .result
-            .fold_pair(pair, core, server, false, arena.victim.as_ref());
-    }
-    let (violations, violations_total) = match &sink {
-        Some(sink) => (sink.take(), sink.total()),
-        None => (Vec::new(), 0),
-    };
-    if let Some(progress) = &config.progress {
-        progress.shards_done.fetch_add(1, Ordering::Relaxed);
-    }
+    let run = Shard::new(ShardParts {
+        engine_seed: mix(config.seed, 0xE6E1 ^ shard as u64),
+        pump: PumpTiming::Coalesced,
+        population: config.population,
+        admit,
+        build: Box::new(move |pair| builder.build(pair)),
+        // The hint has no effect on scheduling.
+        slab_hint: config
+            .cohort
+            .map_or(0, |c| c.min(pairs.len() as u32) as usize),
+        chains,
+        pacer: None,
+        access: LinkConfig::with_delay(crate::calib::CLIENT_GW_DELAY)
+            .bandwidth(crate::calib::LINK_BANDWIDTH * n),
+        wan: LinkConfig::with_delay(crate::calib::GW_SERVER_DELAY)
+            .bandwidth(crate::calib::WAN_BANDWIDTH * n)
+            .queue_limit(crate::calib::WAN_QUEUE_BYTES * n)
+            .loss(crate::calib::WAN_LOSS)
+            .jitter(crate::calib::natural_jitter()),
+        // Scale the livelock safety valve with the population: one fleet
+        // pair's page load is ~10.6k events, so this only trips on a
+        // genuinely stuck protocol.
+        event_budget: Some((pairs.len() as u64) * 2_000_000 + 10_000_000),
+        victim: victim_here.then_some(VictimTap { trace, truth }),
+        sink,
+        pool: shard_pool,
+        progress: config.progress.clone(),
+    })
+    .run(config.deadline);
     ShardResult {
         shard,
-        pairs: pairs.len() as u32,
-        events: summary.events,
-        shard_events: vec![summary.events],
-        end_time: summary.end_time,
-        sched,
-        violations,
-        violations_total,
-        peak_resident: arena.peak_resident.max(servers_ref.peak_resident),
-        stray_segments: arena.stray_segments + servers_ref.stray_segments,
-        pool: shard_pool.map(|p| p.borrow().stats()),
-        ..std::mem::take(&mut arena.result)
+        victim: run.victim.map(|v| VictimCapture {
+            golden_order: victim_golden,
+            trace: v.trace,
+            truth: v.truth,
+            outcomes: v.row.outcomes,
+            broken: v.row.broken,
+        }),
+        ..run.result
     }
 }
 
@@ -1324,6 +1525,9 @@ mod tests {
         let config = small_config();
         let a = run_fleet_shard(&config, 0, None);
         let b = run_fleet_shard(&config, 0, None);
+        // Recorded before paper trials moved onto the arena: the fleet's
+        // coalesced pump timing is pinned, not only repeatable.
+        assert_eq!(a.events, 46_838);
         assert_eq!(a.events, b.events);
         assert_eq!(a.end_time, b.end_time);
         assert_eq!(a.sched, b.sched);

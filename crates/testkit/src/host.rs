@@ -1,18 +1,18 @@
-//! The simulated host: a full protocol stack on one netsim node.
+//! The simulated host: a full protocol stack for one endpoint.
 //!
-//! A [`Host`] owns a [`TcpConnection`], a [`TlsSession`], an
+//! A [`HostCore`] owns a [`TcpConnection`], a [`TlsSession`], an
 //! [`H2Connection`] and an application (the [`Browser`] on the client, the
-//! [`SiteServer`] on the server), and pumps bytes between the layers on
-//! every packet and timer event. The server host additionally annotates,
-//! at TLS-seal time, which TCP byte ranges carry which response's frames —
+//! [`SiteServer`] on the server, or a slow-DoS [`DosClient`]), and pumps
+//! bytes between the layers. The server core additionally annotates, at
+//! TLS-seal time, which TCP byte ranges carry which response's frames —
 //! the [`GroundTruth`] used to score the attack.
 //!
-//! The pump itself lives on [`HostCore`] and is split into two stages —
+//! A core is no netsim node. The host arena ([`crate::fleet`]) holds every
+//! core of one side of a shard behind one node, hands each delivered
+//! segment to its core and drives the pump in two stages:
 //! [`HostCore::pump_stages`] (inbound → app → outbound) and
-//! [`HostCore::flush_transmit`] (drain TCP segments) — so the fleet
-//! scenario's [`HostArena`](crate::fleet) can batch-pump thousands of
-//! cores with one shared [`PumpScratch`] per shard while the single-pair
-//! [`Host`] node keeps its own.
+//! [`HostCore::flush_transmit`] (drain TCP segments), with one shared
+//! [`PumpScratch`] per arena.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,20 +25,17 @@ use h2priv_dos::{Alert, DosClient, DosDetector, GuardAction, GuardStats, ServerG
 use h2priv_http2::{
     ErrorCode, H2Config, H2Connection, H2Event, HeaderField, OutgoingMeta, StreamId, StreamState,
 };
-use h2priv_netsim::{Context, Node, NodeId, Packet, SimRng, SimTime, TimerId};
+use h2priv_netsim::{SimRng, SimTime};
 use h2priv_tcp::{TcpConfig, TcpConnection, TcpSegment, TcpStats};
 use h2priv_tls::{Role, TlsSession};
 use h2priv_web::{Browser, BrowserCmd, ObjectId, SiteServer};
 
-const TOKEN_TCP: u64 = 0;
-const TOKEN_APP: u64 = 1;
-
 /// Reusable scratch buffers threaded through one pump pass.
 ///
-/// One instance serves arbitrarily many [`HostCore`]s: the single-pair
-/// [`Host`] owns one, and the fleet arena owns one *per shard*, shared
-/// across every host in the shard. Draining N hosts therefore costs zero
-/// steady-state allocations instead of N per-host buffers.
+/// One instance serves arbitrarily many [`HostCore`]s: each host arena
+/// owns one, shared across every core of its side of the shard. Draining
+/// N cores therefore costs zero steady-state allocations instead of N
+/// per-core buffers.
 #[derive(Debug, Default)]
 pub(crate) struct PumpScratch {
     /// Ciphertext drained from TCP reassembly (inbound).
@@ -125,7 +122,7 @@ struct HostShaper {
 
 /// The application running on a host.
 #[derive(Debug)]
-pub enum App {
+pub(crate) enum App {
     /// A browser (client role).
     Client(Browser),
     /// A website server.
@@ -134,16 +131,15 @@ pub enum App {
     Attacker(DosClient),
 }
 
-/// Shared, inspectable state of one host.
+/// The protocol stack and application of one host.
 #[derive(Debug)]
-pub struct HostCore {
+pub(crate) struct HostCore {
     /// Protocol stack.
-    pub tcp: TcpConnection,
+    pub(crate) tcp: TcpConnection,
     tls: TlsSession,
-    /// HTTP/2 connection (public for post-run stats inspection).
-    pub h2: H2Connection,
+    h2: H2Connection,
     /// The application.
-    pub app: App,
+    pub(crate) app: App,
     /// Ground truth collected at seal time (server writes; client ignores).
     /// `None` for fleet bystander pairs, which are load, not measurement
     /// targets — recording per-byte truth for 100k pairs would dwarf the
@@ -156,10 +152,8 @@ pub struct HostCore {
     stream_objects: Vec<(StreamId, ObjectId)>,
     /// True once the TLS handshake completed.
     tls_established: bool,
-    /// The peer's node id.
-    peer: NodeId,
     /// Set when the connection failed at any layer.
-    pub dead: bool,
+    pub(crate) dead: bool,
     /// The `:authority` every request carries; shared (`Rc<str>`) so a
     /// fleet shard's clients all point at one allocation.
     authority: Rc<str>,
@@ -194,10 +188,8 @@ impl HostCore {
     /// Builds a core running `app`: the client-side stack for a browser or
     /// attacker, the server-side stack for a site server. An attacker
     /// speaks raw frames, so its `h2` connection is an unused placeholder.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         app: App,
-        peer: NodeId,
         tcp: TcpConfig,
         h2: H2Config,
         session_key: u64,
@@ -225,7 +217,6 @@ impl HostCore {
             truth,
             stream_objects: Vec::new(),
             tls_established: false,
-            peer,
             dead: false,
             authority,
             socket_buffer,
@@ -239,44 +230,8 @@ impl HostCore {
     }
 
     /// Client/server TCP statistics.
-    pub fn tcp_stats(&self) -> TcpStats {
+    pub(crate) fn tcp_stats(&self) -> TcpStats {
         *self.tcp.stats()
-    }
-
-    /// The browser, if this is a client host.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a server host.
-    pub fn browser(&self) -> &Browser {
-        match &self.app {
-            App::Client(b) => b,
-            _ => panic!("not a client host"),
-        }
-    }
-
-    /// The server application, if this is a server host.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a client host.
-    pub fn server(&self) -> &SiteServer {
-        match &self.app {
-            App::Server(s) => s,
-            _ => panic!("not a server host"),
-        }
-    }
-
-    /// The DoS client, if this is an attacker host.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-attacker host.
-    pub fn attacker(&self) -> &DosClient {
-        match &self.app {
-            App::Attacker(a) => a,
-            _ => panic!("not an attacker host"),
-        }
     }
 
     /// True when this host plays the TCP/TLS client role (honest browser
@@ -309,7 +264,7 @@ impl HostCore {
     }
 
     /// Dummy records this host's shaper has sealed so far (0 without one).
-    pub fn shaper_dummies(&self) -> u64 {
+    pub(crate) fn shaper_dummies(&self) -> u64 {
         self.shaper.as_ref().map_or(0, |s| s.shaper.dummies_sent)
     }
 
@@ -329,12 +284,12 @@ impl HostCore {
     }
 
     /// The guard's shedding counters, when one is attached.
-    pub fn guard_stats(&self) -> Option<GuardStats> {
+    pub(crate) fn guard_stats(&self) -> Option<GuardStats> {
         self.guard.as_ref().map(|g| g.stats())
     }
 
     /// Alerts the attached detector has raised (empty without one).
-    pub fn dos_alerts(&self) -> Vec<Alert> {
+    pub(crate) fn dos_alerts(&self) -> Vec<Alert> {
         self.detector
             .as_ref()
             .map(|d| d.alerts().to_vec())
@@ -404,131 +359,6 @@ impl HostCore {
             pool.get()
         });
     }
-}
-
-/// The earlier of two optional deadlines, where `None` means no deadline.
-pub(crate) fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
-/// The netsim node wrapping a [`HostCore`].
-pub(crate) struct Host {
-    core: Rc<RefCell<HostCore>>,
-    scratch: PumpScratch,
-    tcp_timer: Option<(TimerId, SimTime)>,
-    app_timer: Option<(TimerId, SimTime)>,
-}
-
-/// Re-arms a deadline timer (a host's TCP or app timer, an arena's due
-/// timer), skipping the cancel+set round trip through the scheduler when
-/// the armed deadline is already the wanted one — between most pump pairs
-/// the app wakeup (and often the TCP timeout) is unchanged, and the
-/// scheduler churn of re-inserting it every pump shows up in profiles.
-pub(crate) fn rearm<P>(
-    ctx: &mut Context<'_, P>,
-    slot: &mut Option<(TimerId, SimTime)>,
-    want: Option<SimTime>,
-    token: u64,
-) {
-    match (want, *slot) {
-        (Some(at), Some((_, armed))) if at == armed => {}
-        (Some(at), prev) => {
-            if let Some((id, _)) = prev {
-                ctx.cancel_timer(id);
-            }
-            let id = ctx.set_timer(at.saturating_since(ctx.now()), token);
-            *slot = Some((id, at));
-        }
-        (None, Some((id, _))) => {
-            ctx.cancel_timer(id);
-            *slot = None;
-        }
-        (None, None) => {}
-    }
-}
-
-impl std::fmt::Debug for Host {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Host").finish_non_exhaustive()
-    }
-}
-
-impl Host {
-    /// Wraps a core as a netsim node; the caller keeps its own handle to
-    /// the core for post-run inspection.
-    pub(crate) fn from_core(core: Rc<RefCell<HostCore>>) -> Host {
-        Host {
-            core,
-            scratch: PumpScratch::default(),
-            tcp_timer: None,
-            app_timer: None,
-        }
-    }
-
-    fn pump(&mut self, ctx: &mut Context<'_, TcpSegment>) {
-        let core = self.core.clone();
-        let mut core = core.borrow_mut();
-        core.pump(ctx, &mut self.scratch);
-        // Re-arm timers from the post-pump state.
-        let (tcp_at, app_at) = if core.dead {
-            (None, None)
-        } else {
-            (core.tcp.poll_timeout(), core.app_wakeup())
-        };
-        rearm(ctx, &mut self.tcp_timer, tcp_at, TOKEN_TCP);
-        rearm(ctx, &mut self.app_timer, app_at, TOKEN_APP);
-    }
-}
-
-impl Node<TcpSegment> for Host {
-    fn on_start(&mut self, ctx: &mut Context<'_, TcpSegment>) {
-        self.core.borrow_mut().begin();
-        self.pump(ctx);
-    }
-
-    fn on_packet(&mut self, packet: Packet<TcpSegment>, ctx: &mut Context<'_, TcpSegment>) {
-        self.core
-            .borrow_mut()
-            .tcp
-            .on_segment(packet.payload, ctx.now());
-        self.pump(ctx);
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, TcpSegment>) {
-        // The fired timer no longer exists in the scheduler: forget it so
-        // `rearm` can't skip re-setting (or cancel) its stale id.
-        if token == TOKEN_TCP {
-            self.tcp_timer = None;
-            self.core.borrow_mut().tcp.on_tick(ctx.now());
-        } else {
-            self.app_timer = None;
-        }
-        // TOKEN_APP needs no pre-step: the pump polls the app with `now`.
-        self.pump(ctx);
-    }
-}
-
-impl HostCore {
-    fn pump(&mut self, ctx: &mut Context<'_, TcpSegment>, scratch: &mut PumpScratch) {
-        let now = ctx.now();
-        self.pump_stages(now, scratch);
-        let self_id = ctx.node_id();
-        let peer = self.peer;
-        self.flush_transmit(now, |seg| {
-            let wire_bytes = seg.wire_bytes();
-            ctx.send(Packet::new(self_id, peer, wire_bytes, seg));
-        });
-        // A finished (or dead) browser ends the single-pair run; servers
-        // and attackers run on to the deadline.
-        if let App::Client(browser) = &self.app {
-            if self.dead || (browser.is_done() && self.tcp.send_drained()) {
-                ctx.halt();
-            }
-        }
-    }
 
     /// One ordered pass settling the stack: inbound → app → outbound.
     ///
@@ -543,8 +373,8 @@ impl HostCore {
     /// earlier revision did) only ever bought no-progress passes.
     ///
     /// [`flush_transmit`](Self::flush_transmit) completes the pump by
-    /// draining TCP's segment queue; it is separate so the fleet arena can
-    /// batch the stage passes and route the segments itself.
+    /// draining TCP's segment queue; it is separate so the arena routes
+    /// the segments itself.
     pub(crate) fn pump_stages(&mut self, now: SimTime, scratch: &mut PumpScratch) {
         if !self.dead && self.tcp.is_aborted() {
             self.on_transport_death(now);
@@ -973,6 +803,14 @@ impl HostCore {
             }
         }
         progressed
+    }
+}
+
+/// The earlier of two optional deadlines, where `None` means no deadline.
+pub(crate) fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 

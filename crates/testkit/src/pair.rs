@@ -1,15 +1,16 @@
 //! The pair recipe: how every client/server pair of [`HostCore`]s is set
-//! up, whichever driver runs it.
+//! up.
 //!
-//! Two drivers run pairs. The single-pair scenario
-//! ([`build_scenario`](crate::build_scenario)) gives each core its own
-//! netsim node; the fleet ([`crate::fleet`]) slabs a shard's cores behind
-//! two arena nodes. Both build every pair here, so the defense's rewrite
-//! of the server config, the server stack, the slow-DoS hardening, the
-//! shaper, the endpoint oracle and the choice of browser or attacker are
-//! decided in one place. A driver passes in only what differs between
-//! them: the RNG stream, the session key, the ground-truth sink, and the
-//! shared site and pool.
+//! One driver runs pairs, the host arena ([`crate::fleet`]), and two entry
+//! points assemble its shards: a paper trial
+//! ([`build_scenario`](crate::build_scenario)) is a one-pair shard, and a
+//! fleet shard ([`run_fleet_shard`](crate::fleet::run_fleet_shard)) holds
+//! its share of a population. Both build every pair here, so the defense's
+//! rewrite of the server config, the server stack, the slow-DoS hardening,
+//! the shaper, the endpoint oracle and the choice of browser or attacker
+//! are decided in one place. An entry point passes in only what differs
+//! between them: the RNG stream, the session key, the ground-truth sink,
+//! and the shared site and pool.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,7 +20,7 @@ use h2priv_conformance::ViolationSink;
 use h2priv_defense::{constrained_pad_set, DefenseSpec, TlsShaper};
 use h2priv_dos::{DosClient, DosConfig, DosDetector, ServerGuard};
 use h2priv_http2::H2Config;
-use h2priv_netsim::{NodeId, SimDuration, SimRng};
+use h2priv_netsim::{SimDuration, SimRng};
 use h2priv_tcp::Seq;
 use h2priv_web::{BrowsePlan, Browser, SiteServer, Website, WorkerPool};
 
@@ -39,12 +40,8 @@ pub(crate) struct PairRecipe {
     authority: Rc<str>,
 }
 
-/// The per-pair half of the recipe: what the drivers choose per pair.
+/// The per-pair half of the recipe: what the entry points choose per pair.
 pub(crate) struct PairInputs<'a> {
-    /// The node the client core sends to.
-    pub server_node: NodeId,
-    /// The node the server core sends to.
-    pub client_node: NodeId,
     /// The pair's stream. The browser and then the server's workers each
     /// take one fork; an attacker burns the browser's, so the server's
     /// stream does not depend on which client the pair runs.
@@ -101,10 +98,9 @@ impl PairRecipe {
         shaper_rng: impl FnOnce(&mut SimRng) -> Option<SimRng>,
     ) -> (HostCore, HostCore) {
         let c = &self.config;
-        let core = |app, peer, tcp, h2, truth| {
+        let core = |app, tcp, h2, truth| {
             HostCore::new(
                 app,
-                peer,
                 tcp,
                 h2,
                 p.session_key,
@@ -123,7 +119,7 @@ impl PairRecipe {
                 (App::Client(browser), c.client_h2.clone())
             }
         };
-        let mut client = core(app, p.server_node, c.tcp.clone(), h2, None);
+        let mut client = core(app, c.tcp.clone(), h2, None);
 
         let mut site_server = SiteServer::new(p.served, c.server.clone(), p.rng.fork());
         if let Some(pool) = p.pool {
@@ -133,7 +129,6 @@ impl PairRecipe {
         server_tcp.iss = SERVER_ISS;
         let mut server = core(
             App::Server(site_server),
-            p.client_node,
             server_tcp,
             c.server_h2.clone(),
             p.truth,

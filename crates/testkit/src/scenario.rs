@@ -8,6 +8,13 @@
 //! [`ScenarioConfig::attacker`] set, the client is a slow-DoS attacker
 //! instead (arXiv:2203.16796), and the same run measures what the attack
 //! pins down on the server and how fast its hardening stops it.
+//!
+//! A trial is a one-pair shard on the host arena ([`crate::fleet`]), the
+//! driver every fleet pair runs on too: pair 0 is the measured pair, the
+//! gateway carries its adversary, tap and oracle chain, and each arrival
+//! is pumped at once, the timing every paper golden was recorded with.
+//! The result is read from the pair's row when it folds: when the page
+//! load is over, or at the deadline.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -15,18 +22,16 @@ use std::rc::Rc;
 use h2priv_analysis::{GroundTruth, WireTrace};
 use h2priv_conformance::{ConformanceTap, Violation, ViolationSink};
 use h2priv_defense::{AdaptivePacer, ConstantRatePacer, DefenseSpec};
-use h2priv_dos::{Alert, DetectorConfig, DosConfig, GuardConfig, GuardStats};
+use h2priv_dos::{Alert, DetectorConfig, DosClientStats, DosConfig, GuardConfig, GuardStats};
 use h2priv_http2::{H2Config, SendPolicy, Settings};
-use h2priv_netsim::{
-    Dir, GatewayNode, LinkConfig, Middlebox, SimDuration, SimRng, Simulator, StopReason,
-};
+use h2priv_netsim::{Dir, LinkConfig, Middlebox, SimDuration, SimRng, SimTime, StopReason};
 use h2priv_tcp::{TcpConfig, TcpSegment, TcpStats};
 use h2priv_web::{
     BrowsePlan, BrowserConfig, RequestOutcome, SiteServerConfig, Website, WorkerPool,
 };
 
 use crate::calib;
-use crate::host::{App, Host, HostCore};
+use crate::fleet::{Chain, PumpTiming, Shard, ShardParts, VictimTap, VICTIM_PAIR};
 use crate::pair::{PairInputs, PairRecipe};
 use crate::tap::WireTap;
 
@@ -81,8 +86,9 @@ pub struct ScenarioConfig {
     /// (`None`, the default, browses the plan). The attacker itself is
     /// deterministic; the seed still drives TCP/TLS and the server's
     /// workers. Its run reports no browser outcomes; read the attacker's
-    /// and the pool's end state through [`Scenario::client`] and
-    /// [`Scenario::server`].
+    /// and the pool's end state from [`RunResult::attacker`] and
+    /// [`RunResult::pool`]. The run ends once the server sheds the
+    /// attacker, or at the deadline.
     pub attacker: Option<DosConfig>,
 }
 
@@ -143,21 +149,11 @@ impl Default for ScenarioConfig {
     }
 }
 
-/// A built, not-yet-run trial.
+/// A built, not-yet-run trial: a wired one-pair shard. Its pair is built
+/// when the run starts.
 pub struct Scenario {
-    /// The simulator, ready to run.
-    sim: Simulator<TcpSegment>,
-    /// Client host handle (browser or attacker, TCP stats).
-    pub client: Rc<RefCell<HostCore>>,
-    /// Server host handle.
-    pub server: Rc<RefCell<HostCore>>,
-    /// The gateway's capture.
-    trace: Rc<RefCell<WireTrace>>,
-    /// Seal-time annotations.
-    truth: Rc<RefCell<GroundTruth>>,
-    /// The conformance oracle's sink, when the oracle is enabled.
-    violations: Option<ViolationSink>,
-    deadline: h2priv_netsim::SimDuration,
+    shard: Shard,
+    deadline: SimDuration,
 }
 
 impl std::fmt::Debug for Scenario {
@@ -209,6 +205,11 @@ pub struct RunResult {
     /// whenever the connection ended, because both teardown paths (guard
     /// GOAWAY and transport death) cancel the server's in-flight workers.
     pub pool_in_use: usize,
+    /// The server's worker pool as the run left it, when it ran one.
+    pub pool: Option<WorkerPool>,
+    /// The slow-DoS client's counters, with when its attack started and
+    /// when the server shed it (`None` for a browser client).
+    pub attacker: Option<DosClientStats>,
 }
 
 impl RunResult {
@@ -245,143 +246,108 @@ pub fn build_scenario(
     config: &ScenarioConfig,
     adversary: Option<Box<dyn Middlebox<TcpSegment>>>,
 ) -> Scenario {
-    let mut sim = Simulator::new(config.seed);
-    let mut seed_rng = SimRng::seed_from(config.seed ^ 0xD1CE_BA5E);
-    let client_id = sim.reserve_node_id();
-    let gateway_id = sim.reserve_node_id();
-    let server_id = sim.reserve_node_id();
-    // Shaping defenses pace at a CDN edge *between* the server and the
-    // adversary's vantage point: a Hold issued inside the gateway's own
-    // middlebox chain would not move the tap's arrival timestamps, so the
-    // pacer must finish its work one hop upstream of the observer.
-    let edge_id = config.defense.is_shaping().then(|| sim.reserve_node_id());
-
     let trace = Rc::new(RefCell::new(WireTrace::new()));
     let truth = Rc::new(RefCell::new(GroundTruth::new()));
-    let violations = config.conformance.then(ViolationSink::new);
-    let (client, server) = PairRecipe::new(config.clone(), site).build(
-        PairInputs {
-            server_node: server_id,
-            client_node: client_id,
-            rng: &mut seed_rng,
-            session_key: 0x5EC0_0D5E ^ config.seed,
-            site,
-            plan,
-            served: Rc::new(site.clone()),
-            attacker: config.attacker.clone(),
-            truth: Some(truth.clone()),
-            pool: config
-                .pool
-                .map(|pool| Rc::new(RefCell::new(WorkerPool::new(pool)))),
-            oracle: violations.as_ref(),
-        },
-        // The shaper's fork comes last, so unshaped trials keep their
-        // exact seed sequence.
-        |rng| Some(rng.fork()),
-    );
-    let client = Rc::new(RefCell::new(client));
-    let server = Rc::new(RefCell::new(server));
-
-    let mut gateway = GatewayNode::new(client_id, server_id);
-    if let Some(adv) = adversary {
-        gateway.push_middlebox(adv);
-    }
-    gateway.push_middlebox(WireTap::new(trace.clone()));
+    let sink = config.conformance.then(ViolationSink::new);
+    let pool = config
+        .pool
+        .map(|pool| Rc::new(RefCell::new(WorkerPool::new(pool))));
 
     // The oracle's wire checks sit after the adversary, so they validate
     // exactly the traffic that survives; the endpoint checkers on both
     // hosts report into the same sink.
-    if let Some(sink) = &violations {
-        gateway.push_middlebox(Box::new(ConformanceTap::new(sink.clone())));
+    let mut chain: Chain = adversary.into_iter().collect();
+    chain.push(Box::new(WireTap::new(trace.clone())));
+    if let Some(sink) = &sink {
+        chain.push(Box::new(ConformanceTap::new(sink.clone())));
     }
-
-    sim.install_node(client_id, Box::new(Host::from_core(client.clone())));
-    sim.install_node(gateway_id, Box::new(gateway));
-    sim.install_node(server_id, Box::new(Host::from_core(server.clone())));
-    sim.add_link(client_id, gateway_id, config.client_link.clone());
-    match edge_id {
-        // Pacing edge: client — gateway — edge — server. The WAN link (and
-        // the adversary's gateway) stays downstream of the pacer, so the
-        // tap observes post-shaping timing; the edge—server hop models an
-        // intra-datacenter LAN: fast, clean, order-preserving.
-        Some(edge_id) => {
-            let mut edge = GatewayNode::new(client_id, server_id);
-            let pace = config
-                .defense
-                .pacing()
-                .expect("shaping defense always has a pacing bound");
+    // Shaping defenses pace at a CDN edge between the server and the
+    // adversary's vantage point.
+    let pacer = config
+        .defense
+        .pacing()
+        .map(|pace| -> Box<dyn Middlebox<TcpSegment>> {
             match config.defense {
                 DefenseSpec::ConstantRate { .. } => {
-                    edge.push_middlebox(ConstantRatePacer::new(Dir::RightToLeft, pace));
+                    Box::new(ConstantRatePacer::new(Dir::RightToLeft, pace))
                 }
-                _ => {
-                    edge.push_middlebox(AdaptivePacer::new(Dir::RightToLeft, pace));
-                }
+                _ => Box::new(AdaptivePacer::new(Dir::RightToLeft, pace)),
             }
-            sim.install_node(edge_id, Box::new(edge));
-            sim.add_link(gateway_id, edge_id, config.server_link.clone());
-            let lan = LinkConfig::with_delay(SimDuration::from_micros(50))
-                .bandwidth(calib::LINK_BANDWIDTH);
-            sim.add_link(edge_id, server_id, lan);
-        }
-        None => {
-            sim.add_link(gateway_id, server_id, config.server_link.clone());
-        }
-    }
+        });
 
+    let recipe = PairRecipe::new(config.clone(), site);
+    let served = Rc::new(site.clone());
+    let plan = plan.clone();
+    let (seed, attacker) = (config.seed, config.attacker.clone());
+    let (pair_truth, pair_pool, pair_sink) = (truth.clone(), pool.clone(), sink.clone());
+    let build = move |_pair| {
+        recipe.build(
+            PairInputs {
+                rng: &mut SimRng::seed_from(seed ^ 0xD1CE_BA5E),
+                session_key: 0x5EC0_0D5E ^ seed,
+                site: &served,
+                plan: &plan,
+                served: served.clone(),
+                attacker: attacker.clone(),
+                truth: Some(pair_truth.clone()),
+                pool: pair_pool.clone(),
+                oracle: pair_sink.as_ref(),
+            },
+            // The shaper's fork comes last, so unshaped trials keep their
+            // exact seed sequence.
+            |rng| Some(rng.fork()),
+        )
+    };
+    let shard = Shard::new(ShardParts {
+        engine_seed: config.seed,
+        pump: PumpTiming::EachArrival,
+        population: 1,
+        admit: vec![(SimTime::ZERO, VICTIM_PAIR)],
+        build: Box::new(build),
+        slab_hint: 1,
+        chains: vec![(VICTIM_PAIR, chain)],
+        pacer,
+        access: config.client_link.clone(),
+        wan: config.server_link.clone(),
+        event_budget: None,
+        victim: Some(VictimTap { trace, truth }),
+        sink,
+        pool,
+        progress: None,
+    });
     Scenario {
-        sim,
-        client,
-        server,
-        trace,
-        truth,
-        violations,
+        shard,
         deadline: config.deadline,
     }
 }
 
 /// Runs a built scenario to completion (or its deadline) and collects the
 /// result.
-pub fn run_scenario(mut scenario: Scenario) -> RunResult {
-    let deadline = h2priv_netsim::SimTime::ZERO + scenario.deadline;
-    let summary = scenario.sim.run_until(deadline);
-    let sched = scenario.sim.sched_stats();
-    // The run is over, so nothing will write to the capture again: move
-    // the trace and ground truth out of their shared cells instead of
-    // deep-cloning them per trial.
-    let trace = scenario.trace.borrow_mut().finish();
-    let truth = std::mem::replace(&mut *scenario.truth.borrow_mut(), GroundTruth::new());
-    let client = scenario.client.borrow();
-    let server = scenario.server.borrow();
-    let (violations, violations_total) = match &scenario.violations {
-        Some(sink) => {
-            let total = sink.total();
-            (sink.take(), total)
-        }
-        None => (Vec::new(), 0),
-    };
+pub fn run_scenario(scenario: Scenario) -> RunResult {
+    let run = scenario.shard.run(scenario.deadline);
+    let victim = run.victim.expect("a one-pair shard folds its pair");
+    let row = victim.row;
     RunResult {
-        stop: summary.stop,
-        outcomes: match &client.app {
-            App::Client(browser) => browser.outcomes(),
-            _ => Vec::new(),
-        },
-        truth,
-        trace,
-        client_tcp: client.tcp_stats(),
-        server_tcp: server.tcp_stats(),
-        broken: client.dead || server.dead,
-        events: summary.events,
-        sched,
-        violations,
-        violations_total,
-        defense_dummies: server.shaper_dummies(),
-        dos_alerts: server.dos_alerts(),
-        guard: server.guard_stats(),
-        pool_in_use: server.server().pool().map_or(0, |p| {
-            let p = p.borrow();
-            p.in_use() + p.parser_held()
-        }),
+        stop: run.stop,
+        outcomes: row.outcomes,
+        truth: victim.truth,
+        trace: victim.trace,
+        client_tcp: row.client_tcp,
+        server_tcp: row.server_tcp,
+        broken: row.broken,
+        events: run.result.events,
+        sched: run.result.sched,
+        violations: run.result.violations,
+        violations_total: run.result.violations_total,
+        defense_dummies: row.defense_dummies,
+        dos_alerts: row.dos_alerts,
+        guard: row.guard,
+        pool_in_use: run
+            .pool
+            .as_ref()
+            .map_or(0, |p| p.in_use() + p.parser_held()),
+        pool: run.pool,
+        attacker: row.attacker,
     }
 }
 
@@ -401,12 +367,8 @@ mod tests {
     use h2priv_dos::DosAttack;
     use h2priv_web::{isidewith, PoolConfig};
 
-    /// One attacker against one pooled, monitored server, plus handles to
-    /// both cores for their end state.
-    fn attack_run(
-        attack: DosAttack,
-        guarded: bool,
-    ) -> (RunResult, Rc<RefCell<HostCore>>, Rc<RefCell<HostCore>>) {
+    /// One attacker against one pooled, monitored server.
+    fn attack_run(attack: DosAttack, guarded: bool) -> RunResult {
         let iw = isidewith::build(&[0, 1, 2, 3, 4, 5, 6, 7]);
         let config = ScenarioConfig {
             seed: 7,
@@ -417,28 +379,24 @@ mod tests {
             deadline: SimDuration::from_secs(30),
             ..ScenarioConfig::default()
         };
-        let scenario = build_scenario(&iw.site, &iw.plan, &config, None);
-        let (client, server) = (scenario.client.clone(), scenario.server.clone());
-        (run_scenario(scenario), client, server)
+        run_trial(&iw.site, &iw.plan, &config, None)
     }
 
     #[test]
     fn attacker_scenario_reports_no_browser_outcomes() {
-        let (r, client, _) = attack_run(DosAttack::SettingsFlood, false);
+        let r = attack_run(DosAttack::SettingsFlood, false);
         assert!(r.outcomes.is_empty());
-        assert!(client.borrow().attacker().attack_started().is_some());
+        let attacker = r.attacker.expect("an attacker client");
+        assert!(attacker.attack_started.is_some());
     }
 
     #[test]
     fn undefended_zero_window_hoard_pins_the_pool() {
-        let (r, client, server) = attack_run(DosAttack::ZeroWindowHoard, false);
-        assert_eq!(
-            client.borrow().attacker().shed_at(),
-            None,
-            "no guard, nothing sheds"
-        );
-        let server = server.borrow();
-        assert!(server.server().requests_seen() > 0);
+        let r = attack_run(DosAttack::ZeroWindowHoard, false);
+        let attacker = r.attacker.expect("an attacker client");
+        assert_eq!(attacker.shed_at, None, "no guard, nothing sheds");
+        let pool = r.pool.as_ref().expect("the server ran a pool");
+        assert!(pool.stats().admitted > 0);
         assert_eq!(
             r.pool_in_use,
             PoolConfig::default().capacity,
@@ -450,11 +408,10 @@ mod tests {
     #[test]
     fn guarded_attacks_are_shed_and_detected() {
         for attack in DosAttack::all() {
-            let (r, client, _) = attack_run(attack, true);
-            let client = client.borrow();
-            let attacker = client.attacker();
+            let r = attack_run(attack, true);
+            let attacker = r.attacker.expect("an attacker client");
             assert!(
-                attacker.shed_at().is_some(),
+                attacker.shed_at.is_some(),
                 "{}: guard never shed the attacker",
                 attack.name()
             );
@@ -464,7 +421,7 @@ mod tests {
                 attack.name(),
                 r.dos_alerts
             );
-            assert!(attacker.attack_started().is_some());
+            assert!(attacker.attack_started.is_some());
             assert_eq!(
                 r.pool_in_use,
                 0,

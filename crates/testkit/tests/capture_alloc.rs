@@ -24,7 +24,7 @@ use h2priv_web::isidewith;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// A paper load's largest measured peak of live heap bytes.
-const PEAK_MEASURED: u64 = 913_646;
+const PEAK_MEASURED: u64 = 878_040;
 /// The bytes each measured load's finished result held.
 const RETAINED_MEASURED: u64 = 383_368;
 const MAX_PEAK_BYTES: u64 = PEAK_MEASURED * 5 / 4;

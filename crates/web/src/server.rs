@@ -75,7 +75,7 @@ impl PoolStats {
 /// a connection whose frame parser is wedged mid-HEADERS-sequence *holds*
 /// a thread outright (thread-per-connection semantics — the hold may
 /// overdraw the pool, and everything else waits).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WorkerPool {
     config: PoolConfig,
     in_use: usize,
@@ -196,9 +196,9 @@ struct Worker {
 /// The server application state machine.
 #[derive(Debug)]
 pub struct SiteServer {
-    /// The site, shared: a fleet shard builds one `Rc<Website>` (bodies
-    /// materialized) and every server of the shard serves from it — one
-    /// copy of the object table and bodies per shard, not per pair.
+    /// The site, shared: a fleet shard builds one `Rc<Website>` and every
+    /// server of the shard serves from it — one copy of the object table
+    /// per shard, not per pair.
     site: Rc<Website>,
     config: SiteServerConfig,
     workers: Vec<Worker>,
@@ -389,9 +389,7 @@ impl SiteServer {
                     let obj = self.site.object(id).expect("worker references site object");
                     // Padding rewrites the body, so the defense paths
                     // materialize their own copy; the undefended path
-                    // serves the shared body as-is — the site's
-                    // materialized copy when present, else the per-thread
-                    // memo.
+                    // serves the per-thread memo of the shared body as-is.
                     let body = if let Some(padded) = self
                         .config
                         .pad
@@ -403,9 +401,7 @@ impl SiteServer {
                         body.resize(padded, 0);
                         SharedBytes::from_vec(body)
                     } else {
-                        self.site
-                            .shared_body_of(id)
-                            .unwrap_or_else(|| obj.shared_body())
+                        obj.shared_body()
                     };
                     Response {
                         stream: w.stream,

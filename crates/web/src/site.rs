@@ -1,20 +1,19 @@
 //! A website: a set of objects addressable by path.
 
-use h2priv_bytes::{FxHashMap, SharedBytes};
+use h2priv_bytes::FxHashMap;
 
 use crate::object::{ObjectId, ObjectKind, WebObject};
 
-/// A static website.
+/// A static website: the object table, addressable by path and id.
+///
+/// A site stores no bodies. Each body is a pure function of its object's
+/// id and size, and servers take it from
+/// [`WebObject::shared_body`]'s per-thread memo, so every server on a
+/// thread shares one buffer per distinct body.
 #[derive(Debug, Clone, Default)]
 pub struct Website {
     objects: Vec<WebObject>,
     by_path: FxHashMap<String, ObjectId>,
-    /// Object bodies generated once and shared, id-indexed; filled by
-    /// [`materialize_bodies`](Self::materialize_bodies). A site behind an
-    /// `Rc` serves every connection of a shard from this one set of
-    /// buffers — per-thread memoization (and its per-thread copies) never
-    /// enters the picture. Empty until materialized.
-    bodies: Vec<SharedBytes>,
 }
 
 impl Website {
@@ -35,27 +34,7 @@ impl Website {
         let id = ObjectId(self.objects.len() as u32);
         self.by_path.insert(path.clone(), id);
         self.objects.push(WebObject::new(id, path, kind, size));
-        self.bodies.clear(); // stale: re-materialize after mutation
         id
-    }
-
-    /// Generates every object's body once, to be served as shared slices
-    /// by [`shared_body_of`](Self::shared_body_of). Call after the site is
-    /// fully built; typically followed by wrapping the site in an `Rc` so
-    /// all connections of a shard serve from the same buffers.
-    pub fn materialize_bodies(&mut self) {
-        self.bodies = self
-            .objects
-            .iter()
-            .map(|o| SharedBytes::from_vec(o.body()))
-            .collect();
-    }
-
-    /// The materialized shared body for `id`, or `None` when
-    /// [`materialize_bodies`](Self::materialize_bodies) has not run (or
-    /// the id is unknown). O(1), a refcount bump.
-    pub fn shared_body_of(&self, id: ObjectId) -> Option<SharedBytes> {
-        self.bodies.get(id.0 as usize).cloned()
     }
 
     /// Looks an object up by path.
